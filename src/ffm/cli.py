@@ -34,7 +34,7 @@ from .errors import ConfigError, DataError, NetworkError, NumericError
 from .fpca import fpca
 from .montecarlo import monte_carlo
 from .pipeline import FfmConfig, fit_ffm, forecast
-from .selection import CRITERIA, criterion_grid
+from .selection import CRITERIA, criterion_grid, export_mse_surface
 from .simulate import MODELS, SimSpec, simulate
 
 __all__ = ["RunConfig", "main", "cmd_fpca", "cmd_select", "cmd_forecast",
@@ -146,7 +146,7 @@ def cmd_select(args) -> int:
     result = fpca(sample)
     k_max = min(args.kmax, result.rank)
     grid = criterion_grid(result, k_max, args.pmax, args.criterion, args.restricted)
-    rows = io.surface_rows(grid)
+    rows = export_mse_surface(grid)
     if cfg.fmt == "json":
         path = cfg.output_dir / "surface.json"
         io.write_json({"cells": rows, "chosen": list(grid.chosen)}, path)

@@ -226,6 +226,13 @@ class DiscretePanel:
             raise DataError(
                 f"table shape {table.shape} does not match {maturities.size} maturities"
             )
+        infinite = np.argwhere(np.isinf(table))
+        if infinite.size:
+            row, col = infinite[0]
+            raise DataError(
+                f"row {row}, maturity {maturities[col]:g} holds {table[row, col]}; "
+                f"cells must be finite or NaN (missing)"
+            )
         counts = np.sum(~np.isnan(table), axis=1)
         bad = np.nonzero(counts < self.MIN_KNOTS)[0]
         if bad.size:

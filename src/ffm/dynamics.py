@@ -77,6 +77,15 @@ def _lagged_design(scores: np.ndarray, m: int) -> np.ndarray:
     return np.hstack(blocks)
 
 
+def _check_conditioning(gram: np.ndarray) -> None:
+    """Raise NumericError when ``gram``'s 2-norm condition exceeds CONDITION_LIMIT."""
+    cond = np.linalg.cond(gram)
+    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+        raise NumericError(
+            f"lagged design is numerically singular (condition {cond:.3e} > {CONDITION_LIMIT:.0e})"
+        )
+
+
 def _solve_ols(design: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Normal-equation OLS with an SPD factorization and a condition guard.
 
@@ -84,11 +93,7 @@ def _solve_ols(design: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.
     diagonal of the inverted Gram matrix (for standard errors).
     """
     gram = design.T @ design
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise NumericError(
-            f"lagged design is numerically singular (condition {cond:.3e} > {CONDITION_LIMIT:.0e})"
-        )
+    _check_conditioning(gram)
     try:
         factor = scipy.linalg.cho_factor(gram)
     except scipy.linalg.LinAlgError as exc:

@@ -26,9 +26,8 @@ from .dns import DnsModel
 from .dynamics import VarFit
 from .errors import DataError, NetworkError
 from .fpca import FpcaResult
-from .montecarlo import McReport
 from .pipeline import FfmConfig, FfmModel, ForecastResult
-from .selection import SelectionGrid, export_mse_surface
+from .selection import SelectionGrid
 
 __all__ = [
     "read_panel_csv",
@@ -354,14 +353,6 @@ def forecast_rows(result: ForecastResult) -> list[dict]:
         for r, v in zip(result.grid.points, result.matrix[i]):
             rows.append({"horizon": h, "r": float(r), "value": float(v)})
     return rows
-
-
-def surface_rows(grid: SelectionGrid) -> list[dict]:
-    return export_mse_surface(grid)
-
-
-def mc_rows(report: McReport) -> list[dict]:
-    return report.summary_rows()
 
 
 def backtest_rows(reports: list[BacktestReport]) -> list[dict]:

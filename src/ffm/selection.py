@@ -8,6 +8,19 @@ evaluated on a (J, m) grid.  bic and hqc penalize its log with J*m
 parameter counts; ffpe multiplies the innovation trace by (T + J*m)/T
 and adds the eigenvalue tail without any log or additive penalty, which
 is why it tends to overshoot.
+
+The innovation traces of a whole grid column come from one triangular
+factor.  For lag order m the k_max-factor design X is laid out factor
+major: column l*m + k - 1 holds factor l at lag k, so the J-factor design
+is the leading J*m columns of X.  The Householder QR of [X Y] is
+[[R, Q'Y], [0, R_Y]], where R' is the Cholesky factor of X'X.  The
+factor of a leading block of X'X is the leading block of R', so
+regressing target i on the first n columns of X leaves exactly the
+squares of its column below row n.  Sums from the bottom up then give
+every J at once, and no two large sums of squares are subtracted, which
+keeps near-exact fits accurate.  The restricted (own-lags) fit is
+additive over factors: one univariate fit per (factor, m), summed over
+factors.
 """
 
 from __future__ import annotations
@@ -17,9 +30,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg import lapack
 
 from .core import FunctionalSample
-from .dynamics import fit_var
+from .dynamics import CONDITION_LIMIT, _check_conditioning, fit_var
 from .errors import NumericError
 from .fpca import FpcaResult
 
@@ -57,9 +72,10 @@ class SelectionGrid:
     restricted: bool
 
 
-def penalty(criterion: str, j: int, m: int, t_obs: int) -> float:
+def penalty(criterion: str, j, m, t_obs: int):
     """Additive penalty of a log-MSE criterion at cell (j, m).
 
+    ``j`` and ``m`` may be integers or broadcastable integer arrays.
     ffpe has no additive penalty (its correction is multiplicative), so
     it returns 0.
     """
@@ -72,21 +88,79 @@ def penalty(criterion: str, j: int, m: int, t_obs: int) -> float:
     raise ValueError(f"unknown criterion {criterion!r}; expected one of {CRITERIA}")
 
 
+def _leading_fits(design: np.ndarray, targets: np.ndarray,
+                  sizes) -> tuple[np.ndarray, dict[int, str]]:
+    """Least-squares fits of targets on every leading block of regressors.
+
+    Returns ``rss`` with ``rss[n-1, i]`` the residual sum of squares of
+    target i on the first n columns of ``design``, for each n whose
+    block can be fitted, and the reason each block size in ``sizes``
+    fails.  A block fails when it is exactly singular or, as in
+    ``fit_var``, when the condition number of its Gram matrix exceeds
+    CONDITION_LIMIT.  That is only computed where the bound
+    cond(G_n) <= tr(G_n) tr(G_n^{-1}) does not already clear the limit.
+    """
+    rows, n_max = design.shape
+    # R of [X Y] = [[R_x, Q'Y], [0, R_y]]; R_x' is the Cholesky factor of
+    # G = X'X, and target i's residual on the first n regressors is the
+    # part of its column below row n, so no sum of squares is subtracted
+    r = np.linalg.qr(np.hstack([design, targets]), mode="r")
+    below = np.cumsum((r[:0:-1, n_max:]) ** 2, axis=0)[::-1]
+    rss = np.vstack([below, np.zeros((1, targets.shape[1]))])
+    pivots = np.diagonal(r)[: min(rows, n_max)]
+    zero = np.flatnonzero(pivots == 0.0)
+    valid = int(zero[0]) if zero.size else pivots.size  # leading blocks of full rank
+    failures = {n: f"lagged design of {rows} observations has rank below {n} regressors"
+                for n in sizes if n > valid}
+    if valid:
+        inv, _ = lapack.dtrtri(r[:valid, :valid])
+        # tr(G_n^{-1}) is the squared Frobenius norm of the leading block of R_x^{-1}
+        bound = (np.cumsum(np.einsum("ij,ij->j", design[:, :valid], design[:, :valid]))
+                 * np.cumsum(np.einsum("ij,ij->j", inv, inv)))
+        for n in sizes:
+            if n <= valid and bound[n - 1] > CONDITION_LIMIT:
+                try:
+                    _check_conditioning(design[:, :n].T @ design[:, :n])
+                except NumericError as exc:
+                    failures[n] = str(exc)
+    return rss, failures
+
+
 def _innovation_traces(result: FpcaResult, k_max: int, p_max: int,
-                       restricted: bool) -> np.ndarray:
-    """tr(Sigma_eta(J, m)) for every grid cell; +inf where the fit fails."""
+                       restricted: bool) -> tuple[np.ndarray, dict[tuple[int, int], str]]:
+    """tr(Sigma_eta(J, m)) for every grid cell and why each failed cell failed.
+
+    Failed cells hold +inf.
+    """
+    scores = result.scores[:, :k_max]
+    t_obs = scores.shape[0]
+    js = np.arange(1, k_max + 1)
     traces = np.full((k_max, p_max), np.inf)
-    for j in range(1, k_max + 1):
-        scores = result.scores[:, :j]
-        for m in range(1, p_max + 1):
-            try:
-                traces[j - 1, m - 1] = float(np.trace(fit_var(scores, m, restricted).sigma_eta))
-            except (NumericError, ValueError) as exc:
-                warnings.warn(
-                    f"selection cell (J={j}, m={m}) failed and was set to +inf: {exc}",
-                    stacklevel=2,
-                )
-    return traces
+    failures = {}
+    for m in range(1, p_max + 1):
+        targets = scores[m:]
+        # factor-major lagged design: column l*m + k - 1 is factor l at lag k
+        design = sliding_window_view(scores, m, axis=0)[: t_obs - m, :, ::-1]
+        design = design.reshape(t_obs - m, k_max * m)
+        if restricted:
+            rss = np.zeros(k_max)
+            n_ok = k_max
+            for l in range(k_max):
+                own, why = _leading_fits(design[:, l * m:(l + 1) * m], targets[:, l:l + 1], (m,))
+                if why:
+                    # fit_var stops at the first factor that fails
+                    failures.update({(j, m): why[m] for j in range(l + 1, k_max + 1)})
+                    n_ok = l
+                    break
+                rss[l] = own[m - 1, 0]
+            traces[:n_ok, m - 1] = np.cumsum(rss[:n_ok]) / (t_obs - m)
+        else:
+            rss, why = _leading_fits(design, targets, range(m, k_max * m + 1, m))
+            failures.update({(n // m, m): reason for n, reason in why.items()})
+            ok = np.array([j for j in js if j * m not in why], dtype=int)
+            cum = np.cumsum(rss, axis=1)
+            traces[ok - 1, m - 1] = cum[ok * m - 1, ok - 1] / (t_obs - m)
+    return traces, dict(sorted(failures.items()))
 
 
 def mse_simplified(result: FpcaResult, j: int, m: int, restricted: bool = False) -> float:
@@ -134,14 +208,9 @@ def _criterion_values(criterion: str, traces: np.ndarray, tails: np.ndarray,
     ms = np.arange(1, p_max + 1)[None, :]
     if criterion == "ffpe":
         return (t_obs + js * ms) / t_obs * traces + tails[:, None]
-    mse = traces + tails[:, None]
     with np.errstate(divide="ignore"):
-        logs = np.log(mse)
-    if criterion == "bic":
-        return logs + js * ms * math.log(t_obs) / t_obs
-    if criterion == "hqc":
-        return logs + 2.0 * js * ms * math.log(math.log(t_obs)) / t_obs
-    raise ValueError(f"unknown criterion {criterion!r}; expected one of {CRITERIA}")
+        logs = np.log(traces + tails[:, None])
+    return logs + penalty(criterion, js, ms, t_obs)
 
 
 def select_orders(result: FpcaResult, k_max: int, p_max: int,
@@ -159,7 +228,14 @@ def select_orders(result: FpcaResult, k_max: int, p_max: int,
         if criterion not in CRITERIA:
             raise ValueError(f"unknown criterion {criterion!r}; expected one of {CRITERIA}")
 
-    traces = _innovation_traces(result, k_max, p_max, restricted)
+    traces, failures = _innovation_traces(result, k_max, p_max, restricted)
+    if failures:
+        cells = ", ".join(f"(J={j}, m={m})" for j, m in failures)
+        warnings.warn(
+            f"{len(failures)} selection cells failed and were set to +inf: {cells}; "
+            f"first reason: {next(iter(failures.values()))}",
+            stacklevel=2,
+        )
     tails = np.array([result.tail_sum(j) for j in range(1, k_max + 1)])
     mse = traces + tails[:, None]
 

@@ -13,7 +13,7 @@ import pytest
 
 import ffm
 from ffm import DiscretePanel, Grid, dns_loadings, fpca, make_grid, panel_to_sample
-from ffm.cli import main
+from ffm.cli import EXIT_DATA, main
 from ffm.io import fpca_from_json, model_from_json, read_panel_csv, write_panel_csv
 
 RT_TOL = 1e-12
@@ -142,6 +142,17 @@ class TestForecast:
         assert run(["forecast", "--input", csv_path, "--k", 2,
                     "--output-dir", tmp_path]) == 2
         assert "both --k and --p" in capsys.readouterr().err
+
+    def test_infinite_cell_is_data_error(self, tmp_path, capsys):
+        csv_path = write_sim_csv(tmp_path, "M4", 40, 2)
+        lines = csv_path.read_text().splitlines()
+        cells = lines[5].split(",")
+        cells[3] = "inf"
+        lines[5] = ",".join(cells)
+        csv_path.write_text("\n".join(lines) + "\n")
+        assert run(["forecast", "--input", csv_path, "--k", 2, "--p", 1,
+                    "--output-dir", tmp_path / "fc"]) == EXIT_DATA
+        assert "row 4" in capsys.readouterr().err
 
     def test_degenerate_dynamics_warns_on_stderr(self, tmp_path, capsys):
         rng = np.random.default_rng(0)

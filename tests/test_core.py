@@ -163,6 +163,14 @@ class TestDiscretePanel:
         with pytest.raises(DataError, match=r"rows \[1\]"):
             DiscretePanel(maturities, table)
 
+    def test_rejects_infinite_cells(self):
+        maturities = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+        table = np.ones((3, 5))
+        table[0, 1] = np.nan  # NaN is a missing value, not an error
+        table[2, 3] = -np.inf
+        with pytest.raises(DataError, match=r"row 2, maturity 4 holds -inf"):
+            DiscretePanel(maturities, table)
+
     def test_rejects_unsorted_maturities(self):
         with pytest.raises(DataError, match="strictly increasing"):
             DiscretePanel(np.array([1.0, 3.0, 2.0, 4.0]), np.ones((1, 4)))

@@ -1,15 +1,20 @@
 """Order-selection criteria over the factor/lag grid."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ffm import (CRITERIA, FunctionalSample, NumericError, criterion_grid,
-                 export_mse_surface, fit_var, fpca, make_grid, mse_direct,
-                 mse_simplified, penalty, reconstruct, select_orders)
+from ffm import (CRITERIA, Curve, DiscretePanel, FpcaResult, FunctionalSample,
+                 NumericError, criterion_grid, export_mse_surface, fit_var, fpca,
+                 make_grid, mse_direct, mse_simplified, panel_to_sample, penalty,
+                 reconstruct, select_orders)
 
 IDENTITY_RTOL = 1e-12
+KERNEL_RTOL = 1e-10
 
 
 def ar_sample(rng, t_obs=200, n=41, a=0.8, sigma_idio=0.05):
@@ -22,6 +27,34 @@ def ar_sample(rng, t_obs=200, n=41, a=0.8, sigma_idio=0.05):
         f[t] = a * f[t - 1] + rng.normal()
     matrix = np.outer(f, psi) + sigma_idio * rng.normal(size=(t_obs, n))
     return FunctionalSample(grid, matrix)
+
+
+def reference_surface(result, k_max, p_max, restricted=False):
+    """MSE surface from one fit_var call per cell; +inf where the fit fails."""
+    mse = np.full((k_max, p_max), np.inf)
+    for j in range(1, k_max + 1):
+        for m in range(1, p_max + 1):
+            try:
+                fit = fit_var(result.scores[:, :j], m, restricted)
+            except NumericError:
+                continue
+            mse[j - 1, m - 1] = float(np.trace(fit.sigma_eta)) + result.tail_sum(j)
+    return mse
+
+
+def scores_result(scores, tail):
+    """An FpcaResult carrying the given scores and one tail eigenvalue."""
+    grid = make_grid(0.0, 1.0, 3)
+    k = scores.shape[1]
+    return FpcaResult(
+        grid=grid,
+        mean=Curve(grid, np.zeros(grid.n)),
+        eigenvalues=np.mean(scores**2, axis=0),
+        eigenfunctions=np.zeros((k, grid.n)),
+        scores=scores,
+        tail_eigenvalues=np.array([tail]),
+        times=tuple(range(1, scores.shape[0] + 1)),
+    )
 
 
 class TestPenalty:
@@ -182,6 +215,49 @@ class TestSelectOrders:
         assert np.all(np.isinf(g.values[1]))
         assert np.all(np.isfinite(g.values[0]))
         assert g.chosen[0] == 1
+
+    def test_rank_deficient_panel_warns_once(self):
+        # eleven maturities splined onto 100 points span at most eleven
+        # dimensions, so every cell with J >= 12 is singular
+        rng = np.random.default_rng(55)
+        maturities = np.array([1, 3, 6, 12, 24, 36, 60, 84, 120, 240, 360], dtype=float)
+        panel = DiscretePanel(maturities, rng.normal(size=(150, maturities.size)))
+        result = fpca(panel_to_sample(panel, make_grid(1.0, 360.0, 100)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            grids = select_orders(result, 20, 8)
+        assert len(caught) == 1
+        message = str(caught[0].message)
+        assert message.startswith("72 selection cells failed")
+        assert "(J=12, m=1)" in message and "(J=20, m=8)" in message
+        failed = {tuple(c) for c in np.argwhere(np.isinf(grids["bic"].mse)) + 1}
+        assert failed == {(j, m) for j in range(12, 21) for m in range(1, 9)}
+        expected = reference_surface(result, 20, 8)
+        assert np.array_equal(np.isinf(expected), np.isinf(grids["bic"].mse))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 5), p_max=st.integers(1, 4),
+           spare=st.integers(-3, 6), duplicate=st.booleans(), restricted=st.booleans(),
+           log_scales=st.lists(st.floats(-2.0, 2.0), min_size=5, max_size=5),
+           tail_share=st.floats(1e-6, 1.0))
+    def test_surface_matches_fit_var_reference(self, seed, k, p_max, spare, duplicate,
+                                               restricted, log_scales, tail_share):
+        # T - p_max sits near k * p_max, so the largest cells run short
+        # of observations; a duplicated column makes every cell that
+        # holds both copies singular
+        t_obs = max(p_max + 2, (k + 1) * p_max + spare)
+        rng = np.random.default_rng(seed)
+        scores = rng.normal(size=(t_obs, k)) * 10.0 ** np.array(log_scales[:k])
+        if duplicate and k > 1:
+            scores[:, k - 1] = scores[:, 0]
+        result = scores_result(scores, tail_share * np.mean(scores**2))
+        expected = reference_surface(result, k, p_max, restricted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            mse = select_orders(result, k, p_max, restricted=restricted)["bic"].mse
+        assert np.array_equal(np.isinf(mse), np.isinf(expected))
+        finite = np.isfinite(expected)
+        assert np.allclose(mse[finite], expected[finite], rtol=KERNEL_RTOL, atol=0.0)
 
     def test_restricted_flag_propagates(self):
         rng = np.random.default_rng(54)
