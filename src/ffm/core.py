@@ -4,7 +4,8 @@ A curve is represented by its values on a fixed quadrature grid; every
 inner product and norm in the package is the trapezoid approximation on
 that grid.  Panels (tables observed at arbitrary maturities, possibly
 with holes) are turned into curve samples by natural cubic spline
-interpolation, row by row.
+interpolation; rows sharing a missingness pattern share their knots and
+are interpolated together.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import DataError
 
@@ -262,6 +262,39 @@ class DiscretePanel:
         return not np.any(np.isnan(self.table))
 
 
+def _spline_moments(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Second derivatives at the knots of the natural cubic splines through ``ys``.
+
+    ``ys`` holds one spline per column, shape (M, S); the (M - 2) x (M - 2)
+    tridiagonal system is solved once for all columns.  Both end rows are
+    zero (the natural boundary conditions).
+    """
+    h = np.diff(xs)
+    slopes = np.diff(ys, axis=0) / h[:, None]
+    moments = np.zeros(ys.shape)
+    if xs.size > 2:
+        a = np.diag(2.0 * (h[:-1] + h[1:])) + np.diag(h[1:-1], 1) + np.diag(h[1:-1], -1)
+        moments[1:-1] = np.linalg.solve(a, 6.0 * np.diff(slopes, axis=0))
+    return moments
+
+
+def _spline_values(xs: np.ndarray, ys: np.ndarray, moments: np.ndarray,
+                   r: np.ndarray) -> np.ndarray:
+    """Evaluate the splines of ``_spline_moments`` at points ``r`` inside the knot span.
+
+    Returns shape (r.size, S).  On [x_i, x_{i+1}] the value is
+    a y_i + b y_{i+1} + ((a^3 - a) M_i + (b^3 - b) M_{i+1}) h_i^2 / 6 with
+    a = (x_{i+1} - r) / h_i and b = (r - x_i) / h_i, so at a knot a or b
+    is exactly 0 or 1 and the knot value comes back exactly.
+    """
+    i = np.clip(np.searchsorted(xs, r, side="right") - 1, 0, xs.size - 2)
+    h = xs[i + 1] - xs[i]
+    a = ((xs[i + 1] - r) / h)[:, None]
+    b = ((r - xs[i]) / h)[:, None]
+    curvature = ((a**3 - a) * moments[i] + (b**3 - b) * moments[i + 1]) * (h**2 / 6.0)[:, None]
+    return a * ys[i] + b * ys[i + 1] + curvature
+
+
 class SplineFunction:
     """Natural cubic spline through given knots.
 
@@ -272,7 +305,7 @@ class SplineFunction:
     def __init__(self, xs: np.ndarray, ys: np.ndarray):
         self.xs = _frozen(xs)
         self.ys = _frozen(ys)
-        self._pp = CubicSpline(self.xs, self.ys, bc_type="natural", extrapolate=False)
+        self._moments = _spline_moments(self.xs, self.ys[:, None])
 
     def __call__(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
@@ -280,11 +313,12 @@ class SplineFunction:
             raise ValueError(
                 f"evaluation outside the knot span [{self.xs[0]}, {self.xs[-1]}]"
             )
-        return self._pp(r)
+        values = _spline_values(self.xs, self.ys[:, None], self._moments, r.reshape(-1))
+        return values.reshape(r.shape)
 
     def second_derivatives(self) -> np.ndarray:
         """Second derivative at each knot (zero at both ends by construction)."""
-        return self._pp(self.xs, 2)
+        return self._moments[:, 0].copy()
 
 
 def natural_cubic_spline(xs, ys, min_knots: int = DiscretePanel.MIN_KNOTS) -> SplineFunction:
@@ -316,25 +350,38 @@ def panel_to_sample(panel: DiscretePanel, grid: Grid,
                     min_knots: int = DiscretePanel.MIN_KNOTS) -> FunctionalSample:
     """Interpolate every panel row onto ``grid`` with natural cubic splines.
 
-    Each row uses only its own observed maturities as knots.  The grid
-    must lie inside every row's knot span; rows that cannot cover it are
-    rejected with their index named.  Rows observed exactly on the grid
-    are copied, so a complete panel whose maturities equal the grid
-    points round-trips bit for bit.
+    Each row uses only its own observed maturities as knots; rows with
+    the same missingness pattern share them and are splined in one solve.
+    The grid must lie inside every row's knot span; the first row (in row
+    order) that has too few knots or cannot cover it is rejected with its
+    index named.  Rows observed exactly on the grid are copied, so a
+    complete panel whose maturities equal the grid points round-trips bit
+    for bit.
     """
-    rows = np.empty((panel.n_rows, grid.n))
-    for t in range(panel.n_rows):
-        mask = ~np.isnan(panel.table[t])
-        knots = panel.maturities[mask]
-        if knots.size < min_knots:
+    observed = ~np.isnan(panel.table)
+    counts = observed.sum(axis=1)
+    first = panel.maturities[np.argmax(observed, axis=1)]
+    last = panel.maturities[::-1][np.argmax(observed[:, ::-1], axis=1)]
+    bad = np.flatnonzero((counts < min_knots) | (grid.a < first) | (grid.b > last))
+    if bad.size:
+        t = int(bad[0])
+        if counts[t] < min_knots:
             raise DataError(f"row {t} has fewer than {min_knots} observed values")
+        raise DataError(
+            f"row {t}: grid [{grid.a}, {grid.b}] exceeds the observed span "
+            f"[{first[t]}, {last[t]}]"
+        )
+
+    rows = np.empty((panel.n_rows, grid.n))
+    patterns, group = np.unique(observed, axis=0, return_inverse=True)
+    group = group.reshape(-1)
+    for g, mask in enumerate(patterns):
+        members = np.flatnonzero(group == g)
         if mask.all() and np.array_equal(panel.maturities, grid.points):
-            rows[t] = panel.table[t]
+            rows[members] = panel.table[members]
             continue
-        if grid.a < knots[0] or grid.b > knots[-1]:
-            raise DataError(
-                f"row {t}: grid [{grid.a}, {grid.b}] exceeds the observed span "
-                f"[{knots[0]}, {knots[-1]}]"
-            )
-        rows[t] = natural_cubic_spline(knots, panel.table[t, mask], min_knots)(grid.points)
+        knots = panel.maturities[mask]
+        values = panel.table[np.ix_(members, mask)].T
+        moments = _spline_moments(knots, values)
+        rows[members] = _spline_values(knots, values, moments, grid.points).T
     return FunctionalSample(grid, rows, times=panel.times)

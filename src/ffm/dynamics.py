@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import _frozen
 from .errors import NumericError
@@ -86,20 +85,31 @@ def _check_conditioning(gram: np.ndarray) -> None:
         )
 
 
+def _check_degrees_of_freedom(rows: int, regressors: int) -> None:
+    """Raise NumericError when a fit of ``rows`` observations leaves no residual."""
+    if rows <= regressors:
+        raise NumericError(
+            f"lagged design of {rows} observations leaves no residual degrees of "
+            f"freedom for {regressors} regressors"
+        )
+
+
 def _solve_ols(design: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Normal-equation OLS with an SPD factorization and a condition guard.
 
     Returns the coefficient matrix (regressors x targets) and the
     diagonal of the inverted Gram matrix (for standard errors).
     """
+    _check_degrees_of_freedom(*design.shape)
     gram = design.T @ design
     _check_conditioning(gram)
     try:
-        factor = scipy.linalg.cho_factor(gram)
-    except scipy.linalg.LinAlgError as exc:
+        factor = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
         raise NumericError(f"lagged design Gram matrix is not positive definite: {exc}") from exc
-    coef = scipy.linalg.cho_solve(factor, design.T @ targets)
-    gram_inv_diag = np.diag(scipy.linalg.cho_solve(factor, np.eye(gram.shape[0])))
+    inv_factor = np.linalg.inv(factor)  # G^{-1} = inv_factor' inv_factor
+    coef = inv_factor.T @ (inv_factor @ (design.T @ targets))
+    gram_inv_diag = np.einsum("ij,ij->j", inv_factor, inv_factor)
     return coef, gram_inv_diag
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import Curve, FunctionalSample, Grid, _frozen
 from .errors import NumericError
@@ -121,13 +120,17 @@ class FpcaResult:
 
     def total_variance(self) -> float:
         """Sum of the full positive spectrum."""
-        return float(self.eigenvalues.sum() + self.tail_eigenvalues.sum())
+        return self.tail_sum(0)
 
     def tail_sum(self, j: int) -> float:
-        """Variance mass beyond the leading ``j`` components."""
+        """Variance mass beyond the leading ``j`` components.
+
+        Summed over the joined spectrum, so the value does not depend on
+        where the kept components end and ``tail_eigenvalues`` begins.
+        """
         if not 0 <= j <= self.rank:
             raise ValueError(f"j must be in [0, {self.rank}], got {j}")
-        return float(self.eigenvalues[j:].sum() + self.tail_eigenvalues.sum())
+        return float(np.concatenate([self.eigenvalues[j:], self.tail_eigenvalues]).sum())
 
 
 def _fix_signs(eigvecs: np.ndarray, sqrt_w: np.ndarray) -> np.ndarray:
@@ -182,8 +185,8 @@ def fpca(sample: FunctionalSample, k_max: int | None = None) -> FpcaResult:
     b = sqrt_w[:, None] * kernel.values * sqrt_w[None, :]
     b = (b + b.T) / 2.0
     try:
-        vals, vecs = scipy.linalg.eigh(b)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - eigh on symmetric rarely fails
+        vals, vecs = np.linalg.eigh(b)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh on symmetric rarely fails
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
     vals = vals[::-1][:full_rank]
     vecs = vecs[:, ::-1][:, :full_rank]
@@ -201,7 +204,8 @@ def fpca(sample: FunctionalSample, k_max: int | None = None) -> FpcaResult:
         grid=sample.grid,
         mean=Curve(sample.grid, mean),
         eigenvalues=_frozen(vals[:rank]),
-        eigenfunctions=_frozen(eigenfunctions),
+        # row-major like a reloaded model's, so products with it round the same
+        eigenfunctions=_frozen(np.ascontiguousarray(eigenfunctions)),
         scores=_frozen(scores),
         tail_eigenvalues=_frozen(vals[rank:]),
         times=sample.times,

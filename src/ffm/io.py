@@ -15,6 +15,7 @@ import csv
 import io as _io
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -318,7 +319,21 @@ def selection_from_json(doc: dict) -> SelectionGrid:
 
 
 def model_to_json(model: FfmModel) -> dict:
+    """The fitted model with only the K components it uses.
+
+    Eigenvalues beyond K move into ``tail_eigenvalues``, so the reloaded
+    model has the same total variance and tail sums; eigenfunctions and
+    scores beyond K are dropped.
+    """
     config = model.config
+    full, k = model.fpca, model.k
+    lean = replace(
+        full,
+        eigenvalues=full.eigenvalues[:k],
+        eigenfunctions=full.eigenfunctions[:k],
+        scores=full.scores[:, :k],
+        tail_eigenvalues=np.concatenate([full.eigenvalues[k:], full.tail_eigenvalues]),
+    )
     return {
         "version": __version__,
         "config": {
@@ -329,7 +344,7 @@ def model_to_json(model: FfmModel) -> dict:
             "p": config.p,
             "restricted": config.restricted,
         },
-        "fpca": fpca_to_json(model.fpca),
+        "fpca": fpca_to_json(lean),
         "selection": None if model.selection is None else selection_to_json(model.selection),
         "var_fit": var_fit_to_json(model.var_fit),
         "degenerate_dynamics": model.degenerate_dynamics,
@@ -513,13 +528,18 @@ def parse_h15_csv(text: str) -> tuple[DiscretePanel, int]:
 
 def fetch_h15(url: str = H15_URL, timeout: float = 60.0) -> str:
     """Download the H.15 CSV; raises NetworkError when offline."""
-    import requests
+    # these load ssl and email, which no other command needs
+    import urllib.request
+    from http.client import HTTPException
 
     try:
-        response = requests.get(url, timeout=timeout)
-        response.raise_for_status()
-    except requests.RequestException as exc:
+        with urllib.request.urlopen(url, timeout=timeout) as response:
+            charset = response.headers.get_content_charset() or "utf-8"
+            body = response.read()
+    # URLError, HTTPError (4xx/5xx) and socket timeouts are all OSErrors;
+    # a connection cut mid-body raises an HTTPException
+    except (OSError, HTTPException) as exc:
         raise NetworkError(
             f"network required: could not fetch H.15 data from {url} ({exc})"
         ) from exc
-    return response.text
+    return body.decode(charset, errors="replace")

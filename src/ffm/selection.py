@@ -31,10 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import lapack
 
 from .core import FunctionalSample
-from .dynamics import CONDITION_LIMIT, _check_conditioning, fit_var
+from .dynamics import (CONDITION_LIMIT, _check_conditioning, _check_degrees_of_freedom,
+                       fit_var)
 from .errors import NumericError
 from .fpca import FpcaResult
 
@@ -95,10 +95,11 @@ def _leading_fits(design: np.ndarray, targets: np.ndarray,
     Returns ``rss`` with ``rss[n-1, i]`` the residual sum of squares of
     target i on the first n columns of ``design``, for each n whose
     block can be fitted, and the reason each block size in ``sizes``
-    fails.  A block fails when it is exactly singular or, as in
-    ``fit_var``, when the condition number of its Gram matrix exceeds
-    CONDITION_LIMIT.  That is only computed where the bound
-    cond(G_n) <= tr(G_n) tr(G_n^{-1}) does not already clear the limit.
+    fails.  As in ``fit_var``, a block fails when it leaves no residual
+    degree of freedom, when it is exactly singular, or when the condition
+    number of its Gram matrix exceeds CONDITION_LIMIT.  That number is only
+    computed for blocks larger than the largest one a shifted Cholesky
+    factorization proves well conditioned.
     """
     rows, n_max = design.shape
     # R of [X Y] = [[R_x, Q'Y], [0, R_y]]; R_x' is the Cholesky factor of
@@ -110,19 +111,33 @@ def _leading_fits(design: np.ndarray, targets: np.ndarray,
     pivots = np.diagonal(r)[: min(rows, n_max)]
     zero = np.flatnonzero(pivots == 0.0)
     valid = int(zero[0]) if zero.size else pivots.size  # leading blocks of full rank
-    failures = {n: f"lagged design of {rows} observations has rank below {n} regressors"
-                for n in sizes if n > valid}
-    if valid:
-        inv, _ = lapack.dtrtri(r[:valid, :valid])
-        # tr(G_n^{-1}) is the squared Frobenius norm of the leading block of R_x^{-1}
-        bound = (np.cumsum(np.einsum("ij,ij->j", design[:, :valid], design[:, :valid]))
-                 * np.cumsum(np.einsum("ij,ij->j", inv, inv)))
-        for n in sizes:
-            if n <= valid and bound[n - 1] > CONDITION_LIMIT:
-                try:
-                    _check_conditioning(design[:, :n].T @ design[:, :n])
-                except NumericError as exc:
-                    failures[n] = str(exc)
+    fit_max = min(valid, rows - 1)  # largest block of full rank that leaves a residual
+    lead = r[:fit_max, :fit_max]
+    gram = lead.T @ lead
+    traces = np.cumsum(np.diagonal(gram))
+    # A Cholesky factor of G_n - 2 tr(G_n) / CONDITION_LIMIT * I proves, by
+    # interlacing, lambda_min(G_k) > tr(G_n) / CONDITION_LIMIT >= lambda_max(G_k)
+    # / CONDITION_LIMIT for every k <= n; the 2 covers rounding in G and in
+    # the factorization.
+    cleared = 0
+    for n in sorted((n for n in sizes if n <= fit_max), reverse=True):
+        try:
+            np.linalg.cholesky(gram[:n, :n] - (2.0 * traces[n - 1] / CONDITION_LIMIT) * np.eye(n))
+        except np.linalg.LinAlgError:
+            continue
+        cleared = n
+        break
+    failures = {}
+    for n in sizes:
+        try:
+            _check_degrees_of_freedom(rows, n)
+            if n > valid:
+                raise NumericError(
+                    f"lagged design of {rows} observations has rank below {n} regressors")
+            if n > cleared:
+                _check_conditioning(design[:, :n].T @ design[:, :n])
+        except NumericError as exc:
+            failures[n] = str(exc)
     return rss, failures
 
 

@@ -102,11 +102,12 @@ class TestRolling:
         grid = make_grid(0.0, 1.0, 6)
         sample = FunctionalSample(grid, rng.normal(size=(12, 6)))
         # rank of a t-row window is t - 1, so K = 5 is infeasible at the
-        # first two origins and fine afterwards
+        # first two origins; at the third (t = 6) a VAR(1) in 5 factors has
+        # 5 observations for 5 regressors and no residual degree of freedom
         report = rolling_backtest(sample, FfmFixed(5, 1), h=1, initial_window=4)
-        assert report.failures == 2
-        assert np.all(np.isnan(report.errors[:2]))
-        assert np.all(np.isfinite(report.errors[2:]))
+        assert report.failures == 3
+        assert np.all(np.isnan(report.errors[:3]))
+        assert np.all(np.isfinite(report.errors[3:]))
 
     def test_all_windows_failing_is_an_error(self):
         rng = np.random.default_rng(14)

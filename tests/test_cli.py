@@ -166,6 +166,43 @@ class TestForecast:
         assert "indistinguishable from noise" in captured.err
 
 
+class TestColdStart:
+    def test_forecast_imports_neither_scipy_nor_requests(self, tmp_path):
+        # the CLI runs on numpy alone; scipy serves population_structure
+        # only, and a module import here would put its load on every call
+        rng = np.random.default_rng(8)
+        maturities = np.array([1, 3, 6, 12, 24, 36, 60, 84, 120, 240, 360], dtype=float)
+        table = rng.normal(size=(80, maturities.size)).cumsum(axis=0)
+        holes = rng.random(table.shape) < 0.1
+        holes[:, [0, -1]] = False
+        table[holes] = np.nan
+        path = tmp_path / "panel.csv"
+        write_panel_csv(DiscretePanel(maturities, table), path)
+        script = (
+            "import json, sys\n"
+            "def heavy():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'requests'))\n"
+            "import ffm.cli\n"
+            "after_import = heavy()\n"
+            "code = ffm.cli.main(sys.argv[1:])\n"
+            "print(json.dumps([code, after_import, heavy()]))\n"
+        )
+        src_dir = str(Path(ffm.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "forecast", "--input", str(path), "--horizon", "3",
+             "--criterion", "bic", "--kmax", "4", "--pmax", "2",
+             "--output-dir", str(tmp_path / "fc")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        code, after_import, after_run = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0
+        assert after_import == []
+        assert after_run == []
+        assert (tmp_path / "fc" / "model.json").exists()
+
+
 class TestMc:
     def test_summary_matches_library(self, tmp_path):
         out = tmp_path / "mc"

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ffm import (Curve, DataError, DiscretePanel, FunctionalSample, Grid,
                  inner_product, make_grid, natural_cubic_spline, norm,
@@ -201,6 +203,44 @@ class TestPanelToSample:
         keep = [0, 1, 3, 4]
         oracle = natural_cubic_spline(maturities[keep], full[keep])(2.0)
         assert sample.matrix[1, 2] == pytest.approx(float(oracle), rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_knots=st.integers(4, 14),
+           n_rows=st.integers(1, 40), hole_rate=st.floats(0.0, 0.7),
+           n_points=st.integers(2, 60), log_scale=st.floats(-3.0, 3.0))
+    def test_grouped_rows_match_per_row_and_scipy_splines(self, seed, n_knots, n_rows,
+                                                          hole_rate, n_points, log_scale):
+        # rows sharing a missingness pattern are splined in one solve; each
+        # row must still equal its own spline, and that spline scipy's
+        scipy_interpolate = pytest.importorskip("scipy.interpolate")
+        rng = np.random.default_rng(seed)
+        maturities = np.cumsum(rng.uniform(0.1, 10.0, n_knots))
+        table = rng.normal(size=(n_rows, n_knots)).cumsum(axis=1) * 10.0**log_scale
+        holes = rng.random(table.shape) < hole_rate
+        holes[:, [0, -1]] = False  # every row spans the grid
+        holes[holes.sum(axis=1) > n_knots - DiscretePanel.MIN_KNOTS] = False
+        table[holes] = np.nan
+        grid = make_grid(maturities[0], maturities[-1], n_points)
+        sample = panel_to_sample(DiscretePanel(maturities, table), grid)
+        for t in range(n_rows):
+            knots, values = maturities[~holes[t]], table[t, ~holes[t]]
+            scale = np.abs(values).max()
+            own = natural_cubic_spline(knots, values)(grid.points)
+            assert np.allclose(sample.matrix[t], own, rtol=0, atol=1e-13 * scale)
+            oracle = scipy_interpolate.CubicSpline(knots, values, bc_type="natural")
+            assert np.allclose(own, oracle(grid.points), rtol=0, atol=1e-12 * scale)
+
+    def test_first_bad_row_in_row_order_is_named(self):
+        maturities = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+        table = np.ones((4, 6))
+        table[1, 1:3] = np.nan  # 4 knots: too few for min_knots=5
+        table[2, 0] = np.nan  # span starts at 1.0
+        grid = Grid(maturities)
+        with pytest.raises(DataError, match=r"^row 1 has fewer than 5"):
+            panel_to_sample(DiscretePanel(maturities, table), grid, min_knots=5)
+        swapped = DiscretePanel(maturities, table[[0, 2, 1, 3]])
+        with pytest.raises(DataError, match=r"^row 1: grid \[0.0, 5.0\] exceeds"):
+            panel_to_sample(swapped, grid, min_knots=5)
 
     def test_grid_beyond_row_span_is_rejected_with_row_index(self):
         maturities = np.array([0.0, 1.0, 2.0, 3.0, 4.0])

@@ -49,6 +49,40 @@ class TestFit:
         assert np.allclose(fit.residuals, resid, atol=1e-10)
         assert np.allclose(fit.sigma_eta, resid.T @ resid / (t - 2), atol=1e-12)
 
+    def test_matches_scipy_cholesky_reference(self):
+        # the reference path fit_var replaced: scipy's cho_factor/cho_solve
+        # on the same normal equations, with G^{-1} from cho_solve on I
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(23)
+        for m, restricted, intercept in ((1, False, False), (3, False, False),
+                                         (2, False, True), (2, True, False)):
+            scores = rng.normal(size=(90, 3)) * np.array([1.0, 1e-2, 30.0])
+            fit = fit_var(scores, m, restricted=restricted, intercept=intercept)
+            t = scores.shape[0]
+            design = np.hstack([scores[m - k:t - k] for k in range(1, m + 1)])
+            designs = ([design[:, l::3] for l in range(3)] if restricted else
+                       [np.hstack([design, np.ones((t - m, 1))]) if intercept else design])
+            targets = [scores[m:, [l]] for l in range(3)] if restricted else [scores[m:]]
+            for l, (x, y) in enumerate(zip(designs, targets)):
+                factor = scipy_linalg.cho_factor(x.T @ x)
+                coef = scipy_linalg.cho_solve(factor, x.T @ y)
+                gram_inv = scipy_linalg.cho_solve(factor, np.eye(x.shape[1]))
+                resid = y - x @ coef
+                s2 = np.einsum("ti,ti->i", resid, resid) / (t - m)
+                se = np.sqrt(np.outer(s2, np.diag(gram_inv)))
+                if restricted:
+                    assert np.allclose(fit.coefficients[:, l, l], coef[:, 0], rtol=1e-12, atol=0)
+                    assert np.allclose(fit.stderr[:, l, l], se[0], rtol=1e-12, atol=0)
+                    assert np.allclose(fit.residuals[:, l], resid[:, 0], rtol=0, atol=1e-12)
+                    continue
+                lags = coef[:3 * m].T
+                assert np.allclose(coefficient_matrix(fit), lags, rtol=1e-12, atol=1e-15)
+                assert np.allclose(np.hstack(list(fit.stderr)), se[:, :3 * m],
+                                   rtol=1e-12, atol=0)
+                assert np.allclose(fit.residuals, resid, rtol=0, atol=1e-12)
+                if intercept:
+                    assert np.allclose(fit.intercept, coef[-1], rtol=1e-12, atol=1e-15)
+
     def test_residuals_orthogonal_to_design(self):
         rng = np.random.default_rng(8)
         scores = rng.normal(size=(120, 3))
@@ -89,6 +123,18 @@ class TestFit:
             fit_var(scores, 10)
         with pytest.raises(ValueError):
             fit_var(scores, 1, restricted=True, intercept=True)
+
+    def test_saturated_design_is_rejected(self):
+        # T - m rows for J*m regressors (plus one with an intercept): an
+        # exact fit with no residual degree of freedom
+        scores = np.random.default_rng(16).normal(size=(8, 3))
+        with pytest.raises(NumericError, match="no residual degrees of freedom"):
+            fit_var(scores, 2)
+        with pytest.raises(NumericError, match="no residual degrees of freedom"):
+            fit_var(scores[:5], 1, intercept=True)
+        with pytest.raises(NumericError, match="no residual degrees of freedom"):
+            fit_var(scores[:4], 2, restricted=True)
+        fit_var(scores[:5], 2, restricted=True)
 
     def test_singular_design_is_rejected(self):
         rng = np.random.default_rng(15)

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from ffm import (CovarianceKernel, Curve, FunctionalSample, Grid, fpca,
-                 make_grid, reconstruct, sample_covariance, sample_mean)
+from ffm import (CovarianceKernel, Curve, FunctionalSample, Grid, SimSpec, fpca,
+                 make_grid, reconstruct, sample_covariance, sample_mean, simulate)
 
 ORTHO_TOL = 1e-8
 SCORE_TOL = 1e-8
@@ -136,6 +136,28 @@ class TestConstructedFactors:
         assert np.allclose(up.eigenfunctions[0], down.eigenfunctions[0], atol=1e-10)
         first = up.eigenfunctions[0][np.abs(up.eigenfunctions[0]) > 1e-9][0]
         assert first > 0
+
+
+class TestScipyReference:
+    @pytest.mark.parametrize("model", ["M1", "M2", "M3", "M4"])
+    def test_leading_eigenpairs_match_scipy_eigh(self, model):
+        # the reference fpca replaced: scipy.linalg.eigh of W^1/2 C W^1/2
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        sample = simulate(SimSpec(model=model, n_obs=200, seed=17))
+        result = fpca(sample)
+        sqrt_w = np.sqrt(sample.grid.weights)
+        kernel = sample_covariance(sample).values
+        vals, vecs = scipy_linalg.eigh(sqrt_w[:, None] * kernel * sqrt_w[None, :])
+        lead = 6
+        vals, vecs = vals[::-1][:lead], vecs[:, ::-1][:, :lead]
+        assert np.allclose(result.eigenvalues[:lead], vals, rtol=1e-12, atol=0)
+        psi = (vecs / sqrt_w[:, None]).T
+        signs = np.sign(np.sum(psi * result.eigenfunctions[:lead], axis=1))
+        assert np.allclose(result.eigenfunctions[:lead], signs[:, None] * psi,
+                           rtol=0, atol=1e-11)
+        centered = sample.matrix - sample.matrix.mean(axis=0)
+        scores = centered @ (psi * sample.grid.weights).T
+        assert np.allclose(result.scores[:, :lead], scores * signs, rtol=0, atol=1e-11)
 
 
 class TestTruncation:

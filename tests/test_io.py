@@ -1,11 +1,15 @@
 """Serialization round trips, CSV layouts, and the H.15 feed parser."""
 
 import json
+import socket
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
 
-from ffm import DataError, DiscretePanel, FfmConfig, NetworkError, SimSpec, fit_ffm, fpca, simulate
+from ffm import (DataError, DiscretePanel, FfmConfig, NetworkError, SimSpec, fit_ffm,
+                 fitted_one_step, forecast, fpca, simulate)
 from ffm.io import (H15_MATURITIES, fetch_h15, fpca_from_json, fpca_to_json,
                     grid_from_json, grid_to_json, model_from_json,
                     model_to_json, panel_from_json, panel_to_json,
@@ -171,18 +175,29 @@ class TestResultJson:
                 assert np.array_equal(back.intercept, fit.intercept)
 
     def test_model_round_trip(self):
+        # the file keeps the K components the model uses; the rest of the
+        # spectrum becomes its tail, so variances and forecasts are unchanged
         sample = simulate(SimSpec(model="M1", n_obs=120, seed=6))
         for config in (FfmConfig(criterion="hqc", k_max=4, p_max=2),
                        FfmConfig(k=2, p=1)):
             model = fit_ffm(sample, config)
             doc = json.loads(json.dumps(model_to_json(model)))
             back = model_from_json(doc)
+            k = model.k
             assert back.k == model.k and back.p == model.p
             assert back.config == model.config
             assert back.degenerate_dynamics == model.degenerate_dynamics
             assert np.array_equal(back.var_fit.coefficients,
                                   model.var_fit.coefficients)
-            assert np.array_equal(back.fpca.scores, model.fpca.scores)
+            assert back.fpca.rank == k
+            assert np.array_equal(back.fpca.scores, model.fpca.scores[:, :k])
+            assert np.array_equal(back.fpca.eigenfunctions, model.fpca.eigenfunctions[:k])
+            assert back.fpca.total_variance() == model.fpca.total_variance()
+            assert back.fpca.tail_sum(k) == model.fpca.tail_sum(k)
+            for h in (1, 5):
+                assert np.array_equal(forecast(back, h).matrix, forecast(model, h).matrix)
+            assert np.array_equal(fitted_one_step(back).matrix,
+                                  fitted_one_step(model).matrix)
             if model.selection is None:
                 assert back.selection is None
             else:
@@ -277,3 +292,46 @@ class TestH15:
     def test_offline_fetch_raises_network_error(self):
         with pytest.raises(NetworkError, match="network required"):
             fetch_h15("http://127.0.0.1:9/h15.csv", timeout=2.0)
+
+    def test_fetch_from_local_server_and_http_error(self):
+        class Handler(BaseHTTPRequestHandler):
+            def do_GET(self):
+                if self.path != "/h15.csv":
+                    self.send_error(404)
+                    return
+                body = H15_FIXTURE.encode("ascii")
+                self.send_response(200)
+                self.send_header("Content-Type", "text/csv; charset=us-ascii")
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        server = HTTPServer(("127.0.0.1", 0), Handler)
+
+        def fetch(path):
+            thread = threading.Thread(target=server.handle_request)
+            thread.start()
+            try:
+                return fetch_h15(f"http://127.0.0.1:{server.server_port}{path}", timeout=10.0)
+            finally:
+                thread.join(timeout=10.0)
+                assert not thread.is_alive()
+
+        try:
+            assert fetch("/h15.csv") == H15_FIXTURE
+            with pytest.raises(NetworkError, match="404"):
+                fetch("/gone.csv")
+        finally:
+            server.server_close()
+
+    def test_silent_server_times_out_as_network_error(self):
+        # the listener never accepts, so the request is sent and no reply comes
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(1)
+            port = listener.getsockname()[1]
+            with pytest.raises(NetworkError, match="timed out"):
+                fetch_h15(f"http://127.0.0.1:{port}/h15.csv", timeout=0.2)

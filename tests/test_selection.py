@@ -216,6 +216,23 @@ class TestSelectOrders:
         assert np.all(np.isfinite(g.values[0]))
         assert g.chosen[0] == 1
 
+    def test_saturated_cell_fails_and_bic_picks_a_finite_cell(self):
+        # 20 curves on 30 points have rank 19, and the cell (J, m) = (19, 1)
+        # has 19 observations for 19 regressors: an exact fit with MSE 0,
+        # which bic (log MSE) would choose at -inf
+        rng = np.random.default_rng(3)
+        curves = np.cumsum(rng.standard_normal((20, 30)), axis=0)
+        result = fpca(FunctionalSample(make_grid(0.0, 1.0, 30), curves))
+        assert result.rank == 19
+        with pytest.warns(UserWarning, match=r"1 selection cells failed.*\(J=19, m=1\).*"
+                                             r"no residual degrees of freedom"):
+            g = select_orders(result, 19, 1)["bic"]
+        assert np.isinf(g.mse[18, 0]) and np.isinf(g.values[18, 0])
+        assert np.all(np.isfinite(g.values[:18]))
+        assert np.isfinite(g.values[g.chosen[0] - 1, g.chosen[1] - 1])
+        with pytest.raises(NumericError, match="no residual degrees of freedom"):
+            fit_var(result.scores, 1)
+
     def test_rank_deficient_panel_warns_once(self):
         # eleven maturities splined onto 100 points span at most eleven
         # dimensions, so every cell with J >= 12 is singular
@@ -258,6 +275,27 @@ class TestSelectOrders:
         assert np.array_equal(np.isinf(mse), np.isinf(expected))
         finite = np.isfinite(expected)
         assert np.allclose(mse[finite], expected[finite], rtol=KERNEL_RTOL, atol=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 5), p_max=st.integers(1, 4),
+           log_gap=st.floats(-8.5, -4.5))
+    def test_failed_cells_match_fit_var_near_the_condition_limit(self, seed, k, p_max,
+                                                                 log_gap):
+        # a column equal to another up to a small relative gap puts the
+        # condition numbers of the cells holding both around CONDITION_LIMIT;
+        # the screen that skips fit_var's exact test must skip no failing
+        # cell.  Values are not compared: the normal-equation reference
+        # loses about cond * eps of its accuracy here.
+        rng = np.random.default_rng(seed)
+        t_obs = int(rng.integers((k + 1) * p_max + 2, 200))
+        scores = rng.normal(size=(t_obs, k))
+        scores[:, k - 1] = scores[:, 0] * (1.0 + 10.0**log_gap * rng.normal(size=t_obs))
+        result = scores_result(scores, 0.1)
+        expected = reference_surface(result, k, p_max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            mse = select_orders(result, k, p_max)["bic"].mse
+        assert np.array_equal(np.isinf(mse), np.isinf(expected))
 
     def test_restricted_flag_propagates(self):
         rng = np.random.default_rng(54)
