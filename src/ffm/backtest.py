@@ -8,6 +8,10 @@ observed maturities.  The headline figure is
 
 with origins t = initial_window..T-h, so a complete panel contributes
 N * (T - h - initial_window + 1) squared errors.
+
+Each method's ``backtest_steps`` does once the work no origin changes
+(splining a panel's rows, the Nelson-Siegel cross-section) and returns
+the per-origin fit-and-forecast with the report's summary fields.
 """
 
 from __future__ import annotations
@@ -17,14 +21,40 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DiscretePanel, FunctionalSample, Grid, _frozen, panel_to_sample
-from .dns import DEFAULT_DECAY, dns_forecast, fit_dns
-from .errors import DataError, NumericError
+from .dns import DEFAULT_DECAY, dns_betas, dns_forecast, dns_model
+from .errors import DataError, FfmError, NumericError
 from .pipeline import FfmConfig, fit_ffm, forecast
 from .selection import CRITERIA
 
 __all__ = ["FfmFixed", "FfmCriterion", "Dns", "BacktestReport", "rolling_backtest"]
 
 DEFAULT_INITIAL_WINDOW = 120
+
+
+def _as_panel(data) -> DiscretePanel:
+    """Panel view of the backtest input; a sample is observed on its grid."""
+    if isinstance(data, FunctionalSample):
+        return DiscretePanel(data.grid.points, data.matrix, times=data.times)
+    if isinstance(data, DiscretePanel):
+        return data
+    raise TypeError(f"expected FunctionalSample or DiscretePanel, got {type(data).__name__}")
+
+
+def _ffm_steps(data, h: int, config_at):
+    """Per-origin factor-model fit, forecast and fitted (K, p).
+
+    A panel is splined once, on its own maturities; ``config_at(t, n)``
+    gives the config for a t-curve window on an n-point grid.
+    """
+    sample = data if isinstance(data, FunctionalSample) else panel_to_sample(
+        data, Grid(data.maturities))
+
+    def step(t):
+        train = FunctionalSample(sample.grid, sample.matrix[:t], times=sample.times[:t])
+        model = fit_ffm(train, config_at(t, sample.grid.n))
+        return forecast(model, h).matrix[h - 1], (model.k, model.p)
+
+    return step
 
 
 @dataclass(frozen=True)
@@ -39,6 +69,12 @@ class FfmFixed:
     def label(self) -> str:
         tag = "ar" if self.restricted else "var"
         return f"ffm-fixed({self.k},{self.p},{tag})"
+
+    def backtest_steps(self, data, h: int):
+        """Per-origin fit-and-forecast and the report's summary fields."""
+        config = FfmConfig(k=self.k, p=self.p, restricted=self.restricted)
+        step = _ffm_steps(data, h, lambda t, n: config)
+        return step, {"k": self.k, "p": self.p, "dynamics": "ar" if self.restricted else "var"}
 
 
 @dataclass(frozen=True)
@@ -59,6 +95,19 @@ class FfmCriterion:
         tag = "ar" if self.restricted else "var"
         return f"ffm-{self.criterion}({tag})"
 
+    def backtest_steps(self, data, h: int):
+        """Per-origin fit-and-forecast and the report's summary fields.
+
+        K and p are re-selected per origin, so the summary leaves them
+        None and each step returns the chosen pair.
+        """
+        def config_at(t, n):
+            return FfmConfig(criterion=self.criterion, k_max=min(self.k_max, t - 1, n),
+                             p_max=self.p_max, restricted=self.restricted)
+
+        step = _ffm_steps(data, h, config_at)
+        return step, {"k": None, "p": None, "dynamics": "ar" if self.restricted else "var"}
+
 
 @dataclass(frozen=True)
 class Dns:
@@ -71,6 +120,26 @@ class Dns:
     def label(self) -> str:
         return f"dns({'ar' if self.diagonal else 'var'})"
 
+    def backtest_steps(self, data, h: int):
+        """Per-origin fit-and-forecast and the report's summary fields.
+
+        Each row's betas depend on that row alone, so the cross-section is
+        solved once for the whole panel and an origin refits only the
+        VAR(1) on its leading rows.  Every origin whose window holds a row
+        that cannot be fitted fails as ``fit_dns`` would on that window.
+        """
+        panel = _as_panel(data)
+        betas, bad = dns_betas(panel, self.decay)
+
+        def step(t):
+            if bad is not None and bad[0] < t:
+                raise DataError(bad[1])
+            model = dns_model(betas[:t], self.decay, self.diagonal, panel.times[:t])
+            return dns_forecast(model, panel.maturities, h).matrix[h - 1], None
+
+        # the benchmark always carries 3 factors
+        return step, {"k": 3, "p": 1, "dynamics": "ar" if self.diagonal else "var"}
+
 
 @dataclass(frozen=True, eq=False)
 class BacktestReport:
@@ -81,6 +150,8 @@ class BacktestReport:
     evaluated (missing realized value, or a failed fit counted in
     ``failures``).  ``selected`` holds the per-origin (K, p) where the
     method selects them, else None; failed origins keep (0, 0) there.
+    ``failure_reasons`` holds one (origin, exception class name, message)
+    per failed origin, in origin order.
     """
 
     method: str
@@ -94,6 +165,7 @@ class BacktestReport:
     k: int | None = None
     p: int | None = None
     dynamics: str = "var"
+    failure_reasons: tuple = ()
 
     @property
     def rmsfe(self) -> float:
@@ -115,22 +187,6 @@ class BacktestReport:
         }
 
 
-def _as_views(data, need_sample: bool) -> tuple:
-    """Panel and sample views of the input, built on the observed maturities.
-
-    The sample view interpolates panel holes, which requires every row to
-    span the full maturity range; it is only built when the method needs
-    curves (DNS works straight off the panel).
-    """
-    if isinstance(data, FunctionalSample):
-        panel = DiscretePanel(data.grid.points, data.matrix, times=data.times)
-        return panel, data
-    if isinstance(data, DiscretePanel):
-        sample = panel_to_sample(data, Grid(data.maturities)) if need_sample else None
-        return data, sample
-    raise TypeError(f"expected FunctionalSample or DiscretePanel, got {type(data).__name__}")
-
-
 def rolling_backtest(data, method, h: int = 1,
                      initial_window: int = DEFAULT_INITIAL_WINDOW) -> BacktestReport:
     """Expanding-window forecast evaluation of one method.
@@ -146,75 +202,51 @@ def rolling_backtest(data, method, h: int = 1,
     initial_window : int
         First origin (number of observations in the first training set).
 
-    Origins with failed fits are recorded as NaN rows and counted in the
-    report's ``failures`` instead of aborting the whole exercise.
+    An origin whose window the library refuses (an ``FfmError``: singular
+    dynamics, rank below a pinned K, too few quotes) is recorded as a NaN
+    row, counted in the report's ``failures`` and explained in its
+    ``failure_reasons`` instead of aborting the whole exercise.  Any
+    other exception propagates.
     """
     if h < 1:
         raise ValueError(f"horizon must be at least 1, got {h}")
     if initial_window < 3:
         raise ValueError(f"initial_window must be at least 3, got {initial_window}")
-    panel, sample = _as_views(data, need_sample=not isinstance(method, Dns))
+    panel = _as_panel(data)
+    step, fields = method.backtest_steps(data, h)
     t_total = panel.n_rows
     if t_total < initial_window + h:
         raise ValueError(
             f"need at least initial_window + h = {initial_window + h} rows, got {t_total}"
         )
     realized = panel.table
-    maturities = panel.maturities
     origins = np.arange(initial_window, t_total - h + 1)
-    errors = np.full((origins.size, maturities.size), np.nan)
-    selects_orders = isinstance(method, FfmCriterion)
-    selected = np.zeros((origins.size, 2), dtype=int) if selects_orders else None
-    failures = 0
+    errors = np.full((origins.size, panel.maturities.size), np.nan)
+    # orders re-selected per origin (summary K left None) are kept per origin
+    selected = np.zeros((origins.size, 2), dtype=int) if fields["k"] is None else None
+    reasons = []
 
     for i, t in enumerate(origins):
         try:
-            if isinstance(method, Dns):
-                train = DiscretePanel(maturities, realized[:t], times=panel.times[:t])
-                model = fit_dns(train, method.decay, method.diagonal)
-                pred = dns_forecast(model, maturities, h).matrix[h - 1]
-            else:
-                train = FunctionalSample(sample.grid, sample.matrix[:t],
-                                         times=sample.times[:t])
-                if isinstance(method, FfmFixed):
-                    config = FfmConfig(k=method.k, p=method.p, restricted=method.restricted)
-                else:
-                    config = FfmConfig(criterion=method.criterion,
-                                       k_max=min(method.k_max, t - 1, sample.grid.n),
-                                       p_max=method.p_max,
-                                       restricted=method.restricted)
-                model = fit_ffm(train, config)
-                if selects_orders:
-                    selected[i] = (model.k, model.p)
-                pred = forecast(model, h).matrix[h - 1]
-        except (NumericError, DataError, ValueError):
-            # a window can be legitimately unusable (singular dynamics,
-            # rank below a pinned K, too few quotes); record and move on
-            failures += 1
+            pred, orders = step(int(t))
+        except FfmError as exc:
+            reasons.append((int(t), type(exc).__name__, str(exc)))
             continue
+        if selected is not None:
+            selected[i] = orders
         errors[i] = pred - realized[t + h - 1]
 
     if not np.any(np.isfinite(errors)):
         raise NumericError("every backtest origin failed; nothing was evaluated")
-    if isinstance(method, FfmFixed):
-        orders = (method.k, method.p)
-        dynamics = "ar" if method.restricted else "var"
-    elif isinstance(method, FfmCriterion):
-        orders = (None, None)   # re-selected per origin; see ``selected``
-        dynamics = "ar" if method.restricted else "var"
-    else:
-        orders = (3, 1)         # the benchmark always carries 3 factors
-        dynamics = "ar" if method.diagonal else "var"
     return BacktestReport(
         method=method.label,
         horizon=h,
         initial_window=initial_window,
-        maturities=_frozen(maturities),
+        maturities=_frozen(panel.maturities),
         origins=_frozen(origins, dtype=int),
         errors=_frozen(errors),
         selected=None if selected is None else _frozen(selected, dtype=int),
-        failures=failures,
-        k=orders[0],
-        p=orders[1],
-        dynamics=dynamics,
+        failures=len(reasons),
+        failure_reasons=tuple(reasons),
+        **fields,
     )

@@ -11,9 +11,10 @@ One binary with subcommands::
     ffm dns        dynamic Nelson-Siegel fit and forecast
     ffm fetch-h15  download and normalize the Treasury yield panel
 
-Every command writes a ``manifest.json`` (config echo, seed, version)
-next to its outputs and is deterministic given inputs, options, and
-seed.  Exit codes: 0 ok, 2 bad configuration, 3 bad data, 4 numerical
+Every command writes a ``manifest.json`` (config echo, version, and the
+seed of ``simulate`` and ``mc``, the two commands that draw random
+numbers) next to its outputs and is deterministic given inputs, options,
+and seed.  Exit codes: 0 ok, 2 bad configuration, 3 bad data, 4 numerical
 failure, 5 network required.
 """
 
@@ -116,7 +117,7 @@ def _load_sample(path, grid_flag: str | None):
 
 
 def cmd_fpca(args) -> int:
-    cfg = _run_config(args, "fpca", ["input", "grid", "kmax", "seed", "format"])
+    cfg = _run_config(args, "fpca", ["input", "grid", "kmax", "format"])
     panel, sample = _load_sample(args.input, args.grid)
     result = fpca(sample, args.kmax)
     outputs = []
@@ -141,7 +142,7 @@ def cmd_fpca(args) -> int:
 def cmd_select(args) -> int:
     cfg = _run_config(args, "select",
                       ["input", "grid", "criterion", "kmax", "pmax", "restricted",
-                       "seed", "format"])
+                       "format"])
     _, sample = _load_sample(args.input, args.grid)
     result = fpca(sample)
     k_max = min(args.kmax, result.rank)
@@ -162,7 +163,7 @@ def cmd_select(args) -> int:
 def cmd_forecast(args) -> int:
     cfg = _run_config(args, "forecast",
                       ["input", "grid", "horizon", "criterion", "kmax", "pmax",
-                       "k", "p", "restricted", "seed", "format"])
+                       "k", "p", "restricted", "format"])
     _, sample = _load_sample(args.input, args.grid)
     if (args.k is None) != (args.p is None):
         raise ConfigError("set both --k and --p to pin the orders, or neither")
@@ -253,7 +254,7 @@ def _backtest_method(args):
 def cmd_backtest(args) -> int:
     cfg = _run_config(args, "backtest",
                       ["input", "method", "dynamics", "horizon", "window", "criterion",
-                       "kmax", "pmax", "k", "p", "lam", "seed", "format"])
+                       "kmax", "pmax", "k", "p", "lam", "format"])
     panel = _load_panel(args.input)
     method = _backtest_method(args)
     report = rolling_backtest(panel, method, h=args.horizon, initial_window=args.window)
@@ -266,8 +267,9 @@ def cmd_backtest(args) -> int:
         io.write_rows_csv(rows, path)
     errors_path = cfg.output_dir / "errors.csv"
     io.write_rows_csv(io.backtest_error_rows(report), errors_path)
+    first_failure = list(report.failure_reasons[0]) if report.failures else None
     results = {"method": report.method, "rmsfe": report.rmsfe,
-               "failures": report.failures}
+               "failures": report.failures, "first_failure": first_failure}
     manifest = cfg.manifest([path, errors_path], results)
     print(f"backtest: {report.method}, h={args.horizon}, RMSFE {report.rmsfe:.6g} "
           f"({report.failures} failed origins); wrote {path}, {errors_path}, {manifest}")
@@ -276,7 +278,7 @@ def cmd_backtest(args) -> int:
 
 def cmd_dns(args) -> int:
     cfg = _run_config(args, "dns",
-                      ["input", "lam", "dynamics", "horizon", "seed", "format"])
+                      ["input", "lam", "dynamics", "horizon", "format"])
     panel = _load_panel(args.input)
     model = fit_dns(panel, args.lam, diagonal=args.dynamics == "diagonal")
     result = dns_forecast(model, panel.maturities, args.horizon)
@@ -296,7 +298,7 @@ def cmd_dns(args) -> int:
 
 
 def cmd_fetch_h15(args) -> int:
-    cfg = _run_config(args, "fetch-h15", ["url", "layout", "seed", "format"])
+    cfg = _run_config(args, "fetch-h15", ["url", "layout", "format"])
     text = io.fetch_h15(args.url)
     panel, dropped = io.parse_h15_csv(text)
     path = cfg.output_dir / "h15.csv"
@@ -312,11 +314,10 @@ def cmd_fetch_h15(args) -> int:
 # parser
 
 
-def _add_common(parser, *, seed_default=None):
+def _add_common(parser):
     parser.add_argument("--output-dir", default=".", help="directory for outputs")
     parser.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="output format")
-    parser.add_argument("--seed", type=int, default=seed_default, help="random seed")
 
 
 def _add_selection_flags(parser):
@@ -368,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="simulation grid (default: 51 uniform points on [0,1])")
     p.add_argument("--burn-in", type=int, default=200)
     p.add_argument("--noise-scale", type=float, default=1.0)
-    _add_common(p, seed_default=0)
+    p.add_argument("--seed", type=int, default=0, help="random seed")
+    _add_common(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("mc", help="replicated order-selection experiment")
@@ -381,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pmax", type=int, default=8)
     p.add_argument("--restricted", action="store_true")
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
-    _add_common(p, seed_default=0)
+    p.add_argument("--seed", type=int, default=0, help="random seed")
+    _add_common(p)
     p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("backtest", help="expanding-window forecast comparison")

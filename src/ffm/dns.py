@@ -5,6 +5,16 @@ maturity with a single decay parameter; factor paths come from
 cross-sectional least squares date by date on the observed maturities,
 and their dynamics from an autoregression without constant on the raw
 (not demeaned) factor series.
+
+The fit has two steps.  The cross-section step (``dns_betas``) groups
+rows by missingness pattern and takes one SVD per pattern's loading
+block, which gives both lstsq's rank test and a 3 x n pseudo-inverse.
+Each row's betas are that pseudo-inverse applied to the row in a fixed
+order of elementwise products and sums, with no BLAS reduction across
+rows, so they depend on the row alone: a panel's leading rows get
+bit-for-bit the betas they get inside any longer panel.  An expanding
+window backtest therefore solves the cross-section once and refits only
+the VAR(1) of the second step (``dns_model``) at each origin.
 """
 
 from __future__ import annotations
@@ -18,7 +28,8 @@ from .dynamics import VarFit, fit_var, forecast_scores
 from .errors import DataError
 from .pipeline import ForecastResult
 
-__all__ = ["DEFAULT_DECAY", "DnsModel", "dns_loadings", "fit_dns", "dns_forecast"]
+__all__ = ["DEFAULT_DECAY", "DnsModel", "dns_loadings", "dns_betas", "dns_model",
+           "fit_dns", "dns_forecast"]
 
 # Conventional monthly decay; places the curvature loading's maximum
 # near maturity 30 months.
@@ -61,26 +72,59 @@ class DnsModel:
     times: tuple
 
 
+def dns_betas(panel, decay: float = DEFAULT_DECAY) -> tuple[np.ndarray, tuple[int, str] | None]:
+    """Cross-section step: least-squares betas of every row of a panel.
+
+    Each row's factors come from its observed values on the three
+    loadings at its observed maturities, never from interpolated curves.
+    Returns the (T, 3) betas and, when some row has fewer than 3 quotes
+    or a rank-deficient loading cross-section, the first such row in row
+    order with the reason; rows that cannot be fitted hold NaN.
+    """
+    loadings = dns_loadings(panel.maturities, decay)
+    observed = ~np.isnan(panel.table)
+    betas = np.full((panel.n_rows, 3), np.nan)
+    bad = {}
+    patterns, group = np.unique(observed, axis=0, return_inverse=True)
+    group = group.reshape(-1)
+    for g, mask in enumerate(patterns):
+        members = np.flatnonzero(group == g)
+        first = int(members[0])
+        n_obs = int(mask.sum())
+        if n_obs < 3:
+            bad[first] = f"row {first} has fewer than 3 observed maturities"
+            continue
+        u, s, vt = np.linalg.svd(loadings[mask], full_matrices=False)
+        if s[-1] <= np.finfo(float).eps * n_obs * s[0]:  # lstsq's rcond=None rank test
+            bad[first] = f"row {first} has a rank-deficient loading cross-section"
+            continue
+        solver = (vt.T / s) @ u.T  # (3, n_obs) pseudo-inverse
+        values = panel.table[np.ix_(members, mask)]
+        coef = values[:, :1] * solver[:, 0]
+        for j in range(1, n_obs):
+            coef += values[:, j:j + 1] * solver[:, j]
+        betas[members] = coef
+    first_bad = min(bad) if bad else None
+    return _frozen(betas), None if first_bad is None else (first_bad, bad[first_bad])
+
+
+def dns_model(betas: np.ndarray, decay: float, diagonal: bool, times: tuple) -> DnsModel:
+    """Dynamics step: the VAR(1) without constant on given (T, 3) betas."""
+    return DnsModel(decay=decay, betas=betas,
+                    dynamics=fit_var(betas, 1, restricted=diagonal), times=times)
+
+
 def fit_dns(panel, decay: float = DEFAULT_DECAY, diagonal: bool = False) -> DnsModel:
     """Fit the benchmark to a discrete panel.
 
-    Every row needs at least 3 observed maturities; each date's factors
-    come from ordinary least squares of the observed values on the three
-    loadings at the observed maturities, never from interpolated curves.
+    Every row needs at least 3 observed maturities and a full-rank
+    loading cross-section; a DataError names the first row, in row
+    order, that lacks either.
     """
-    loadings = dns_loadings(panel.maturities, decay)
-    betas = np.empty((panel.n_rows, 3))
-    for t in range(panel.n_rows):
-        mask = ~np.isnan(panel.table[t])
-        if mask.sum() < 3:
-            raise DataError(f"row {t} has fewer than 3 observed maturities")
-        design = loadings[mask]
-        coef, res, rank, _ = np.linalg.lstsq(design, panel.table[t, mask], rcond=None)
-        if rank < 3:
-            raise DataError(f"row {t} has a rank-deficient loading cross-section")
-        betas[t] = coef
-    dynamics = fit_var(betas, 1, restricted=diagonal)
-    return DnsModel(decay=decay, betas=_frozen(betas), dynamics=dynamics, times=panel.times)
+    betas, bad = dns_betas(panel, decay)
+    if bad is not None:
+        raise DataError(bad[1])
+    return dns_model(betas, decay, diagonal, panel.times)
 
 
 def dns_forecast(model: DnsModel, maturities, h: int) -> ForecastResult:

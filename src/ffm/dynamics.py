@@ -95,21 +95,20 @@ def _check_degrees_of_freedom(rows: int, regressors: int) -> None:
 
 
 def _solve_ols(design: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Normal-equation OLS with an SPD factorization and a condition guard.
+    """OLS through a QR factorization of the design, with a condition guard.
 
     Returns the coefficient matrix (regressors x targets) and the
-    diagonal of the inverted Gram matrix (for standard errors).
+    diagonal of the inverted Gram matrix (for standard errors).  With
+    X = QR, G^{-1} = R^{-1} R^{-T}, so that diagonal holds the squared row
+    norms of R^{-1}; unlike the normal equations, no product X'X enters
+    the solve, so near-collinear designs lose only about cond(X) * eps.
     """
     _check_degrees_of_freedom(*design.shape)
-    gram = design.T @ design
-    _check_conditioning(gram)
-    try:
-        factor = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"lagged design Gram matrix is not positive definite: {exc}") from exc
-    inv_factor = np.linalg.inv(factor)  # G^{-1} = inv_factor' inv_factor
-    coef = inv_factor.T @ (inv_factor @ (design.T @ targets))
-    gram_inv_diag = np.einsum("ij,ij->j", inv_factor, inv_factor)
+    _check_conditioning(design.T @ design)
+    q, r = np.linalg.qr(design)
+    r_inv = np.linalg.inv(r)
+    coef = r_inv @ (q.T @ targets)
+    gram_inv_diag = np.einsum("ij,ij->i", r_inv, r_inv)
     return coef, gram_inv_diag
 
 

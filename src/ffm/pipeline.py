@@ -9,6 +9,7 @@ import numpy as np
 
 from .core import Curve, FunctionalSample, Grid
 from .dynamics import VarFit, fit_var, forecast_scores, max_abs_tstat
+from .errors import DataError, NumericError
 from .fpca import FpcaResult, fpca, reconstruct
 from .selection import CRITERIA, SelectionGrid, criterion_grid
 
@@ -87,15 +88,20 @@ class FfmModel:
 
 
 def fit_ffm(sample: FunctionalSample, config: FfmConfig = FfmConfig()) -> FfmModel:
-    """Fit the factor model, selecting (K, p) unless the config pins them."""
+    """Fit the factor model, selecting (K, p) unless the config pins them.
+
+    Pinned orders the sample cannot carry are refused: K above the FPCA
+    rank raises NumericError, and p with no more curves than lags raises
+    DataError.
+    """
     full = fpca(sample)
     selection = None
     if config.k is not None:
         k, p = config.k, config.p
         if k > full.rank:
-            raise ValueError(f"k={k} exceeds the sample rank {full.rank}")
+            raise NumericError(f"k={k} exceeds the sample rank {full.rank}")
         if p >= sample.n_curves:
-            raise ValueError(f"p={p} needs more than {p} observations")
+            raise DataError(f"p={p} needs more than {p} observations, got {sample.n_curves}")
     else:
         k_max, p_max = config.k_max, config.p_max
         if k_max > full.rank:

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+import ffm.backtest as backtest_module
 from ffm import (BacktestReport, DiscretePanel, Dns, FfmConfig, FfmCriterion,
-                 FfmFixed, FunctionalSample, NumericError, SimSpec,
-                 dns_loadings, fit_ffm, forecast, rolling_backtest, simulate)
+                 FfmFixed, FfmError, FunctionalSample, NumericError, SimSpec,
+                 dns_forecast, dns_loadings, fit_dns, fit_ffm, forecast, rolling_backtest,
+                 simulate)
 
 RMSFE_AUDIT_TOL = 1e-12
 
@@ -22,6 +24,12 @@ def report_with_errors(errors):
         selected=None,
         failures=0,
     )
+
+
+class LoosePanel(DiscretePanel):
+    """A panel without the spline floor, so rows may keep fewer than 4 quotes."""
+
+    MIN_KNOTS = 0
 
 
 def m1_sample(t_obs=60, seed=2):
@@ -96,6 +104,49 @@ class TestRolling:
         assert np.isnan(report.errors[i, 0])
         assert np.all(np.isfinite(np.delete(report.errors[i], 0)))
 
+    @pytest.mark.parametrize("diagonal", [False, True])
+    @pytest.mark.parametrize("short_row", [None, 33])
+    def test_dns_matches_per_origin_refits(self, diagonal, short_row):
+        # the backtest solves each row's cross-section once for the whole
+        # panel; refitting fit_dns on every truncated panel must give the
+        # same errors bit for bit, and the same failures where a row with
+        # two quotes enters the window
+        maturities = np.array([3.0, 12.0, 36.0, 60.0, 120.0, 240.0])
+        rng = np.random.default_rng(31)
+        betas = np.zeros((48, 3))
+        for t in range(1, 48):
+            betas[t] = np.diag([0.95, 0.8, 0.6]) @ betas[t - 1] + 0.1 * rng.normal(size=3)
+        table = betas @ dns_loadings(maturities).T + 0.01 * rng.normal(size=(48, 6))
+        holes = rng.random(table.shape) < 0.2
+        holes[:, [0, -1]] = False
+        table[holes] = np.nan
+        if short_row is not None:
+            table[short_row, 1:5] = np.nan
+        panel = LoosePanel(maturities, table)
+        method = Dns(decay=0.07, diagonal=diagonal)
+        report = rolling_backtest(panel, method, h=2, initial_window=25)
+
+        errors = np.full_like(report.errors, np.nan)
+        reasons = []
+        for i, t in enumerate(report.origins):
+            train = LoosePanel(maturities, table[:t])
+            try:
+                model = fit_dns(train, method.decay, method.diagonal)
+            except FfmError as exc:
+                reasons.append((int(t), type(exc).__name__, str(exc)))
+                continue
+            errors[i] = dns_forecast(model, maturities, 2).matrix[1] - table[t + 1]
+        assert np.array_equal(report.errors, errors, equal_nan=True)
+        assert report.failure_reasons == tuple(reasons)
+        assert report.failures == len(reasons)
+        if short_row is None:
+            assert report.failures == 0
+        else:
+            assert report.failures == report.origins[-1] - short_row
+            assert reasons[0] == (short_row + 1, "DataError",
+                                  f"row {short_row} has fewer than 3 observed maturities")
+        assert (report.k, report.p) == (3, 1)
+
     def test_failed_windows_are_counted_not_fatal(self):
         rng = np.random.default_rng(13)
         from ffm import make_grid
@@ -108,6 +159,25 @@ class TestRolling:
         assert report.failures == 3
         assert np.all(np.isnan(report.errors[:3]))
         assert np.all(np.isfinite(report.errors[3:]))
+        assert report.failure_reasons == (
+            (4, "NumericError", "k=5 exceeds the sample rank 3"),
+            (5, "NumericError", "k=5 exceeds the sample rank 4"),
+            (6, "NumericError", "lagged design of 5 observations leaves no residual "
+                                "degrees of freedom for 5 regressors"),
+        )
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        # only the library's own refusals (FfmError) count as failed windows
+        def broken(sample, config):
+            raise TypeError("bug in the fit")
+
+        monkeypatch.setattr(backtest_module, "fit_ffm", broken)
+        with pytest.raises(TypeError, match="bug in the fit"):
+            rolling_backtest(m1_sample(40), FfmFixed(2, 1), h=1, initial_window=30)
+
+    def test_bad_config_propagates(self):
+        with pytest.raises(ValueError, match="fixed orders must be positive"):
+            rolling_backtest(m1_sample(40), FfmFixed(0, 1), h=1, initial_window=30)
 
     def test_all_windows_failing_is_an_error(self):
         rng = np.random.default_rng(14)

@@ -13,7 +13,7 @@ import pytest
 
 import ffm
 from ffm import DiscretePanel, Grid, dns_loadings, fpca, make_grid, panel_to_sample
-from ffm.cli import EXIT_DATA, main
+from ffm.cli import EXIT_DATA, EXIT_NUMERIC, main
 from ffm.io import fpca_from_json, model_from_json, read_panel_csv, write_panel_csv
 
 RT_TOL = 1e-12
@@ -154,6 +154,12 @@ class TestForecast:
                     "--output-dir", tmp_path / "fc"]) == EXIT_DATA
         assert "row 4" in capsys.readouterr().err
 
+    def test_k_above_rank_is_numeric_failure(self, tmp_path, capsys):
+        csv_path = write_sim_csv(tmp_path, "M4", 20, 5)
+        assert run(["forecast", "--input", csv_path, "--k", 40, "--p", 1,
+                    "--output-dir", tmp_path / "fc"]) == EXIT_NUMERIC
+        assert "exceeds the sample rank" in capsys.readouterr().err
+
     def test_degenerate_dynamics_warns_on_stderr(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         panel = DiscretePanel(np.arange(1.0, 7.0), rng.normal(size=(60, 6)))
@@ -251,6 +257,19 @@ class TestBacktest:
         assert manifest["results"]["rmsfe"] == pytest.approx(recomputed, abs=RT_TOL)
         assert float(row["rmsfe"]) == pytest.approx(recomputed, abs=RT_TOL)
 
+    def test_manifest_names_the_first_failed_origin(self, tmp_path):
+        # a t-row window has rank t - 1, so K = 5 fails at the first origins
+        rng = np.random.default_rng(13)
+        path = tmp_path / "noise.csv"
+        write_panel_csv(DiscretePanel(np.arange(1.0, 7.0), rng.normal(size=(12, 6))), path)
+        out = tmp_path / "bt"
+        assert run(["backtest", "--input", path, "--method", "ffm-fixed", "--k", 5,
+                    "--p", 1, "--window", 4, "--output-dir", out]) == 0
+        results = json.loads((out / "manifest.json").read_text())["results"]
+        assert results["failures"] == 3
+        assert results["first_failure"] == [4, "NumericError",
+                                             "k=5 exceeds the sample rank 3"]
+
     def test_fixed_method_requires_orders(self, tmp_path, capsys):
         csv_path = write_sim_csv(tmp_path, "M4", 30, 2)
         assert run(["backtest", "--input", csv_path, "--method", "ffm-fixed",
@@ -311,6 +330,17 @@ class TestParser:
         assert run(["fpca", "--input", csv_path, "--grid", "0,1",
                     "--output-dir", tmp_path]) == 2
         assert "--grid expects" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["fpca", "--input", "x.csv"], ["select", "--input", "x.csv"],
+        ["forecast", "--input", "x.csv"], ["backtest", "--input", "x.csv", "--method", "dns"],
+        ["dns", "--input", "x.csv"], ["fetch-h15"],
+    ])
+    def test_seed_is_rejected_where_nothing_is_random(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--seed", 1])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

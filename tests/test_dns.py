@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ffm import (DEFAULT_DECAY, DataError, DiscretePanel, dns_forecast,
                  dns_loadings, fit_dns)
+from ffm.dns import dns_betas
 
 # slope and curvature loadings at maturity 30 months with the standard
 # decay 0.0609, from an independent 40-digit evaluation
@@ -12,6 +15,34 @@ SLOPE_AT_30 = 0.4592799501576595
 CURVATURE_AT_30 = 0.2983844190957035
 
 BETA_RECOVERY_TOL = 1e-10
+# grouped betas against per-row lstsq, relative to the row's largest beta
+KERNEL_RTOL = 1e-12
+
+H15_MATURITIES = np.array([1, 3, 6, 12, 24, 36, 60, 84, 120, 240, 360], dtype=float)
+
+
+class LoosePanel(DiscretePanel):
+    """A panel without the spline floor, so rows may keep fewer than 4 quotes."""
+
+    MIN_KNOTS = 0
+
+
+def per_row_reference(panel, decay):
+    """Betas from one lstsq per row, and the first row that cannot be fitted."""
+    loadings = dns_loadings(panel.maturities, decay)
+    betas = np.full((panel.n_rows, 3), np.nan)
+    first_bad = None
+    for t in range(panel.n_rows):
+        mask = ~np.isnan(panel.table[t])
+        if mask.sum() < 3:
+            first_bad = first_bad or (t, f"row {t} has fewer than 3 observed maturities")
+            continue
+        coef, _, rank, _ = np.linalg.lstsq(loadings[mask], panel.table[t, mask], rcond=None)
+        if rank < 3:
+            first_bad = first_bad or (t, f"row {t} has a rank-deficient loading cross-section")
+            continue
+        betas[t] = coef
+    return betas, first_bad
 
 
 def maturity_grid():
@@ -105,6 +136,48 @@ class TestFit:
         table[1, 0] = np.nan
         with pytest.raises(DataError, match="row 1"):
             fit_dns(Bare(table))
+
+    def test_rank_deficient_row_is_rejected(self):
+        # three maturities within 3e-6 of zero give a numerically rank-2
+        # loading block (lstsq reports rank 2), even with four quotes
+        maturities = np.array([0.0, 1e-6, 2e-6, 3e-6, 12.0, 60.0])
+        table = np.ones((5, 6))
+        table[3, 4:] = np.nan
+        panel = DiscretePanel(maturities, table)
+        assert per_row_reference(panel, DEFAULT_DECAY)[1][0] == 3
+        with pytest.raises(DataError, match="row 3 has a rank-deficient"):
+            fit_dns(panel)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 40),
+           hole_share=st.floats(0.0, 0.85), log_scale=st.floats(-2.0, 2.0),
+           decay=st.floats(0.03, 0.1))
+    def test_grouped_kernel_matches_per_row_lstsq(self, seed, n_rows, hole_share,
+                                                  log_scale, decay):
+        # one solve per missingness pattern must match one lstsq per row,
+        # name the same first bad row, and give every prefix panel
+        # exactly the full panel's leading rows
+        rng = np.random.default_rng(seed)
+        table = (rng.normal(size=(n_rows, H15_MATURITIES.size)) + 3.0) * 10.0**log_scale
+        table[rng.random(table.shape) < hole_share] = np.nan
+        panel = LoosePanel(H15_MATURITIES, table)
+        betas, bad = dns_betas(panel, decay)
+        expected, expected_bad = per_row_reference(panel, decay)
+        assert bad == expected_bad
+        fitted = ~np.isnan(expected[:, 0])
+        assert np.array_equal(np.isnan(betas[:, 0]), ~fitted)
+        scale = np.max(np.abs(expected[fitted]), axis=1, keepdims=True)
+        assert np.all(np.abs(betas[fitted] - expected[fitted]) <= KERNEL_RTOL * scale)
+        if bad is not None:
+            with pytest.raises(DataError) as exc:
+                fit_dns(panel, decay)
+            assert str(exc.value) == bad[1]
+        elif n_rows > 4:  # a VAR(1) in 3 factors needs 4 lagged rows
+            assert np.array_equal(fit_dns(panel, decay).betas, betas)
+        for t in range(1, n_rows):
+            prefix, prefix_bad = dns_betas(LoosePanel(H15_MATURITIES, table[:t]), decay)
+            assert np.array_equal(prefix, betas[:t], equal_nan=True)
+            assert prefix_bad == (bad if bad is not None and bad[0] < t else None)
 
     def test_custom_decay_is_used(self):
         maturities = np.array([3.0, 12.0, 36.0, 60.0, 120.0])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ffm import (FfmConfig, FpcaResult, SimSpec, fit_ffm, fit_var,
+from ffm import (DataError, FfmConfig, FpcaResult, NumericError, SimSpec, fit_ffm, fit_var,
                  fitted_curves, fitted_one_step, forecast, forecast_scores,
                  fpca, simulate)
 
@@ -84,9 +84,9 @@ class TestFit:
 
     def test_pinned_order_bounds(self):
         sample = sim_sample("M4", 20)
-        with pytest.raises(ValueError, match="rank"):
+        with pytest.raises(NumericError, match="rank"):
             fit_ffm(sample, FfmConfig(k=40, p=1))
-        with pytest.raises(ValueError, match="observations"):
+        with pytest.raises(DataError, match="observations"):
             fit_ffm(sample, FfmConfig(k=1, p=20))
 
     def test_white_noise_is_flagged_degenerate(self):

@@ -15,6 +15,9 @@ from ffm import (CRITERIA, Curve, DiscretePanel, FpcaResult, FunctionalSample,
 
 IDENTITY_RTOL = 1e-12
 KERNEL_RTOL = 1e-10
+# A backward-stable least-squares solve fixes a residual sum to about
+# cond(X) * eps relative; two such solves agree within this many units of it
+BACKWARD_STABLE_UNITS = 2.0
 
 
 def ar_sample(rng, t_obs=200, n=41, a=0.8, sigma_idio=0.05):
@@ -275,6 +278,39 @@ class TestSelectOrders:
         assert np.array_equal(np.isinf(mse), np.isinf(expected))
         finite = np.isfinite(expected)
         assert np.allclose(mse[finite], expected[finite], rtol=KERNEL_RTOL, atol=0.0)
+
+    def test_final_fit_matches_lstsq_and_cell_near_collinearity(self):
+        # the second score equals the first up to a relative gap of 1e-6 to
+        # 1e-4, so cond(X) reaches about 1e6.  fit_var's QR solve stays
+        # within 2 cond(X) eps of an lstsq reference and of the selection
+        # cell; the normal equations it replaced missed both by up to
+        # 47 cond(X) eps (1e-8 relative)
+        rng = np.random.default_rng(120)
+        eps = np.finfo(float).eps
+        compared = 0
+        for _ in range(300):
+            gap = 10.0 ** rng.uniform(-6.0, -4.0)
+            t_obs, m = int(rng.integers(13, 33)), int(rng.integers(1, 3))
+            scores = rng.normal(size=(t_obs, 2))
+            scores[:, 1] = scores[:, 0] * (1.0 + gap * rng.normal(size=t_obs))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                cell = select_orders(scores_result(scores, 0.0), 2, m)["bic"].mse[1, m - 1]
+            try:
+                fit = fit_var(scores, m)
+            except NumericError:
+                assert np.isinf(cell)
+                continue
+            design = np.hstack([scores[m - k:t_obs - k] for k in range(1, m + 1)])
+            coef = np.linalg.lstsq(design, scores[m:], rcond=None)[0]
+            resid = scores[m:] - design @ coef
+            reference = float(np.sum(resid * resid)) / (t_obs - m)
+            trace = float(np.trace(fit.sigma_eta))
+            bound = BACKWARD_STABLE_UNITS * eps * np.linalg.cond(design)
+            assert abs(trace - reference) <= bound * reference
+            assert abs(trace - cell) <= bound * cell
+            compared += 1
+        assert compared >= 200
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 5), p_max=st.integers(1, 4),
