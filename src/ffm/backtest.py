@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiscretePanel, FunctionalSample, Grid, _frozen, panel_to_sample
+from .core import FunctionalSample, Grid, _frozen, panel_to_sample, sample_to_panel
 from .dns import DEFAULT_DECAY, dns_betas, dns_forecast, dns_model
 from .errors import DataError, FfmError, NumericError
 from .pipeline import FfmConfig, fit_ffm, forecast
@@ -29,15 +29,6 @@ from .selection import CRITERIA
 __all__ = ["FfmFixed", "FfmCriterion", "Dns", "BacktestReport", "rolling_backtest"]
 
 DEFAULT_INITIAL_WINDOW = 120
-
-
-def _as_panel(data) -> DiscretePanel:
-    """Panel view of the backtest input; a sample is observed on its grid."""
-    if isinstance(data, FunctionalSample):
-        return DiscretePanel(data.grid.points, data.matrix, times=data.times)
-    if isinstance(data, DiscretePanel):
-        return data
-    raise TypeError(f"expected FunctionalSample or DiscretePanel, got {type(data).__name__}")
 
 
 def _ffm_steps(data, h: int, config_at):
@@ -128,7 +119,7 @@ class Dns:
         VAR(1) on its leading rows.  Every origin whose window holds a row
         that cannot be fitted fails as ``fit_dns`` would on that window.
         """
-        panel = _as_panel(data)
+        panel = sample_to_panel(data)
         betas, bad = dns_betas(panel, self.decay)
 
         def step(t):
@@ -186,6 +177,15 @@ class BacktestReport:
             "failures": self.failures,
         }
 
+    def error_rows(self) -> list[dict]:
+        """One (origin, maturity, error) row per evaluated cell."""
+        rows = []
+        for origin, row in zip(self.origins, self.errors):
+            for m, err in zip(self.maturities, row):
+                if np.isfinite(err):
+                    rows.append({"origin": int(origin), "maturity": float(m), "error": float(err)})
+        return rows
+
 
 def rolling_backtest(data, method, h: int = 1,
                      initial_window: int = DEFAULT_INITIAL_WINDOW) -> BacktestReport:
@@ -212,7 +212,7 @@ def rolling_backtest(data, method, h: int = 1,
         raise ValueError(f"horizon must be at least 1, got {h}")
     if initial_window < 3:
         raise ValueError(f"initial_window must be at least 3, got {initial_window}")
-    panel = _as_panel(data)
+    panel = sample_to_panel(data)
     step, fields = method.backtest_steps(data, h)
     t_total = panel.n_rows
     if t_total < initial_window + h:

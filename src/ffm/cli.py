@@ -29,13 +29,13 @@ from . import io
 from ._version import __version__
 from .backtest import (DEFAULT_INITIAL_WINDOW, Dns, FfmCriterion, FfmFixed,
                        rolling_backtest)
-from .core import Grid, make_grid, panel_to_sample
+from .core import Grid, make_grid, panel_to_sample, sample_to_panel
 from .dns import DEFAULT_DECAY, dns_forecast, fit_dns
 from .errors import ConfigError, DataError, NetworkError, NumericError
 from .fpca import fpca
 from .montecarlo import monte_carlo
 from .pipeline import FfmConfig, fit_ffm, forecast
-from .selection import CRITERIA, criterion_grid, export_mse_surface
+from .selection import CRITERIA, export_mse_surface, select_orders
 from .simulate import MODELS, SimSpec, simulate
 
 __all__ = ["RunConfig", "main", "cmd_fpca", "cmd_select", "cmd_forecast",
@@ -63,6 +63,20 @@ class RunConfig:
         return io.write_manifest(self.output_dir, self.command, self.options,
                                  outputs, results)
 
+    def write(self, name: str, rows: list[dict], doc=None) -> Path:
+        """Write one result in the chosen format; returns the path written.
+
+        JSON writes ``doc`` (default ``{"rows": rows}``) to ``name.json``;
+        CSV writes the dict rows to ``name.csv``.
+        """
+        if self.fmt == "json":
+            path = self.output_dir / f"{name}.json"
+            io.write_json({"rows": rows} if doc is None else doc, path)
+        else:
+            path = self.output_dir / f"{name}.csv"
+            io.write_rows_csv(rows, path)
+        return path
+
 
 def _parse_grid(text: str) -> Grid:
     try:
@@ -82,14 +96,13 @@ def _parse_criteria(text: str) -> tuple:
     return names
 
 
-def _run_config(args, command: str, option_names: list) -> RunConfig:
+def _run_config(args) -> RunConfig:
+    """The invocation's config; every parsed flag is echoed in the manifest."""
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    options = {}
-    for name in option_names:
-        value = getattr(args, name)
-        options[name.replace("_", "-")] = str(value) if isinstance(value, Path) else value
-    return RunConfig(command=command, output_dir=outdir,
+    options = {name.replace("_", "-"): value for name, value in vars(args).items()
+               if name not in ("command", "func", "output_dir")}
+    return RunConfig(command=args.command, output_dir=outdir,
                      fmt=getattr(args, "format", "csv"), options=options)
 
 
@@ -117,16 +130,18 @@ def _load_sample(path, grid_flag: str | None):
 
 
 def cmd_fpca(args) -> int:
-    cfg = _run_config(args, "fpca", ["input", "grid", "kmax", "format"])
+    cfg = _run_config(args)
     panel, sample = _load_sample(args.input, args.grid)
     result = fpca(sample, args.kmax)
-    outputs = []
+    # four CSV tables against one JSON document, so fpca writes its own
     if cfg.fmt == "json":
-        path = cfg.output_dir / "fpca.json"
-        io.write_json(io.fpca_to_json(result), path)
-        outputs.append(path)
+        outputs = [cfg.output_dir / "fpca.json"]
+        io.write_json(io.to_json(result), outputs[0])
     else:
-        outputs.extend(io.write_fpca_csv(result, cfg.output_dir))
+        outputs = []
+        for table, rows in result.tables().items():
+            outputs.append(cfg.output_dir / f"fpca_{table}.csv")
+            io.write_rows_csv(rows, outputs[-1])
     knots = cfg.output_dir / "knots.json"
     io.write_json(
         {str(t): panel.row_knots(i).tolist() for i, t in enumerate(panel.times)}, knots
@@ -140,30 +155,23 @@ def cmd_fpca(args) -> int:
 
 
 def cmd_select(args) -> int:
-    cfg = _run_config(args, "select",
-                      ["input", "grid", "criterion", "kmax", "pmax", "restricted",
-                       "format"])
+    cfg = _run_config(args)
     _, sample = _load_sample(args.input, args.grid)
     result = fpca(sample)
     k_max = min(args.kmax, result.rank)
-    grid = criterion_grid(result, k_max, args.pmax, args.criterion, args.restricted)
+    grid = select_orders(result, k_max, args.pmax, (args.criterion,),
+                         args.restricted)[args.criterion]
     rows = export_mse_surface(grid)
-    if cfg.fmt == "json":
-        path = cfg.output_dir / "surface.json"
-        io.write_json({"cells": rows, "chosen": list(grid.chosen)}, path)
-    else:
-        path = cfg.output_dir / "surface.csv"
-        io.write_rows_csv(rows, path)
+    path = cfg.write("surface", rows, {"cells": rows, "chosen": list(grid.chosen)})
     results = {"K": grid.chosen[0], "p": grid.chosen[1], "criterion": grid.criterion}
     manifest = cfg.manifest([path], results)
-    print(f"select: {grid.criterion} chose (K, p) = {grid.chosen}; wrote {path} and {manifest}")
+    print(f"select: {grid.criterion} chose (K, p) = {grid.chosen}; "
+          f"wrote {path} and {manifest}")
     return EXIT_OK
 
 
 def cmd_forecast(args) -> int:
-    cfg = _run_config(args, "forecast",
-                      ["input", "grid", "horizon", "criterion", "kmax", "pmax",
-                       "k", "p", "restricted", "format"])
+    cfg = _run_config(args)
     _, sample = _load_sample(args.input, args.grid)
     if (args.k is None) != (args.p is None):
         raise ConfigError("set both --k and --p to pin the orders, or neither")
@@ -171,13 +179,7 @@ def cmd_forecast(args) -> int:
                        k=args.k, p=args.p, restricted=args.restricted)
     model = fit_ffm(sample, config)
     result = forecast(model, args.horizon)
-    rows = io.forecast_rows(result)
-    if cfg.fmt == "json":
-        path = cfg.output_dir / "forecast.json"
-        io.write_json({"rows": rows}, path)
-    else:
-        path = cfg.output_dir / "forecast.csv"
-        io.write_rows_csv(rows, path)
+    path = cfg.write("forecast", result.rows())
     model_path = cfg.output_dir / "model.json"
     io.write_json(io.model_to_json(model), model_path)
     results = {"K": model.k, "p": model.p,
@@ -192,43 +194,28 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _run_config(args, "simulate",
-                      ["model", "T", "seed", "grid", "burn_in", "noise_scale", "format"])
+    cfg = _run_config(args)
     grid = _parse_grid(args.grid) if args.grid else None
     spec = SimSpec(model=args.model, n_obs=args.T, seed=args.seed, grid=grid,
                    burn_in=args.burn_in, noise_scale=args.noise_scale)
     sample = simulate(spec)
-    panel = io.sample_to_panel(sample)
-    if cfg.fmt == "json":
-        path = cfg.output_dir / "sample.json"
-        io.write_json(io.panel_to_json(panel), path)
-    else:
-        path = cfg.output_dir / "sample.csv"
-        io.write_panel_csv(panel, path)
+    panel = sample_to_panel(sample)
+    path = cfg.write("sample", io.panel_rows(panel), io.to_json(panel))
     manifest = cfg.manifest([path])
-    print(f"simulate: {args.model}, T={args.T}, seed={args.seed}; wrote {path} and {manifest}")
+    print(f"simulate: {args.model}, T={args.T}, seed={args.seed}; "
+          f"wrote {path} and {manifest}")
     return EXIT_OK
 
 
 def cmd_mc(args) -> int:
-    cfg = _run_config(args, "mc",
-                      ["model", "T", "reps", "kmax", "pmax", "criteria", "restricted",
-                       "seed", "jobs", "format"])
+    cfg = _run_config(args)
     spec = SimSpec(model=args.model, n_obs=args.T, seed=args.seed)
     criteria = _parse_criteria(args.criteria)
     report = monte_carlo(spec, args.reps, args.kmax, args.pmax, criteria,
                          args.restricted, args.jobs)
     rows = report.summary_rows()
-    if cfg.fmt == "json":
-        path = cfg.output_dir / "mc.json"
-        doc = {
-            "summary": rows,
-            "frequencies": {c: report.frequencies(c).tolist() for c in criteria},
-        }
-        io.write_json(doc, path)
-    else:
-        path = cfg.output_dir / "mc.csv"
-        io.write_rows_csv(rows, path)
+    frequencies = {c: report.frequencies(c).tolist() for c in criteria}
+    path = cfg.write("mc", rows, {"summary": rows, "frequencies": frequencies})
     results = {row["criterion"]: {"bias_K": row["bias_K"], "bias_p": row["bias_p"]}
                for row in rows}
     manifest = cfg.manifest([path], results)
@@ -252,21 +239,14 @@ def _backtest_method(args):
 
 
 def cmd_backtest(args) -> int:
-    cfg = _run_config(args, "backtest",
-                      ["input", "method", "dynamics", "horizon", "window", "criterion",
-                       "kmax", "pmax", "k", "p", "lam", "format"])
+    cfg = _run_config(args)
     panel = _load_panel(args.input)
     method = _backtest_method(args)
     report = rolling_backtest(panel, method, h=args.horizon, initial_window=args.window)
-    rows = io.backtest_rows([report])
-    if cfg.fmt == "json":
-        path = cfg.output_dir / "backtest.json"
-        io.write_json({"summary": rows}, path)
-    else:
-        path = cfg.output_dir / "backtest.csv"
-        io.write_rows_csv(rows, path)
+    rows = [report.summary_row()]
+    path = cfg.write("backtest", rows, {"summary": rows})
     errors_path = cfg.output_dir / "errors.csv"
-    io.write_rows_csv(io.backtest_error_rows(report), errors_path)
+    io.write_rows_csv(report.error_rows(), errors_path)
     first_failure = list(report.failure_reasons[0]) if report.failures else None
     results = {"method": report.method, "rmsfe": report.rmsfe,
                "failures": report.failures, "first_failure": first_failure}
@@ -277,20 +257,13 @@ def cmd_backtest(args) -> int:
 
 
 def cmd_dns(args) -> int:
-    cfg = _run_config(args, "dns",
-                      ["input", "lam", "dynamics", "horizon", "format"])
+    cfg = _run_config(args)
     panel = _load_panel(args.input)
     model = fit_dns(panel, args.lam, diagonal=args.dynamics == "diagonal")
     result = dns_forecast(model, panel.maturities, args.horizon)
-    rows = io.forecast_rows(result)
-    if cfg.fmt == "json":
-        path = cfg.output_dir / "dns.json"
-        io.write_json({"rows": rows}, path)
-    else:
-        path = cfg.output_dir / "dns.csv"
-        io.write_rows_csv(rows, path)
+    path = cfg.write("dns", result.rows())
     betas_path = cfg.output_dir / "betas.csv"
-    io.write_rows_csv(io.dns_betas_rows(model), betas_path)
+    io.write_rows_csv(model.beta_rows(), betas_path)
     manifest = cfg.manifest([path, betas_path])
     print(f"dns: decay {args.lam}, horizons 1..{args.horizon}; "
           f"wrote {path}, {betas_path}, {manifest}")
@@ -298,7 +271,7 @@ def cmd_dns(args) -> int:
 
 
 def cmd_fetch_h15(args) -> int:
-    cfg = _run_config(args, "fetch-h15", ["url", "layout", "format"])
+    cfg = _run_config(args)
     text = io.fetch_h15(args.url)
     panel, dropped = io.parse_h15_csv(text)
     path = cfg.output_dir / "h15.csv"
@@ -418,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--url", default=io.H15_URL)
     p.add_argument("--layout", choices=("wide", "long"), default="wide",
                    help="layout of the written panel CSV")
-    _add_common(p)
+    p.add_argument("--output-dir", default=".", help="directory for outputs")
     p.set_defaults(func=cmd_fetch_h15)
 
     return parser

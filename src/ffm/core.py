@@ -27,6 +27,7 @@ __all__ = [
     "norm",
     "natural_cubic_spline",
     "panel_to_sample",
+    "sample_to_panel",
 ]
 
 
@@ -219,6 +220,8 @@ class DiscretePanel:
         maturities = _frozen(self.maturities)
         if maturities.ndim != 1 or maturities.size < 2:
             raise DataError("panel needs at least two maturities")
+        if not np.all(np.isfinite(maturities)):
+            raise DataError("maturities must be finite")
         if np.any(np.diff(maturities) <= 0):
             raise DataError("maturities must be strictly increasing")
         table = _frozen(np.atleast_2d(self.table))
@@ -260,6 +263,18 @@ class DiscretePanel:
 
     def is_complete(self) -> bool:
         return not np.any(np.isnan(self.table))
+
+
+def sample_to_panel(data) -> DiscretePanel:
+    """View a sample as a complete panel observed at its grid points.
+
+    A panel is returned as it is, so a caller taking either needs no check.
+    """
+    if isinstance(data, DiscretePanel):
+        return data
+    if not isinstance(data, FunctionalSample):
+        raise TypeError(f"expected FunctionalSample or DiscretePanel, got {type(data).__name__}")
+    return DiscretePanel(data.grid.points, data.matrix, times=data.times)
 
 
 def _spline_moments(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

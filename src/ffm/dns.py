@@ -71,6 +71,13 @@ class DnsModel:
     dynamics: VarFit
     times: tuple
 
+    def beta_rows(self) -> list[dict]:
+        """One (time, level, slope, curvature) row per date."""
+        rows = []
+        for t, beta in zip(self.times, self.betas):
+            rows.append({"time": t, "level": beta[0], "slope": beta[1], "curvature": beta[2]})
+        return rows
+
 
 def dns_betas(panel, decay: float = DEFAULT_DECAY) -> tuple[np.ndarray, tuple[int, str] | None]:
     """Cross-section step: least-squares betas of every row of a panel.

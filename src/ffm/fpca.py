@@ -132,6 +132,22 @@ class FpcaResult:
             raise ValueError(f"j must be in [0, {self.rank}], got {j}")
         return float(np.concatenate([self.eigenvalues[j:], self.tail_eigenvalues]).sum())
 
+    def tables(self) -> dict[str, list[dict]]:
+        """CSV tables: mean, eigenvalues (kept, then tail), eigenfunctions, scores."""
+        points = self.grid.points
+        spectrum = np.concatenate([self.eigenvalues, self.tail_eigenvalues])
+        psi = [f"psi{l + 1}" for l in range(self.rank)]
+        factors = [f"f{l + 1}" for l in range(self.rank)]
+        return {
+            "mean": [{"r": r, "mean": v} for r, v in zip(points, self.mean.values)],
+            "eigenvalues": [{"component": l + 1, "eigenvalue": v, "kept": int(l < self.rank)}
+                            for l, v in enumerate(spectrum)],
+            "eigenfunctions": [{"r": r, **dict(zip(psi, column))}
+                               for r, column in zip(points, self.eigenfunctions.T)],
+            "scores": [{"time": t, **dict(zip(factors, row))}
+                       for t, row in zip(self.times, self.scores)],
+        }
+
 
 def _fix_signs(eigvecs: np.ndarray, sqrt_w: np.ndarray) -> np.ndarray:
     """Flip eigenvector columns so each eigenfunction has positive integral.

@@ -1,4 +1,4 @@
-"""Readers and writers for panels, grids, results, and the H.15 feed.
+"""Readers and writers for panels, results, manifests, and the H.15 feed.
 
 CSV panels come in two layouts:
 
@@ -6,6 +6,7 @@ CSV panels come in two layouts:
   mark missing values;
 * long: header ``time,maturity,value``; missing cells are simply absent.
 
+Results go to JSON through one codec, ``to_json``/``from_json``.
 Floats are written with ``repr`` so every round trip is exact.
 """
 
@@ -15,37 +16,26 @@ import csv
 import io as _io
 import json
 import re
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from ._version import __version__
-from .backtest import BacktestReport
-from .core import DiscretePanel, FunctionalSample, Grid, make_grid
-from .dns import DnsModel
-from .dynamics import VarFit
+from .core import Curve, DiscretePanel, Grid, make_grid
 from .errors import DataError, NetworkError
-from .fpca import FpcaResult
-from .pipeline import FfmConfig, FfmModel, ForecastResult
-from .selection import SelectionGrid
+from .pipeline import FfmModel
 
 __all__ = [
     "read_panel_csv",
     "write_panel_csv",
-    "panel_to_json",
-    "panel_from_json",
-    "sample_to_panel",
-    "grid_to_json",
-    "grid_from_json",
-    "fpca_to_json",
-    "fpca_from_json",
-    "write_fpca_csv",
-    "var_fit_to_json",
-    "var_fit_from_json",
+    "panel_rows",
+    "to_json",
+    "from_json",
     "model_to_json",
     "model_from_json",
-    "forecast_rows",
     "write_rows_csv",
     "write_manifest",
     "H15_MATURITIES",
@@ -83,8 +73,13 @@ def _coerce_times(labels: list) -> tuple:
 
 def read_panel_csv(path) -> DiscretePanel:
     """Read a wide or long panel CSV; the layout is sniffed from the header."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not a UTF-8 file ({exc})") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: malformed CSV ({exc})") from None
     rows = [row for row in rows if row and any(cell.strip() for cell in row)]
     if not rows:
         raise DataError(f"{path}: empty file")
@@ -142,180 +137,91 @@ def _read_long(body: list, path) -> DiscretePanel:
     return DiscretePanel(maturities, table, times=_coerce_times(times_order))
 
 
+def panel_rows(panel: DiscretePanel, layout: str = "wide") -> list[dict]:
+    """CSV rows of a panel: one per date ('wide') or per observed cell ('long')."""
+    rows = []
+    if layout == "wide":
+        names = [_fmt(m) for m in panel.maturities]
+        for t, values in zip(panel.times, panel.table):
+            row = {"time": t}
+            for name, v in zip(names, values):
+                row[name] = None if np.isnan(v) else v
+            rows.append(row)
+    elif layout == "long":
+        for t, values in zip(panel.times, panel.table):
+            for m, v in zip(panel.maturities, values):
+                if not np.isnan(v):
+                    rows.append({"time": t, "maturity": m, "value": v})
+    else:
+        raise ValueError(f"unknown layout {layout!r}; expected 'wide' or 'long'")
+    return rows
+
+
 def write_panel_csv(panel: DiscretePanel, path, layout: str = "wide") -> None:
     """Write a panel as CSV; ``layout`` is 'wide' or 'long'."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if layout == "wide":
-            writer.writerow(["time"] + [_fmt(m) for m in panel.maturities])
-            for t in range(panel.n_rows):
-                row = [str(panel.times[t])]
-                row += ["" if np.isnan(v) else _fmt(v) for v in panel.table[t]]
-                writer.writerow(row)
-        elif layout == "long":
-            writer.writerow(["time", "maturity", "value"])
-            for t in range(panel.n_rows):
-                for j, m in enumerate(panel.maturities):
-                    v = panel.table[t, j]
-                    if not np.isnan(v):
-                        writer.writerow([str(panel.times[t]), _fmt(m), _fmt(v)])
-        else:
-            raise ValueError(f"unknown layout {layout!r}; expected 'wide' or 'long'")
-
-
-def panel_to_json(panel: DiscretePanel) -> dict:
-    table = [[None if np.isnan(v) else v for v in row] for row in panel.table]
-    return {
-        "times": list(panel.times),
-        "maturities": panel.maturities.tolist(),
-        "table": table,
-    }
-
-
-def panel_from_json(doc: dict) -> DiscretePanel:
-    table = np.array(
-        [[np.nan if v is None else v for v in row] for row in doc["table"]], dtype=float
-    )
-    return DiscretePanel(np.array(doc["maturities"], dtype=float), table,
-                         times=tuple(doc["times"]))
-
-
-def sample_to_panel(sample: FunctionalSample) -> DiscretePanel:
-    """View a sample as a complete panel observed at its grid points."""
-    return DiscretePanel(sample.grid.points, sample.matrix, times=sample.times)
+    write_rows_csv(panel_rows(panel, layout), path)
 
 
 # ---------------------------------------------------------------------------
-# grids
+# JSON codec
 
 
-def grid_to_json(grid: Grid) -> dict:
-    points = grid.points
-    uniform = np.allclose(np.diff(points), points[1] - points[0], rtol=0, atol=1e-12)
-    if uniform:
-        return {"a": float(points[0]), "b": float(points[-1]), "n": int(points.size)}
-    return {"points": points.tolist()}
+def to_json(obj):
+    """JSON document of a result: dataclass fields by name, arrays as nested lists.
+
+    A uniform ``Grid`` is written as its ``a``/``b``/``n``, a ``Curve`` as
+    its values on its owner's grid, and NaN as null.
+    """
+    if isinstance(obj, Grid):
+        points = obj.points
+        if np.allclose(np.diff(points), points[1] - points[0], rtol=0, atol=1e-12):
+            return {"a": obj.a, "b": obj.b, "n": obj.n}
+        return {"points": points.tolist()}
+    if isinstance(obj, Curve):
+        return obj.values.tolist()
+    if is_dataclass(obj):
+        return {f.name: to_json(getattr(obj, f.name)) for f in fields(obj) if f.init}
+    if isinstance(obj, np.ndarray):
+        nan = np.isnan(obj)
+        return (np.where(nan, None, obj) if nan.any() else obj).tolist()
+    if isinstance(obj, tuple):
+        return list(obj)
+    return obj
 
 
-def grid_from_json(doc: dict) -> Grid:
-    if "points" in doc:
-        return Grid(np.array(doc["points"], dtype=float))
-    try:
-        return make_grid(doc["a"], doc["b"], doc["n"])
-    except KeyError as exc:
-        raise DataError(f"grid document needs 'points' or 'a'/'b'/'n'; missing {exc}") from exc
+def from_json(cls, doc):
+    """Inverse of ``to_json`` for the dataclass type ``cls``."""
+    if cls is Grid:
+        if "points" in doc:
+            return Grid(np.array(doc["points"], dtype=float))
+        try:
+            return make_grid(doc["a"], doc["b"], doc["n"])
+        except KeyError as exc:
+            raise DataError(f"grid document needs 'points' or 'a'/'b'/'n'; missing {exc}") from exc
+    hints = get_type_hints(cls)
+    values = {}
+    for f in fields(cls):
+        if f.init:
+            values[f.name] = _decode(hints[f.name], doc[f.name], values)
+    return cls(**values)
 
 
-# ---------------------------------------------------------------------------
-# results
-
-
-def fpca_to_json(result: FpcaResult) -> dict:
-    return {
-        "grid": grid_to_json(result.grid),
-        "times": list(result.times),
-        "mean": result.mean.values.tolist(),
-        "eigenvalues": result.eigenvalues.tolist(),
-        "eigenfunctions": result.eigenfunctions.tolist(),
-        "scores": result.scores.tolist(),
-        "tail_eigenvalues": result.tail_eigenvalues.tolist(),
-    }
-
-
-def fpca_from_json(doc: dict) -> FpcaResult:
-    from .core import Curve
-
-    grid = grid_from_json(doc["grid"])
-    return FpcaResult(
-        grid=grid,
-        mean=Curve(grid, np.array(doc["mean"], dtype=float)),
-        eigenvalues=np.array(doc["eigenvalues"], dtype=float),
-        eigenfunctions=np.array(doc["eigenfunctions"], dtype=float),
-        scores=np.array(doc["scores"], dtype=float),
-        tail_eigenvalues=np.array(doc["tail_eigenvalues"], dtype=float),
-        times=tuple(doc["times"]),
-    )
-
-
-def write_fpca_csv(result: FpcaResult, outdir, prefix: str = "fpca") -> list:
-    """One CSV per block (mean, eigenvalues, eigenfunctions, scores)."""
-    outdir = Path(outdir)
-    written = []
-
-    def _write(name, header, rows):
-        path = outdir / f"{prefix}_{name}.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-        written.append(path)
-
-    points = result.grid.points
-    _write("mean", ["r", "mean"],
-           [[_fmt(r), _fmt(v)] for r, v in zip(points, result.mean.values)])
-    eig_rows = [[str(l + 1), _fmt(v), "1"] for l, v in enumerate(result.eigenvalues)]
-    eig_rows += [
-        [str(result.rank + i + 1), _fmt(v), "0"]
-        for i, v in enumerate(result.tail_eigenvalues)
-    ]
-    _write("eigenvalues", ["component", "eigenvalue", "kept"], eig_rows)
-    _write("eigenfunctions", ["r"] + [f"psi{l + 1}" for l in range(result.rank)],
-           [[_fmt(r)] + [_fmt(v) for v in result.eigenfunctions[:, i]]
-            for i, r in enumerate(points)])
-    _write("scores", ["time"] + [f"f{l + 1}" for l in range(result.rank)],
-           [[str(t)] + [_fmt(v) for v in row]
-            for t, row in zip(result.times, result.scores)])
-    return written
-
-
-def var_fit_to_json(fit: VarFit) -> dict:
-    return {
-        "coefficients": fit.coefficients.tolist(),
-        "intercept": None if fit.intercept is None else fit.intercept.tolist(),
-        "residuals": fit.residuals.tolist(),
-        "sigma_eta": fit.sigma_eta.tolist(),
-        "stderr": fit.stderr.tolist(),
-        "restricted": fit.restricted,
-        "n_obs": fit.n_obs,
-    }
-
-
-def var_fit_from_json(doc: dict) -> VarFit:
-    return VarFit(
-        coefficients=np.array(doc["coefficients"], dtype=float),
-        intercept=None if doc["intercept"] is None else np.array(doc["intercept"], dtype=float),
-        residuals=np.array(doc["residuals"], dtype=float),
-        sigma_eta=np.array(doc["sigma_eta"], dtype=float),
-        stderr=np.array(doc["stderr"], dtype=float),
-        restricted=doc["restricted"],
-        n_obs=doc["n_obs"],
-    )
-
-
-def selection_to_json(grid: SelectionGrid) -> dict:
-    return {
-        "criterion": grid.criterion,
-        "k_max": grid.k_max,
-        "p_max": grid.p_max,
-        "mse": grid.mse.tolist(),
-        "values": grid.values.tolist(),
-        "chosen": list(grid.chosen),
-        "n_obs": grid.n_obs,
-        "restricted": grid.restricted,
-    }
-
-
-def selection_from_json(doc: dict) -> SelectionGrid:
-    return SelectionGrid(
-        criterion=doc["criterion"],
-        k_max=doc["k_max"],
-        p_max=doc["p_max"],
-        mse=np.array(doc["mse"], dtype=float),
-        values=np.array(doc["values"], dtype=float),
-        chosen=tuple(doc["chosen"]),
-        n_obs=doc["n_obs"],
-        restricted=doc["restricted"],
-    )
+def _decode(hint, value, owner: dict):
+    """One field for ``from_json``; ``owner`` holds the fields decoded before it."""
+    if value is None:
+        return None
+    if isinstance(hint, UnionType):  # X | None
+        hint = next(arg for arg in get_args(hint) if arg is not type(None))
+    hint = get_origin(hint) or hint
+    if hint is np.ndarray:
+        return np.array(value, dtype=float)
+    if hint is Curve:
+        return Curve(owner["grid"], value)
+    if hint is tuple:
+        return tuple(value)
+    if is_dataclass(hint):
+        return from_json(hint, value)
+    return value
 
 
 def model_to_json(model: FfmModel) -> dict:
@@ -325,7 +231,6 @@ def model_to_json(model: FfmModel) -> dict:
     model has the same total variance and tail sums; eigenfunctions and
     scores beyond K are dropped.
     """
-    config = model.config
     full, k = model.fpca, model.k
     lean = replace(
         full,
@@ -334,61 +239,11 @@ def model_to_json(model: FfmModel) -> dict:
         scores=full.scores[:, :k],
         tail_eigenvalues=np.concatenate([full.eigenvalues[k:], full.tail_eigenvalues]),
     )
-    return {
-        "version": __version__,
-        "config": {
-            "criterion": config.criterion,
-            "k_max": config.k_max,
-            "p_max": config.p_max,
-            "k": config.k,
-            "p": config.p,
-            "restricted": config.restricted,
-        },
-        "fpca": fpca_to_json(lean),
-        "selection": None if model.selection is None else selection_to_json(model.selection),
-        "var_fit": var_fit_to_json(model.var_fit),
-        "degenerate_dynamics": model.degenerate_dynamics,
-    }
+    return {"version": __version__, **to_json(replace(model, fpca=lean))}
 
 
 def model_from_json(doc: dict) -> FfmModel:
-    return FfmModel(
-        fpca=fpca_from_json(doc["fpca"]),
-        selection=None if doc["selection"] is None else selection_from_json(doc["selection"]),
-        var_fit=var_fit_from_json(doc["var_fit"]),
-        config=FfmConfig(**doc["config"]),
-        degenerate_dynamics=doc["degenerate_dynamics"],
-    )
-
-
-def forecast_rows(result: ForecastResult) -> list[dict]:
-    """Long-format (horizon, r, value) rows of a forecast."""
-    rows = []
-    for i, h in enumerate(result.horizons):
-        for r, v in zip(result.grid.points, result.matrix[i]):
-            rows.append({"horizon": h, "r": float(r), "value": float(v)})
-    return rows
-
-
-def backtest_rows(reports: list[BacktestReport]) -> list[dict]:
-    return [report.summary_row() for report in reports]
-
-
-def backtest_error_rows(report: BacktestReport) -> list[dict]:
-    rows = []
-    for i, origin in enumerate(report.origins):
-        for j, m in enumerate(report.maturities):
-            err = report.errors[i, j]
-            if np.isfinite(err):
-                rows.append({"origin": int(origin), "maturity": float(m), "error": float(err)})
-    return rows
-
-
-def dns_betas_rows(model: DnsModel) -> list[dict]:
-    rows = []
-    for t, beta in zip(model.times, model.betas):
-        rows.append({"time": t, "level": beta[0], "slope": beta[1], "curvature": beta[2]})
-    return rows
+    return from_json(FfmModel, doc)
 
 
 def write_rows_csv(rows: list[dict], path) -> None:

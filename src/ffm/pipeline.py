@@ -11,7 +11,7 @@ from .core import Curve, FunctionalSample, Grid
 from .dynamics import VarFit, fit_var, forecast_scores, max_abs_tstat
 from .errors import DataError, NumericError
 from .fpca import FpcaResult, fpca, reconstruct
-from .selection import CRITERIA, SelectionGrid, criterion_grid
+from .selection import CRITERIA, SelectionGrid, select_orders
 
 __all__ = [
     "FfmConfig",
@@ -117,7 +117,8 @@ def fit_ffm(sample: FunctionalSample, config: FfmConfig = FfmConfig()) -> FfmMod
                 stacklevel=2,
             )
             p_max = sample.n_curves - 1
-        selection = criterion_grid(full, k_max, p_max, config.criterion, config.restricted)
+        selection = select_orders(full, k_max, p_max, (config.criterion,),
+                                  config.restricted)[config.criterion]
         k, p = selection.chosen
     var = fit_var(full.scores[:, :k], p, restricted=config.restricted)
     return FfmModel(
@@ -159,6 +160,14 @@ class ForecastResult:
     def curve(self, h: int) -> Curve:
         """Forecast curve at horizon ``h``."""
         return Curve(self.grid, self.matrix[self.horizons.index(h)])
+
+    def rows(self) -> list[dict]:
+        """Long-format (horizon, r, value) rows."""
+        rows = []
+        for h, values in zip(self.horizons, self.matrix):
+            for r, v in zip(self.grid.points, values):
+                rows.append({"horizon": h, "r": float(r), "value": float(v)})
+        return rows
 
 
 def forecast(model: FfmModel, h: int) -> ForecastResult:

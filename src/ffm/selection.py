@@ -43,7 +43,6 @@ __all__ = [
     "SelectionGrid",
     "mse_simplified",
     "mse_direct",
-    "criterion_grid",
     "select_orders",
     "penalty",
     "export_mse_surface",
@@ -274,12 +273,6 @@ def select_orders(result: FpcaResult, k_max: int, p_max: int,
             restricted=restricted,
         )
     return grids
-
-
-def criterion_grid(result: FpcaResult, k_max: int, p_max: int,
-                   criterion: str = "bic", restricted: bool = False) -> SelectionGrid:
-    """Criterion values over 1 <= J <= k_max, 1 <= m <= p_max and the argmin."""
-    return select_orders(result, k_max, p_max, (criterion,), restricted)[criterion]
 
 
 def export_mse_surface(grid: SelectionGrid) -> list[dict]:

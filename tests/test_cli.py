@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 import ffm
-from ffm import DiscretePanel, Grid, dns_loadings, fpca, make_grid, panel_to_sample
+from ffm import (DiscretePanel, FpcaResult, Grid, dns_loadings, fpca, make_grid,
+                 panel_to_sample, select_orders)
 from ffm.cli import EXIT_DATA, EXIT_NUMERIC, main
-from ffm.io import fpca_from_json, model_from_json, read_panel_csv, write_panel_csv
+from ffm.io import from_json, model_from_json, panel_rows, read_panel_csv, write_panel_csv
 
 RT_TOL = 1e-12
 
@@ -75,12 +76,26 @@ class TestFpca:
         assert set(knots) == {"1", "2", "3"}
         assert knots["1"] == [1.0, 2.0, 3.0, 4.0]
 
+    @pytest.mark.parametrize("fmt, names", [
+        ("csv", ["fpca_mean.csv", "fpca_eigenvalues.csv", "fpca_eigenfunctions.csv",
+                 "fpca_scores.csv", "knots.json"]),
+        ("json", ["fpca.json", "knots.json"]),
+    ])
+    def test_output_file_names(self, tmp_path, fmt, names):
+        csv_path = write_sim_csv(tmp_path, "M2", 30, 2)
+        out = tmp_path / "out"
+        assert run(["fpca", "--input", csv_path, "--kmax", 2, "--format", fmt,
+                    "--output-dir", out]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == names
+        assert sorted(p.name for p in out.iterdir()) == sorted(names + ["manifest.json"])
+
     def test_json_round_trip_matches_library(self, tmp_path):
         csv_path = write_sim_csv(tmp_path, "M2", 40, 8)
         out = tmp_path / "fp"
         assert run(["fpca", "--input", csv_path, "--format", "json",
                     "--kmax", 3, "--output-dir", out]) == 0
-        back = fpca_from_json(json.loads((out / "fpca.json").read_text()))
+        back = from_json(FpcaResult, json.loads((out / "fpca.json").read_text()))
         panel = read_panel_csv(csv_path)
         grid = make_grid(panel.maturities[0], panel.maturities[-1], 100)
         expected = fpca(panel_to_sample(panel, grid), 3)
@@ -102,8 +117,7 @@ class TestSelect:
         panel = read_panel_csv(csv_path)
         grid = make_grid(panel.maturities[0], panel.maturities[-1], 100)
         result = fpca(panel_to_sample(panel, grid))
-        from ffm import criterion_grid
-        expected = criterion_grid(result, min(4, result.rank), 2, "bic").chosen
+        expected = select_orders(result, min(4, result.rank), 2, ("bic",))["bic"].chosen
         assert (manifest["results"]["K"], manifest["results"]["p"]) == expected
         surface = (out / "surface.csv").read_text().splitlines()
         assert surface[0] == "J,m,mse,criterion,chosen"
@@ -153,6 +167,18 @@ class TestForecast:
         assert run(["forecast", "--input", csv_path, "--k", 2, "--p", 1,
                     "--output-dir", tmp_path / "fc"]) == EXIT_DATA
         assert "row 4" in capsys.readouterr().err
+
+    def test_non_finite_maturity_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        path.write_text("time,nan,2,3,4,5\n" + "".join(f"{t},1,2,3,4,{t}\n" for t in range(1, 9)))
+        assert run(["forecast", "--input", path, "--output-dir", tmp_path / "fc"]) == EXIT_DATA
+        assert "maturities must be finite" in capsys.readouterr().err
+
+    def test_non_utf8_file_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"time,1,2,3,4\n1,1.0,2.0,3.0,4.\xff\n")
+        assert run(["forecast", "--input", path, "--output-dir", tmp_path / "fc"]) == EXIT_DATA
+        assert str(path) in capsys.readouterr().err
 
     def test_k_above_rank_is_numeric_failure(self, tmp_path, capsys):
         csv_path = write_sim_csv(tmp_path, "M4", 20, 5)
@@ -317,6 +343,48 @@ class TestDnsCommand:
         assert np.allclose(first, betas[0], atol=1e-10)
 
 
+def csv_cell(value) -> str:
+    """A value as ``write_rows_csv`` renders it."""
+    if value is None:
+        return ""
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
+class TestJsonOutput:
+    @pytest.mark.parametrize("argv, name, rows_of", [
+        pytest.param(["select", "--input", "PANEL", "--kmax", 3, "--pmax", 2], "surface",
+                     lambda doc: doc["cells"], id="select"),
+        pytest.param(["forecast", "--input", "PANEL", "--horizon", 2, "--kmax", 3, "--pmax", 2],
+                     "forecast", lambda doc: doc["rows"], id="forecast"),
+        pytest.param(["simulate", "--model", "M2", "--T", 30, "--seed", 3], "sample",
+                     lambda doc: panel_rows(from_json(DiscretePanel, doc)), id="simulate"),
+        pytest.param(["mc", "--model", "M4", "--T", 60, "--reps", 3, "--kmax", 2, "--pmax", 2],
+                     "mc", lambda doc: doc["summary"], id="mc"),
+        pytest.param(["backtest", "--input", "PANEL", "--method", "ffm-criterion", "--kmax", 3,
+                      "--pmax", 2, "--window", 70], "backtest", lambda doc: doc["summary"],
+                     id="backtest"),
+        pytest.param(["dns", "--input", "PANEL", "--horizon", 2], "dns",
+                     lambda doc: doc["rows"], id="dns"),
+    ])
+    def test_json_holds_the_csv_rows(self, tmp_path, argv, name, rows_of):
+        rng = np.random.default_rng(21)
+        maturities = np.array([1, 3, 6, 12, 24, 36, 60, 84, 120, 240, 360], dtype=float)
+        table = 5.0 + 0.1 * rng.normal(size=(80, maturities.size)).cumsum(axis=0)
+        table[rng.random(table.shape) < 0.1] = np.nan
+        table[:, [0, -1]] = 5.0
+        panel_path = tmp_path / "panel.csv"
+        write_panel_csv(DiscretePanel(maturities, table), panel_path)
+        argv = [panel_path if arg == "PANEL" else arg for arg in argv]
+        for fmt in ("csv", "json"):
+            assert run(argv + ["--format", fmt, "--output-dir", tmp_path / fmt]) == 0
+        with open(tmp_path / "csv" / f"{name}.csv", newline="") as fh:
+            csv_rows = list(csv.DictReader(fh))
+        doc = json.loads((tmp_path / "json" / f"{name}.json").read_text())
+        json_rows = [{key: csv_cell(value) for key, value in row.items()}
+                     for row in rows_of(doc)]
+        assert json_rows == csv_rows
+
+
 class TestFetchH15:
     def test_offline_is_exit_5(self, tmp_path, capsys):
         assert run(["fetch-h15", "--url", "http://127.0.0.1:9/h15.csv",
@@ -341,6 +409,13 @@ class TestParser:
             run(argv + ["--seed", 1])
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+    def test_fetch_h15_has_no_format_flag(self, capsys):
+        # it always writes h15.csv; --layout picks the panel layout
+        with pytest.raises(SystemExit) as exc:
+            run(["fetch-h15", "--format", "json"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format json" in capsys.readouterr().err
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

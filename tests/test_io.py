@@ -7,15 +7,14 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ffm import (DataError, DiscretePanel, FfmConfig, NetworkError, SimSpec, fit_ffm,
-                 fitted_one_step, forecast, fpca, simulate)
-from ffm.io import (H15_MATURITIES, fetch_h15, fpca_from_json, fpca_to_json,
-                    grid_from_json, grid_to_json, model_from_json,
-                    model_to_json, panel_from_json, panel_to_json,
-                    parse_h15_csv, read_panel_csv, sample_to_panel,
-                    var_fit_from_json, var_fit_to_json, write_fpca_csv,
-                    write_manifest, write_panel_csv, write_rows_csv)
+from ffm import (DataError, DiscretePanel, FfmConfig, FpcaResult, Grid, NetworkError, SimSpec,
+                 VarFit, fit_ffm, fitted_one_step, forecast, fpca, sample_to_panel, simulate)
+from ffm.io import (H15_MATURITIES, fetch_h15, from_json, model_from_json, model_to_json,
+                    parse_h15_csv, read_panel_csv, to_json, write_manifest,
+                    write_panel_csv, write_rows_csv)
 
 
 def demo_panel():
@@ -111,8 +110,8 @@ class TestPanelCsv:
 
     def test_json_round_trip(self):
         panel = demo_panel()
-        doc = json.loads(json.dumps(panel_to_json(panel)))
-        back = panel_from_json(doc)
+        doc = json.loads(json.dumps(to_json(panel)))
+        back = from_json(DiscretePanel, doc)
         assert np.array_equal(back.table, panel.table, equal_nan=True)
         assert back.times == panel.times
 
@@ -123,33 +122,84 @@ class TestPanelCsv:
         assert np.array_equal(panel.maturities, sample.grid.points)
 
 
+# comma-separated tokens that reach the readers' later checks more often than raw bytes do
+CSV_TOKENS = st.sampled_from(["", " ", "0", "1", "2", "3", "4", "2.5", "-1", "1e999", "nan",
+                              "inf", "x", '"', "time", "maturity", "value"])
+CSV_TEXT = st.lists(st.lists(CSV_TOKENS, min_size=1, max_size=6), max_size=8).map(
+    lambda rows: "\n".join(",".join(row) for row in rows).encode())
+
+
+@st.composite
+def panels_with_holes(draw):
+    """Panels of 4-7 maturities, each row missing at most all but 4 cells."""
+    n_mat = draw(st.integers(4, 7))
+    n_rows = draw(st.integers(1, 6))
+    finite = st.floats(-1e6, 1e6, allow_nan=False)
+    maturities = sorted(draw(st.sets(finite, min_size=n_mat, max_size=n_mat)))
+    table = np.array(draw(st.lists(st.lists(finite, min_size=n_mat, max_size=n_mat),
+                                   min_size=n_rows, max_size=n_rows)))
+    for row in table:
+        holes = draw(st.lists(st.integers(0, n_mat - 1), max_size=n_mat - 4, unique=True))
+        row[holes] = np.nan
+    labels = st.one_of(
+        st.lists(st.integers(-10**9, 10**9), min_size=n_rows, max_size=n_rows, unique=True),
+        st.lists(st.from_regex(r"[A-Za-z][A-Za-z0-9_-]{0,8}", fullmatch=True),
+                 min_size=n_rows, max_size=n_rows, unique=True))
+    return DiscretePanel(np.array(maturities), table, times=tuple(draw(labels)))
+
+
+class TestPanelCsvProperties:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.one_of(st.binary(max_size=300), CSV_TEXT,
+                          CSV_TEXT.map(lambda text: b"time," + text)))
+    @example(data=b"time,1,2,3,4\n1,1.0,2.0,3.0,\xff\n")
+    def test_arbitrary_bytes_raise_only_data_error(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "arbitrary.csv"
+        path.write_bytes(data)
+        try:
+            read_panel_csv(path)
+        except DataError:
+            pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(panel=panels_with_holes(), layout=st.sampled_from(["wide", "long"]))
+    def test_layouts_round_trip_exactly(self, tmp_path_factory, panel, layout):
+        path = tmp_path_factory.getbasetemp() / f"panel_{layout}.csv"
+        write_panel_csv(panel, path, layout=layout)
+        back = read_panel_csv(path)
+        # the long layout has no cell for a maturity missing on every date
+        keep = ~np.all(np.isnan(panel.table), axis=0) if layout == "long" else slice(None)
+        assert back.times == panel.times
+        assert np.array_equal(back.maturities, panel.maturities[keep])
+        assert np.array_equal(back.table, panel.table[:, keep], equal_nan=True)
+
+
 class TestGridJson:
     def test_uniform_grid_compact_form(self):
         from ffm import make_grid
         grid = make_grid(0.0, 2.0, 41)
-        doc = grid_to_json(grid)
+        doc = to_json(grid)
         assert doc == {"a": 0.0, "b": 2.0, "n": 41}
-        back = grid_from_json(doc)
+        back = from_json(Grid, doc)
         assert np.allclose(back.points, grid.points, atol=1e-15)
 
     def test_irregular_grid_point_list(self):
-        from ffm import Grid
         grid = Grid(np.array([0.0, 0.1, 0.5, 2.0]))
-        doc = grid_to_json(grid)
+        doc = to_json(grid)
         assert list(doc) == ["points"]
-        assert np.array_equal(grid_from_json(doc).points, grid.points)
+        assert np.array_equal(from_json(Grid, doc).points, grid.points)
 
     def test_missing_keys(self):
         with pytest.raises(DataError, match="missing"):
-            grid_from_json({"a": 0.0, "b": 1.0})
+            from_json(Grid, {"a": 0.0, "b": 1.0})
 
 
 class TestResultJson:
     def test_fpca_round_trip_exact(self):
         sample = simulate(SimSpec(model="M2", n_obs=40, seed=3))
         result = fpca(sample, k_max=3)
-        doc = json.loads(json.dumps(fpca_to_json(result)))
-        back = fpca_from_json(doc)
+        doc = json.loads(json.dumps(to_json(result)))
+        back = from_json(FpcaResult, doc)
         assert np.array_equal(back.eigenvalues, result.eigenvalues)
         assert np.array_equal(back.eigenfunctions, result.eigenfunctions)
         assert np.array_equal(back.scores, result.scores)
@@ -162,7 +212,7 @@ class TestResultJson:
         rng = np.random.default_rng(31)
         for kwargs in ({}, {"restricted": True}, {"intercept": True}):
             fit = fit_var(rng.normal(size=(50, 2)), 2, **kwargs)
-            back = var_fit_from_json(json.loads(json.dumps(var_fit_to_json(fit))))
+            back = from_json(VarFit, json.loads(json.dumps(to_json(fit))))
             assert np.array_equal(back.coefficients, fit.coefficients)
             assert np.array_equal(back.residuals, fit.residuals)
             assert np.array_equal(back.sigma_eta, fit.sigma_eta)
@@ -208,10 +258,10 @@ class TestResultJson:
     def test_fpca_csv_files(self, tmp_path):
         sample = simulate(SimSpec(model="M2", n_obs=30, seed=2))
         result = fpca(sample, k_max=2)
-        written = write_fpca_csv(result, tmp_path)
-        names = sorted(p.name for p in written)
-        assert names == ["fpca_eigenfunctions.csv", "fpca_eigenvalues.csv",
-                         "fpca_mean.csv", "fpca_scores.csv"]
+        tables = result.tables()
+        assert list(tables) == ["mean", "eigenvalues", "eigenfunctions", "scores"]
+        for name, rows in tables.items():
+            write_rows_csv(rows, tmp_path / f"fpca_{name}.csv")
         eig = (tmp_path / "fpca_eigenvalues.csv").read_text().splitlines()
         assert eig[0] == "component,eigenvalue,kept"
         # 2 kept rows plus the tail, all eigenvalues preserved

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ffm import (CRITERIA, Curve, DiscretePanel, FpcaResult, FunctionalSample,
-                 NumericError, criterion_grid, export_mse_surface, fit_var, fpca,
+                 NumericError, export_mse_surface, fit_var, fpca,
                  make_grid, mse_direct, mse_simplified, panel_to_sample, penalty,
                  reconstruct, select_orders)
 
@@ -181,7 +181,7 @@ class TestSelectOrders:
     def test_tie_break_takes_smallest_orders(self):
         rng = np.random.default_rng(51)
         result = fpca(ar_sample(rng, t_obs=80))
-        g = criterion_grid(result, 3, 3, "bic")
+        g = select_orders(result, 3, 3, ("bic",))["bic"]
         ties = np.argwhere(g.values == g.values.min()) + 1
         lexic = sorted(map(tuple, ties))[0]
         assert g.chosen == tuple(lexic)
@@ -336,7 +336,7 @@ class TestSelectOrders:
     def test_restricted_flag_propagates(self):
         rng = np.random.default_rng(54)
         result = fpca(ar_sample(rng, t_obs=100))
-        g = criterion_grid(result, 2, 2, "bic", restricted=True)
+        g = select_orders(result, 2, 2, ("bic",), restricted=True)["bic"]
         assert g.restricted
         fit = fit_var(result.scores[:, :2], 2, restricted=True)
         expected = float(np.trace(fit.sigma_eta)) + result.tail_sum(2)
@@ -347,7 +347,7 @@ class TestExport:
     def test_surface_rows(self):
         rng = np.random.default_rng(60)
         result = fpca(ar_sample(rng, t_obs=70))
-        g = criterion_grid(result, 2, 3, "hqc")
+        g = select_orders(result, 2, 3, ("hqc",))["hqc"]
         rows = export_mse_surface(g)
         assert len(rows) == 6
         assert [(r["J"], r["m"]) for r in rows] == [
