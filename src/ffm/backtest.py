@@ -20,8 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .core import FunctionalSample, Grid, _frozen, panel_to_sample, sample_to_panel
-from .dns import DEFAULT_DECAY, dns_betas, dns_forecast, dns_model
+from .dns import DEFAULT_DECAY, dns_betas, dns_loadings, dns_model
+from .dynamics import forecast_scores
 from .errors import DataError, FfmError, NumericError
 from .pipeline import FfmConfig, fit_ffm, forecast
 from .selection import CRITERIA
@@ -114,19 +116,23 @@ class Dns:
     def backtest_steps(self, data, h: int):
         """Per-origin fit-and-forecast and the report's summary fields.
 
-        Each row's betas depend on that row alone, so the cross-section is
-        solved once for the whole panel and an origin refits only the
-        VAR(1) on its leading rows.  Every origin whose window holds a row
-        that cannot be fitted fails as ``fit_dns`` would on that window.
+        Each row's betas depend on that row alone, so the cross-section and
+        the loadings are built once for the whole panel and an origin
+        refits only the VAR(1) on its leading rows.  Every origin whose
+        window holds a row that cannot be fitted fails as ``fit_dns`` would
+        on that window.
         """
         panel = sample_to_panel(data)
         betas, bad = dns_betas(panel, self.decay)
+        loadings = dns_loadings(panel.maturities, self.decay)
 
         def step(t):
             if bad is not None and bad[0] < t:
                 raise DataError(bad[1])
             model = dns_model(betas[:t], self.decay, self.diagonal, panel.times[:t])
-            return dns_forecast(model, panel.maturities, h).matrix[h - 1], None
+            # dns_forecast's product, on loadings built once per backtest
+            matrix = forecast_scores(model.dynamics, model.betas, h) @ loadings.T
+            return matrix[h - 1], None
 
         # the benchmark always carries 3 factors
         return step, {"k": 3, "p": 1, "dynamics": "ar" if self.diagonal else "var"}
@@ -207,6 +213,9 @@ def rolling_backtest(data, method, h: int = 1,
     row, counted in the report's ``failures`` and explained in its
     ``failure_reasons`` instead of aborting the whole exercise.  Any
     other exception propagates.
+
+    The origin loop runs with OpenBLAS on one thread (``ffm._blas``); the
+    previous thread count is restored when it ends.
     """
     if h < 1:
         raise ValueError(f"horizon must be at least 1, got {h}")
@@ -226,15 +235,16 @@ def rolling_backtest(data, method, h: int = 1,
     selected = np.zeros((origins.size, 2), dtype=int) if fields["k"] is None else None
     reasons = []
 
-    for i, t in enumerate(origins):
-        try:
-            pred, orders = step(int(t))
-        except FfmError as exc:
-            reasons.append((int(t), type(exc).__name__, str(exc)))
-            continue
-        if selected is not None:
-            selected[i] = orders
-        errors[i] = pred - realized[t + h - 1]
+    with one_blas_thread():
+        for i, t in enumerate(origins):
+            try:
+                pred, orders = step(int(t))
+            except FfmError as exc:
+                reasons.append((int(t), type(exc).__name__, str(exc)))
+                continue
+            if selected is not None:
+                selected[i] = orders
+            errors[i] = pred - realized[t + h - 1]
 
     if not np.any(np.isfinite(errors)):
         raise NumericError("every backtest origin failed; nothing was evaluated")

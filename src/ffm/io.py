@@ -50,6 +50,13 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _cell(v) -> str:
+    """CSV text of one value: '' for None, exact text for floats."""
+    if v is None:
+        return ""
+    return _fmt(v) if isinstance(v, float) else str(v)
+
+
 def _parse_float(token: str, line: int, column: str) -> float:
     token = token.strip()
     if token == "":
@@ -148,7 +155,14 @@ def panel_rows(panel: DiscretePanel, layout: str = "wide") -> list[dict]:
                 row[name] = None if np.isnan(v) else v
             rows.append(row)
     elif layout == "long":
+        # the long layout keys cells by their time label as written
+        labels = set()
         for t, values in zip(panel.times, panel.table):
+            label = _cell(t).strip()
+            if label in labels:
+                raise DataError(f"time label {label!r} repeats; the long layout keys "
+                                "cells by time label, so it cannot hold this panel")
+            labels.add(label)
             for m, v in zip(panel.maturities, values):
                 if not np.isnan(v):
                     rows.append({"time": t, "maturity": m, "value": v})
@@ -169,14 +183,14 @@ def write_panel_csv(panel: DiscretePanel, path, layout: str = "wide") -> None:
 def to_json(obj):
     """JSON document of a result: dataclass fields by name, arrays as nested lists.
 
-    A uniform ``Grid`` is written as its ``a``/``b``/``n``, a ``Curve`` as
-    its values on its owner's grid, and NaN as null.
+    A ``Grid`` that ``make_grid(a, b, n)`` rebuilds bit for bit is written
+    as its ``a``/``b``/``n``, a ``Curve`` as its values on its owner's
+    grid, and NaN as null.
     """
     if isinstance(obj, Grid):
-        points = obj.points
-        if np.allclose(np.diff(points), points[1] - points[0], rtol=0, atol=1e-12):
+        if np.array_equal(make_grid(obj.a, obj.b, obj.n).points, obj.points):
             return {"a": obj.a, "b": obj.b, "n": obj.n}
-        return {"points": points.tolist()}
+        return {"points": obj.points.tolist()}
     if isinstance(obj, Curve):
         return obj.values.tolist()
     if is_dataclass(obj):
@@ -255,16 +269,7 @@ def write_rows_csv(rows: list[dict], path) -> None:
         keys = list(rows[0])
         writer.writerow(keys)
         for row in rows:
-            out = []
-            for k in keys:
-                v = row[k]
-                if v is None:
-                    out.append("")
-                elif isinstance(v, float):
-                    out.append(_fmt(v))
-                else:
-                    out.append(str(v))
-            writer.writerow(out)
+            writer.writerow([_cell(row[k]) for k in keys])
 
 
 def write_json(doc, path) -> None:

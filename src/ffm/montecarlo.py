@@ -7,11 +7,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .fpca import fpca
 from .selection import CRITERIA, select_orders
-from .simulate import SimSpec, replication_rng, simulate
+from .simulate import SimSpec, replication_rng, simulate_streams
 
 __all__ = ["McReport", "monte_carlo"]
+
+# replications simulated together through one factor recursion
+CHUNK = 50
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,49 +79,44 @@ class McReport:
         return rows
 
 
-def _run_replication(spec: SimSpec, rep: int, k_max: int, p_max: int,
-                     criteria: tuple, restricted: bool) -> dict:
-    rng = replication_rng(spec.seed, rep)
-    sample = simulate(spec, rng)
-    result = fpca(sample)
-    grids = select_orders(result, k_max, p_max, criteria, restricted)
-    return {criterion: grid.chosen for criterion, grid in grids.items()}
+def _run_replications(args) -> list[dict]:
+    """Chosen (K, p) per criterion for a contiguous range of replications.
 
-
-def _run_batch(args) -> list[tuple[int, dict]]:
+    Replications are simulated ``CHUNK`` at a time through one factor
+    recursion, and the whole range runs on one BLAS thread.
+    """
     spec, reps, k_max, p_max, criteria, restricted = args
-    return [
-        (rep, _run_replication(spec, rep, k_max, p_max, criteria, restricted))
-        for rep in reps
-    ]
+    outcomes = []
+    with one_blas_thread():
+        for start in range(reps.start, reps.stop, CHUNK):
+            rngs = [replication_rng(spec.seed, rep)
+                    for rep in range(start, min(start + CHUNK, reps.stop))]
+            for sample in simulate_streams(spec, rngs):
+                grids = select_orders(fpca(sample), k_max, p_max, criteria, restricted)
+                outcomes.append({criterion: grid.chosen for criterion, grid in grids.items()})
+    return outcomes
 
 
 def monte_carlo(spec: SimSpec, reps: int, k_max: int = 8, p_max: int = 8,
                 criteria=CRITERIA, restricted: bool = False, jobs: int = 1) -> McReport:
     """Run ``reps`` independent selection replications of ``spec``.
 
-    Replication r always uses the stream derived from (spec.seed, r), so
-    results are identical for any ``jobs``; workers only change the
-    schedule.
+    Replication r always uses the stream derived from (spec.seed, r), and
+    its sample does not depend on the replications simulated beside it,
+    so results are identical for any ``jobs``; workers only change the
+    schedule.  Each worker takes a contiguous range of replications.
     """
     if reps < 1:
         raise ValueError(f"reps must be positive, got {reps}")
     criteria = tuple(criteria)
-    outcomes: list = [None] * reps
-
-    if jobs > 1 and reps > 1:
-        workers = min(jobs, reps)
-        batches = [
-            (spec, range(w, reps, workers), k_max, p_max, criteria, restricted)
-            for w in range(workers)
-        ]
+    workers = min(max(jobs, 1), reps)
+    ranges = [range(w * reps // workers, (w + 1) * reps // workers) for w in range(workers)]
+    tasks = [(spec, span, k_max, p_max, criteria, restricted) for span in ranges]
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for batch in pool.map(_run_batch, batches):
-                for rep, chosen in batch:
-                    outcomes[rep] = chosen
+            outcomes = [chosen for part in pool.map(_run_replications, tasks) for chosen in part]
     else:
-        for rep in range(reps):
-            outcomes[rep] = _run_replication(spec, rep, k_max, p_max, criteria, restricted)
+        outcomes = _run_replications(tasks[0])
 
     selections = {
         criterion: np.array([outcome[criterion] for outcome in outcomes], dtype=int)

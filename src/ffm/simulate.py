@@ -13,6 +13,7 @@ selection experiments.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,7 @@ __all__ = [
     "default_sim_grid",
     "replication_rng",
     "simulate",
+    "simulate_streams",
     "population_structure",
 ]
 
@@ -163,24 +165,36 @@ def simulate(spec: SimSpec, rng: np.random.Generator | None = None) -> Functiona
     """Draw one sample path of the curve process described by ``spec``."""
     if rng is None:
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(spec.seed)))
+    return next(simulate_streams(spec, [rng]))
+
+
+def simulate_streams(spec: SimSpec, rngs) -> Iterator[FunctionalSample]:
+    """Sample paths of ``spec``, one per generator, through one factor recursion.
+
+    Sample j is bit for bit ``simulate(spec, rngs[j])``: every stream
+    draws its own shocks, and the recursion's lag products are per-stream
+    ``np.matmul`` items, so the number of streams run together changes no
+    bit.  Each sample's curves are built only when the iterator reaches
+    it.
+    """
     k, p = spec.k, spec.p
     total = spec.burn_in + spec.n_obs
     sigmas = spec.noise_scale / np.arange(1, BASIS_SIZE + 1)
-    shocks = rng.standard_normal((total, BASIS_SIZE)) * sigmas
+    shocks = [rng.standard_normal((total, BASIS_SIZE)) * sigmas for rng in rngs]
 
-    factors = np.zeros((total, k))
+    # (total, streams, k, 1): each step adds its lag terms in lag order
+    factors = np.stack([s[:, :k] for s in shocks], axis=1)[..., None]
     lags = spec.lag_matrices
-    for t in range(total):
-        f = shocks[t, :k].copy()
+    for t in range(1, total):
         for i in range(1, min(p, t) + 1):
-            f += lags[i - 1] @ factors[t - i]
-        factors[t] = f
+            factors[t] += np.matmul(lags[i - 1], factors[t - i])
 
     basis = fourier_basis(spec.grid.points)
-    curves = factors[spec.burn_in:] @ basis[:k]
-    if k < BASIS_SIZE:
-        curves = curves + shocks[spec.burn_in:, k:] @ basis[k:]
-    return FunctionalSample(spec.grid, curves)
+    for j, stream_shocks in enumerate(shocks):
+        curves = np.ascontiguousarray(factors[spec.burn_in:, j, :, 0]) @ basis[:k]
+        if k < BASIS_SIZE:
+            curves = curves + stream_shocks[spec.burn_in:, k:] @ basis[k:]
+        yield FunctionalSample(spec.grid, curves)
 
 
 @dataclass(frozen=True, eq=False)

@@ -100,6 +100,22 @@ class TestPanelCsv:
         with pytest.raises(DataError, match="empty maturity"):
             read_panel_csv(path)
 
+    def test_long_layout_refuses_repeated_time_labels(self, tmp_path):
+        # the long layout keys cells by label: rows 1 and 2 would merge on
+        # reading (disjoint quotes) or be refused as repeated cells
+        table = np.array([[1.0, 2.0, 3.0, 4.0, np.nan],
+                          [np.nan, 5.0, 6.0, 7.0, 8.0],
+                          [1.5, 2.5, 3.5, 4.5, 5.5]])
+        panel = DiscretePanel(np.arange(1.0, 6.0), table, times=(7, 3, 3))
+        path = tmp_path / "long.csv"
+        with pytest.raises(DataError, match="time label '3' repeats"):
+            write_panel_csv(panel, path, layout="long")
+        assert not path.exists()
+        write_panel_csv(panel, path, layout="wide")
+        back = read_panel_csv(path)
+        assert back.times == (7, 3, 3)
+        assert np.array_equal(back.table, table, equal_nan=True)
+
     def test_non_integer_times_survive(self, tmp_path):
         maturities = np.array([1.0, 2.0, 3.0, 4.0])
         panel = DiscretePanel(maturities, np.ones((2, 4)),
@@ -188,6 +204,17 @@ class TestGridJson:
         doc = to_json(grid)
         assert list(doc) == ["points"]
         assert np.array_equal(from_json(Grid, doc).points, grid.points)
+
+    def test_near_uniform_grid_round_trips_exactly(self):
+        from ffm import make_grid
+        points = np.linspace(0.0, 1.0, 51)
+        points[1:-1] += 1e-14 * np.random.default_rng(5).uniform(-1.0, 1.0, 49)
+        grid = Grid(points)
+        doc = to_json(grid)
+        assert list(doc) == ["points"]
+        assert np.array_equal(from_json(Grid, json.loads(json.dumps(doc))).points, points)
+        # a grid make_grid rebuilds bit for bit keeps the compact form
+        assert list(to_json(make_grid(0.0, 1.0, 51))) == ["a", "b", "n"]
 
     def test_missing_keys(self):
         with pytest.raises(DataError, match="missing"):

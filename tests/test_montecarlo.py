@@ -3,9 +3,20 @@
 import numpy as np
 import pytest
 
-from ffm import SimSpec, monte_carlo
+from ffm import SimSpec, fpca, monte_carlo, replication_rng, select_orders, simulate
+from ffm.montecarlo import CHUNK
 
 SPEC = SimSpec(model="M1", n_obs=100, seed=42)
+
+
+def per_replication_selections(spec, reps, k_max, p_max):
+    """Selections from one simulate call per replication, in order."""
+    chosen = {criterion: [] for criterion in ("bic", "hqc", "ffpe")}
+    for rep in range(reps):
+        sample = simulate(spec, replication_rng(spec.seed, rep))
+        for criterion, grid in select_orders(fpca(sample), k_max, p_max).items():
+            chosen[criterion].append(grid.chosen)
+    return {criterion: np.array(pairs, dtype=int) for criterion, pairs in chosen.items()}
 
 
 class TestMonteCarlo:
@@ -20,7 +31,6 @@ class TestMonteCarlo:
             assert np.all((chosen[:, 1] >= 1) & (chosen[:, 1] <= 3))
 
     def test_matches_per_replication_runs(self):
-        from ffm import fpca, replication_rng, select_orders, simulate
         report = monte_carlo(SPEC, reps=4, k_max=4, p_max=2, criteria=("bic",))
         for rep in range(4):
             sample = simulate(SPEC, replication_rng(SPEC.seed, rep))
@@ -33,6 +43,17 @@ class TestMonteCarlo:
         for criterion in seq.criteria:
             assert np.array_equal(seq.selections[criterion],
                                   par.selections[criterion])
+
+    @pytest.mark.parametrize("reps", [CHUNK - 1, CHUNK, CHUNK + 3])
+    def test_chunks_and_jobs_are_invisible(self, reps):
+        # replications are simulated CHUNK at a time, and each worker takes
+        # a contiguous range: neither may change a replication's (K, p)
+        spec = SimSpec(model="M3", n_obs=40, seed=8, burn_in=30)
+        expected = per_replication_selections(spec, reps, 3, 2)
+        for jobs in (1, 2, 3):
+            report = monte_carlo(spec, reps, k_max=3, p_max=2, jobs=jobs)
+            for criterion in report.criteria:
+                assert np.array_equal(report.selections[criterion], expected[criterion])
 
     def test_bias_rmse_frequencies_consistency(self):
         report = monte_carlo(SPEC, reps=10, k_max=5, p_max=3, criteria=("bic",))

@@ -6,8 +6,50 @@ import pytest
 from ffm import (MODELS, SimSpec, companion_spectral_radius, fourier_basis,
                  fpca, make_grid, population_structure, replication_rng,
                  simulate)
+from ffm.simulate import BASIS_SIZE, simulate_streams
 
 MOMENT_RTOL = 0.05
+
+
+def per_step_simulate(spec, rng):
+    """Curves from the one-stream, one-step-at-a-time recursion.
+
+    A frozen copy of the loop ``simulate`` ran before streams were
+    batched; the batched recursion must reproduce it bit for bit.
+    """
+    k, p = spec.k, spec.p
+    total = spec.burn_in + spec.n_obs
+    sigmas = spec.noise_scale / np.arange(1, BASIS_SIZE + 1)
+    shocks = rng.standard_normal((total, BASIS_SIZE)) * sigmas
+    factors = np.zeros((total, k))
+    lags = spec.lag_matrices
+    for t in range(total):
+        f = shocks[t, :k].copy()
+        for i in range(1, min(p, t) + 1):
+            f += lags[i - 1] @ factors[t - i]
+        factors[t] = f
+    basis = fourier_basis(spec.grid.points)
+    curves = factors[spec.burn_in:] @ basis[:k]
+    if k < BASIS_SIZE:
+        curves = curves + shocks[spec.burn_in:, k:] @ basis[k:]
+    return curves
+
+
+CUSTOM_LAGS = (
+    np.array([[0.3, 0.1, 0.0, 0.0], [0.0, 0.2, 0.1, 0.0],
+              [0.0, 0.0, 0.1, 0.05], [0.1, 0.0, 0.0, 0.2]]),
+    0.1 * np.eye(4),
+    np.array([[0.0, -0.1, 0.0, 0.0], [0.05, 0.0, 0.0, 0.0],
+              [0.0, 0.0, -0.2, 0.0], [0.0, 0.0, 0.1, 0.1]]),
+)
+PINNED_SPECS = [
+    *(SimSpec(model=name, n_obs=90, seed=17) for name in sorted(MODELS)),
+    SimSpec(model="custom", lag_matrices=CUSTOM_LAGS, n_obs=60, seed=4,
+            grid=make_grid(0.0, 1.0, 23)),
+    SimSpec(model="custom", lag_matrices=(0.5 * np.eye(BASIS_SIZE),), n_obs=40, seed=2),
+    SimSpec(model="M3", n_obs=30, seed=5, burn_in=0),
+    SimSpec(model="M2", n_obs=25, seed=6, noise_scale=0.0),
+]
 
 
 class TestBasis:
@@ -118,6 +160,32 @@ class TestSimulate:
         gamma1_hat = (x1 - factors.mean(0)).T @ (x0 - factors.mean(0)) / len(x0)
         gamma1 = MODELS["M1"][0] @ pop.gamma0
         assert np.allclose(gamma1_hat, gamma1, atol=0.03)
+
+
+def spec_id(spec):
+    return f"{spec.model}-k{spec.k}-p{spec.p}-b{spec.burn_in}-s{spec.noise_scale:g}"
+
+
+class TestRecursionPin:
+    @pytest.mark.parametrize("spec", PINNED_SPECS,
+                             ids=spec_id)
+    def test_simulate_matches_per_step_loop(self, spec):
+        default_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(spec.seed)))
+        assert np.array_equal(simulate(spec).matrix, per_step_simulate(spec, default_rng))
+        for rep in (0, 9):
+            assert np.array_equal(simulate(spec, replication_rng(spec.seed, rep)).matrix,
+                                  per_step_simulate(spec, replication_rng(spec.seed, rep)))
+
+    @pytest.mark.parametrize("spec", PINNED_SPECS,
+                             ids=spec_id)
+    @pytest.mark.parametrize("streams", [2, 13])
+    def test_streams_match_per_step_loop(self, spec, streams):
+        samples = simulate_streams(spec, [replication_rng(spec.seed, r) for r in range(streams)])
+        for rep, sample in enumerate(samples):
+            assert sample.grid is spec.grid
+            assert np.array_equal(sample.matrix,
+                                  per_step_simulate(spec, replication_rng(spec.seed, rep)))
+        assert rep == streams - 1
 
 
 class TestPopulationStructure:
