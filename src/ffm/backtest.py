@@ -9,9 +9,25 @@ observed maturities.  The headline figure is
 with origins t = initial_window..T-h, so a complete panel contributes
 N * (T - h - initial_window + 1) squared errors.
 
-Each method's ``backtest_steps`` does once the work no origin changes
-(splining a panel's rows, the Nelson-Siegel cross-section) and returns
-the per-origin fit-and-forecast with the report's summary fields.
+Each method's ``backtest_origins`` does once the work no origin changes
+(splining a panel's rows, the Nelson-Siegel cross-section) and returns a
+range hook with the report's summary fields.  ``run(start, stop)`` fits
+and forecasts origins start..stop-1 and returns one outcome per origin:
+``(row, orders)``, or the ``FfmError`` that refused that origin.
+``rolling_backtest`` hands out the origins in chunks of ``CHUNK``.
+
+The factor-model methods run their origins one by one (``_each_origin``,
+the only place a refused origin is caught).  ``Dns`` fits a chunk's
+windows in one stacked least-squares call (``fit_var_windows``) and
+forecasts them in one stacked recursion (``forecast_windows``); windows
+that hold a row without betas fail before stacking, since one NaN would
+poison the stacked factorizations.  Two layout rules keep every origin
+bit for bit equal to refitting ``fit_dns`` on its window: the lag
+matrices are made C-contiguous before the forecast products, as
+``coefficient_matrix`` lays them out, and the loadings product keeps
+``dns_forecast``'s (h, 3) @ (3, N) shape per window as a
+(W, h, 3) @ (3, N) product; a flat (W, 3) @ (3, N) product differs in
+the last bit.  The tests check that reports do not depend on ``CHUNK``.
 """
 
 from __future__ import annotations
@@ -22,9 +38,9 @@ import numpy as np
 
 from ._blas import one_blas_thread
 from .core import FunctionalSample, Grid, _frozen, panel_to_sample, sample_to_panel
-from .dns import DEFAULT_DECAY, dns_betas, dns_loadings, dns_model
-from .dynamics import forecast_scores
-from .errors import DataError, FfmError, NumericError
+from .dns import DEFAULT_DECAY, dns_betas, dns_loadings
+from .dynamics import fit_var_windows, forecast_windows
+from .errors import ConfigError, DataError, FfmError, NumericError
 from .pipeline import FfmConfig, fit_ffm, forecast
 from .selection import CRITERIA
 
@@ -32,9 +48,28 @@ __all__ = ["FfmFixed", "FfmCriterion", "Dns", "BacktestReport", "rolling_backtes
 
 DEFAULT_INITIAL_WINDOW = 120
 
+# Origins per call of a method's range hook.  Reports do not depend on
+# it; for the DNS backtest of 180 origins, 16 to 64 ran alike and 8 was
+# slower.
+CHUNK = 32
 
-def _ffm_steps(data, h: int, config_at):
-    """Per-origin factor-model fit, forecast and fitted (K, p).
+
+def _each_origin(step):
+    """Range hook that runs ``step(t)`` per origin and keeps each refusal as its outcome."""
+    def run(start, stop):
+        outcomes = []
+        for t in range(start, stop):
+            try:
+                outcomes.append(step(t))
+            except FfmError as exc:
+                outcomes.append(exc)
+        return outcomes
+
+    return run
+
+
+def _ffm_origins(data, h: int, config_at):
+    """Range hook of per-origin factor-model fits, forecasts and fitted (K, p).
 
     A panel is splined once, on its own maturities; ``config_at(t, n)``
     gives the config for a t-curve window on an n-point grid.
@@ -47,7 +82,7 @@ def _ffm_steps(data, h: int, config_at):
         model = fit_ffm(train, config_at(t, sample.grid.n))
         return forecast(model, h).matrix[h - 1], (model.k, model.p)
 
-    return step
+    return _each_origin(step)
 
 
 @dataclass(frozen=True)
@@ -63,11 +98,11 @@ class FfmFixed:
         tag = "ar" if self.restricted else "var"
         return f"ffm-fixed({self.k},{self.p},{tag})"
 
-    def backtest_steps(self, data, h: int):
-        """Per-origin fit-and-forecast and the report's summary fields."""
+    def backtest_origins(self, data, h: int):
+        """Range hook and the report's summary fields."""
         config = FfmConfig(k=self.k, p=self.p, restricted=self.restricted)
-        step = _ffm_steps(data, h, lambda t, n: config)
-        return step, {"k": self.k, "p": self.p, "dynamics": "ar" if self.restricted else "var"}
+        run = _ffm_origins(data, h, lambda t, n: config)
+        return run, {"k": self.k, "p": self.p, "dynamics": "ar" if self.restricted else "var"}
 
 
 @dataclass(frozen=True)
@@ -81,25 +116,25 @@ class FfmCriterion:
 
     def __post_init__(self):
         if self.criterion not in CRITERIA:
-            raise ValueError(f"unknown criterion {self.criterion!r}; expected one of {CRITERIA}")
+            raise ConfigError(f"unknown criterion {self.criterion!r}; expected one of {CRITERIA}")
 
     @property
     def label(self) -> str:
         tag = "ar" if self.restricted else "var"
         return f"ffm-{self.criterion}({tag})"
 
-    def backtest_steps(self, data, h: int):
-        """Per-origin fit-and-forecast and the report's summary fields.
+    def backtest_origins(self, data, h: int):
+        """Range hook and the report's summary fields.
 
         K and p are re-selected per origin, so the summary leaves them
-        None and each step returns the chosen pair.
+        None and each outcome carries the chosen pair.
         """
         def config_at(t, n):
             return FfmConfig(criterion=self.criterion, k_max=min(self.k_max, t - 1, n),
                              p_max=self.p_max, restricted=self.restricted)
 
-        step = _ffm_steps(data, h, config_at)
-        return step, {"k": None, "p": None, "dynamics": "ar" if self.restricted else "var"}
+        run = _ffm_origins(data, h, config_at)
+        return run, {"k": None, "p": None, "dynamics": "ar" if self.restricted else "var"}
 
 
 @dataclass(frozen=True)
@@ -113,29 +148,32 @@ class Dns:
     def label(self) -> str:
         return f"dns({'ar' if self.diagonal else 'var'})"
 
-    def backtest_steps(self, data, h: int):
-        """Per-origin fit-and-forecast and the report's summary fields.
+    def backtest_origins(self, data, h: int):
+        """Range hook and the report's summary fields.
 
         Each row's betas depend on that row alone, so the cross-section and
-        the loadings are built once for the whole panel and an origin
-        refits only the VAR(1) on its leading rows.  Every origin whose
-        window holds a row that cannot be fitted fails as ``fit_dns`` would
-        on that window.
+        the loadings are built once for the whole panel, and a range of
+        origins refits only the VAR(1) on its windows of leading rows, in
+        one stacked call.  Every origin whose window holds a row that
+        cannot be fitted fails as ``fit_dns`` would on that window.
         """
         panel = sample_to_panel(data)
         betas, bad = dns_betas(panel, self.decay)
         loadings = dns_loadings(panel.maturities, self.decay)
+        first_bad = panel.n_rows if bad is None else bad[0]
 
-        def step(t):
-            if bad is not None and bad[0] < t:
-                raise DataError(bad[1])
-            model = dns_model(betas[:t], self.decay, self.diagonal, panel.times[:t])
-            # dns_forecast's product, on loadings built once per backtest
-            matrix = forecast_scores(model.dynamics, model.betas, h) @ loadings.T
-            return matrix[h - 1], None
+        def run(start, stop):
+            ends = np.arange(start, min(stop, first_bad + 1))  # windows without a bad row
+            fits = fit_var_windows(betas, 1, ends, restricted=self.diagonal)
+            ok = np.array([why is None for why in fits.failures], dtype=bool)
+            beta_fc = forecast_windows(fits.coefficients[ok], None, betas[ends[ok] - 1, None], h)
+            curves = iter(beta_fc @ loadings.T)  # dns_forecast's (h, 3) @ (3, N) per window
+            outcomes = [(next(curves)[h - 1], None) if why is None else NumericError(why)
+                        for why in fits.failures]
+            return outcomes + [DataError(bad[1]) for _ in range(ends.size, stop - start)]
 
         # the benchmark always carries 3 factors
-        return step, {"k": 3, "p": 1, "dynamics": "ar" if self.diagonal else "var"}
+        return run, {"k": 3, "p": 1, "dynamics": "ar" if self.diagonal else "var"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,14 +256,14 @@ def rolling_backtest(data, method, h: int = 1,
     previous thread count is restored when it ends.
     """
     if h < 1:
-        raise ValueError(f"horizon must be at least 1, got {h}")
+        raise ConfigError(f"horizon must be at least 1, got {h}")
     if initial_window < 3:
-        raise ValueError(f"initial_window must be at least 3, got {initial_window}")
+        raise ConfigError(f"initial_window must be at least 3, got {initial_window}")
     panel = sample_to_panel(data)
-    step, fields = method.backtest_steps(data, h)
+    run, fields = method.backtest_origins(data, h)
     t_total = panel.n_rows
     if t_total < initial_window + h:
-        raise ValueError(
+        raise ConfigError(
             f"need at least initial_window + h = {initial_window + h} rows, got {t_total}"
         )
     realized = panel.table
@@ -236,15 +274,17 @@ def rolling_backtest(data, method, h: int = 1,
     reasons = []
 
     with one_blas_thread():
-        for i, t in enumerate(origins):
-            try:
-                pred, orders = step(int(t))
-            except FfmError as exc:
-                reasons.append((int(t), type(exc).__name__, str(exc)))
-                continue
-            if selected is not None:
-                selected[i] = orders
-            errors[i] = pred - realized[t + h - 1]
+        for lo in range(0, origins.size, CHUNK):
+            chunk = origins[lo:lo + CHUNK]
+            outcomes = run(int(chunk[0]), int(chunk[-1]) + 1)
+            for i, t, outcome in zip(range(lo, lo + chunk.size), chunk, outcomes, strict=True):
+                if isinstance(outcome, FfmError):
+                    reasons.append((int(t), type(outcome).__name__, str(outcome)))
+                    continue
+                pred, orders = outcome
+                if selected is not None:
+                    selected[i] = orders
+                errors[i] = pred - realized[t + h - 1]
 
     if not np.any(np.isfinite(errors)):
         raise NumericError("every backtest origin failed; nothing was evaluated")

@@ -12,9 +12,17 @@ block, which gives both lstsq's rank test and a 3 x n pseudo-inverse.
 Each row's betas are that pseudo-inverse applied to the row in a fixed
 order of elementwise products and sums, with no BLAS reduction across
 rows, so they depend on the row alone: a panel's leading rows get
-bit-for-bit the betas they get inside any longer panel.  An expanding
-window backtest therefore solves the cross-section once and refits only
-the VAR(1) of the second step (``dns_model``) at each origin.
+bit-for-bit the betas they get inside any longer panel.  The dynamics
+step is ``fit_var`` on the betas.
+
+An expanding-window backtest (``backtest.Dns``) therefore solves the
+cross-section once and fits the VAR(1) of every origin's leading rows
+in chunks of stacked windows (``dynamics.fit_var_windows``), with one
+QR per chunk.  Its forecasts equal ``dns_forecast`` of ``fit_dns`` on
+each truncated panel bit for bit because the stacked forecast keeps two
+layouts of this module's path: lag matrices in a C-contiguous
+[A_1 ... A_m], and the loadings product as an (h, 3) @ (3, N) product
+per window, never one flat (W, 3) @ (3, N) product.
 """
 
 from __future__ import annotations
@@ -25,11 +33,11 @@ import numpy as np
 
 from .core import Grid, _frozen
 from .dynamics import VarFit, fit_var, forecast_scores
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .pipeline import ForecastResult
 
-__all__ = ["DEFAULT_DECAY", "DnsModel", "dns_loadings", "dns_betas", "dns_model",
-           "fit_dns", "dns_forecast"]
+__all__ = ["DEFAULT_DECAY", "DnsModel", "dns_loadings", "dns_betas", "fit_dns",
+           "dns_forecast"]
 
 # Conventional monthly decay; places the curvature loading's maximum
 # near maturity 30 months.
@@ -44,10 +52,10 @@ def dns_loadings(maturities, decay: float = DEFAULT_DECAY) -> np.ndarray:
     to 0 as r -> 0, and maturity 0 is mapped to those limits exactly.
     """
     if decay <= 0:
-        raise ValueError(f"decay must be positive, got {decay}")
+        raise ConfigError(f"decay must be positive, got {decay}")
     r = np.atleast_1d(np.asarray(maturities, dtype=float))
     if np.any(r < 0):
-        raise ValueError("maturities must be nonnegative")
+        raise ConfigError("maturities must be nonnegative")
     out = np.ones((r.size, 3))
     pos = r > 0
     x = decay * r[pos]
@@ -115,12 +123,6 @@ def dns_betas(panel, decay: float = DEFAULT_DECAY) -> tuple[np.ndarray, tuple[in
     return _frozen(betas), None if first_bad is None else (first_bad, bad[first_bad])
 
 
-def dns_model(betas: np.ndarray, decay: float, diagonal: bool, times: tuple) -> DnsModel:
-    """Dynamics step: the VAR(1) without constant on given (T, 3) betas."""
-    return DnsModel(decay=decay, betas=betas,
-                    dynamics=fit_var(betas, 1, restricted=diagonal), times=times)
-
-
 def fit_dns(panel, decay: float = DEFAULT_DECAY, diagonal: bool = False) -> DnsModel:
     """Fit the benchmark to a discrete panel.
 
@@ -131,13 +133,14 @@ def fit_dns(panel, decay: float = DEFAULT_DECAY, diagonal: bool = False) -> DnsM
     betas, bad = dns_betas(panel, decay)
     if bad is not None:
         raise DataError(bad[1])
-    return dns_model(betas, decay, diagonal, panel.times)
+    return DnsModel(decay=decay, betas=betas,
+                    dynamics=fit_var(betas, 1, restricted=diagonal), times=panel.times)
 
 
 def dns_forecast(model: DnsModel, maturities, h: int) -> ForecastResult:
     """Curve forecasts 1..h steps ahead at the requested maturities."""
     if h < 1:
-        raise ValueError(f"horizon must be at least 1, got {h}")
+        raise ConfigError(f"horizon must be at least 1, got {h}")
     beta_fc = forecast_scores(model.dynamics, model.betas, h)
     loadings = dns_loadings(maturities, model.decay)
     matrix = beta_fc @ loadings.T

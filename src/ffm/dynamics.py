@@ -4,6 +4,14 @@ Scores produced by FPCA are centered by construction, so the default fit
 has no intercept.  The restricted variant fits each coordinate as an
 independent univariate autoregression on its own lags, which makes every
 lag matrix diagonal.
+
+``fit_var_windows`` fits the row-prefix windows ``scores[:t]`` of one
+series at once, for an expanding-window backtest: one stacked condition
+screen, one stacked QR and one stacked inverse for all windows, with
+each window's design padded by zero rows.  ``forecast_windows`` runs
+their forecast recursions as one.  ``fit_var`` and ``forecast_scores``
+are their one-window calls, and every window of a stack gets the bits
+of its one-window call.
 """
 
 from __future__ import annotations
@@ -17,8 +25,11 @@ from .errors import NumericError
 
 __all__ = [
     "VarFit",
+    "VarWindows",
     "fit_var",
+    "fit_var_windows",
     "forecast_scores",
+    "forecast_windows",
     "companion_spectral_radius",
     "coefficient_matrix",
     "max_abs_tstat",
@@ -76,40 +87,201 @@ def _lagged_design(scores: np.ndarray, m: int) -> np.ndarray:
     return np.hstack(blocks)
 
 
-def _check_conditioning(gram: np.ndarray) -> None:
-    """Raise NumericError when ``gram``'s 2-norm condition exceeds CONDITION_LIMIT."""
-    cond = np.linalg.cond(gram)
+def _condition_failure(cond) -> str | None:
+    """Why a Gram matrix of 2-norm condition ``cond`` is refused, or None."""
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise NumericError(
-            f"lagged design is numerically singular (condition {cond:.3e} > {CONDITION_LIMIT:.0e})"
-        )
+        return (f"lagged design is numerically singular "
+                f"(condition {cond:.3e} > {CONDITION_LIMIT:.0e})")
+    return None
 
 
-def _check_degrees_of_freedom(rows: int, regressors: int) -> None:
-    """Raise NumericError when a fit of ``rows`` observations leaves no residual."""
+def _dof_failure(rows: int, regressors: int) -> str | None:
+    """Why a fit of ``rows`` observations on ``regressors`` is refused, or None."""
     if rows <= regressors:
-        raise NumericError(
-            f"lagged design of {rows} observations leaves no residual degrees of "
-            f"freedom for {regressors} regressors"
+        return (f"lagged design of {rows} observations leaves no residual degrees of "
+                f"freedom for {regressors} regressors")
+    return None
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a'b for each item of two stacks."""
+    return a.swapaxes(-1, -2) @ b
+
+
+def _over_rows(fn, rows: np.ndarray, *stacks: np.ndarray) -> np.ndarray:
+    """``fn(*stacks)`` for stacked windows, on each window's own ``rows`` (axis -2).
+
+    A BLAS kernel's partial sums may depend on the row count, so a stack
+    of several windows, padded with zero rows, is summed window by window;
+    a stack of one window has no padding.
+    """
+    if rows.size == 1:
+        return fn(*stacks)
+    return np.stack([fn(*(s[w, ..., :n, :] for s in stacks)) for w, n in enumerate(rows)])
+
+
+def _window_stacks(scores: np.ndarray, m: int, rows: np.ndarray,
+                   intercept: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Lagged designs (W, L, n) and targets (W, L, J) of the windows, zero past ``rows``.
+
+    A single window keeps the layouts ``fit_var`` has always used (its
+    targets keep the caller's strides), so each product below takes the
+    same BLAS path as before.
+    """
+    length = max(rows.tolist())
+    design = _lagged_design(scores[: length + m], m)
+    if intercept:
+        design = np.hstack([design, np.ones((length, 1))])
+    targets = scores[m : length + m]
+    if rows.size == 1:
+        return design[None], targets[None]
+    designs = np.zeros((rows.size,) + design.shape)
+    stacked = np.zeros((rows.size,) + targets.shape)
+    for w, n in enumerate(rows.tolist()):
+        designs[w, :n] = design[:n]
+        stacked[w, :n] = targets[:n]
+    return designs, stacked
+
+
+def _own_lags(design: np.ndarray, targets: np.ndarray,
+              m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views (W, J, L, m) and (W, J, L, 1) of each coordinate's own-lag regression."""
+    n_win, length, _ = design.shape
+    j_dim = targets.shape[-1]
+    own = design.reshape(n_win, length, m, j_dim).transpose(0, 3, 1, 2)
+    return own, targets.swapaxes(1, 2)[..., None]
+
+
+@dataclass(frozen=True, eq=False)
+class VarWindows:
+    """VAR(m) fits of the row-prefix windows ``scores[:t]``, t in ``ends``, of one series.
+
+    ``failures[w]`` is the NumericError message that
+    ``fit_var(scores[:ends[w]], m, ...)`` raises, or None;
+    ``coefficients`` (W, m, J, J) and ``intercept`` (W, J) or None hold
+    that call's lag matrices and constant bit for bit, NaN where it
+    fails.  ``fit(w)`` is that call's whole ``VarFit``.  The remaining
+    fields are the stacks of the fitted windows, in the order of their
+    indices in ``fitted``.
+    """
+
+    m: int
+    restricted: bool
+    ends: np.ndarray
+    failures: list
+    coefficients: np.ndarray
+    intercept: np.ndarray | None
+    fitted: list
+    design: np.ndarray | None
+    targets: np.ndarray | None
+    coef: np.ndarray | None
+    gram_inv_diag: np.ndarray | None
+
+    def fit(self, w: int) -> VarFit:
+        """Window w's fit with its residuals, residual covariance and standard errors.
+
+        The residual moments sum over rows, so they are taken on the
+        window's own rows, as a one-window fit takes them.
+        """
+        if self.failures[w] is not None:
+            raise NumericError(self.failures[w])
+        k, m, n = self.fitted.index(w), self.m, int(self.ends[w]) - self.m
+        j_dim = self.coefficients.shape[-1]
+        x, y = self.design[k, :n], self.targets[k, :n]
+        gram_inv_diag = self.gram_inv_diag[k]
+        stderr = np.zeros((m, j_dim, j_dim))
+        if self.restricted:
+            x_own, y_own = _own_lags(x[None], y[None], m)
+            resid = y_own[0] - x_own[0] @ self.coef[k]
+            residuals = np.empty_like(y)   # laid out like the targets
+            residuals[...] = resid[..., 0].T
+            own = residuals.T[..., None]
+            s2 = _cross(own, own)[:, 0] / n
+            diag = np.arange(j_dim)
+            stderr[:, diag, diag] = np.sqrt(s2 * gram_inv_diag).T
+        else:
+            residuals = y - x @ self.coef[k]
+            sigma_diag = np.einsum("ti,ti->i", residuals, residuals) / n
+            se_stack = np.sqrt(np.outer(sigma_diag, gram_inv_diag[: j_dim * m]))
+            for lag in range(m):
+                stderr[lag] = se_stack[:, lag * j_dim : (lag + 1) * j_dim]
+        return VarFit(
+            coefficients=_frozen(self.coefficients[w]),
+            intercept=None if self.intercept is None else _frozen(self.intercept[w]),
+            residuals=_frozen(residuals),
+            sigma_eta=_frozen(residuals.T @ residuals / n),
+            stderr=_frozen(stderr),
+            restricted=self.restricted,
+            n_obs=int(self.ends[w]),
         )
 
 
-def _solve_ols(design: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """OLS through a QR factorization of the design, with a condition guard.
+def fit_var_windows(scores: np.ndarray, m: int, ends, restricted: bool = False,
+                    intercept: bool = False) -> VarWindows:
+    """Least-squares VAR(m) on every window ``scores[:t]``, t in ``ends``, at once.
 
-    Returns the coefficient matrix (regressors x targets) and the
-    diagonal of the inverted Gram matrix (for standard errors).  With
-    X = QR, G^{-1} = R^{-1} R^{-T}, so that diagonal holds the squared row
-    norms of R^{-1}; unlike the normal equations, no product X'X enters
-    the solve, so near-collinear designs lose only about cond(X) * eps.
+    Windows that fail the degrees-of-freedom check are dropped first; the
+    others go through one stacked condition screen of their Gram
+    matrices, and those that pass through one QR of their lagged designs,
+    stacked with zero rows after each window's own, and one inverse of R.
+    A restricted fit stacks the J own-lag regressions of every window the
+    same way.  Products that sum over rows (X'X, Q'Y and, in ``fit``, the
+    residual moments) are taken on each window's own rows.
+
+    LAPACK's Householder updates skip a reflector's trailing zero rows, so
+    the padding leaves each window's Q and R as its own design gives them.
+    That is an observation about the LAPACK in use, which the tests check,
+    not a guarantee: one 9-column design with exactly collinear leading
+    rows got an R that differs in the last bit once padded by 4 or more
+    rows.  A stack of several windows is C-contiguous, so its windows match
+    their one-window calls on C-contiguous ``scores``; a single window
+    keeps the caller's layout, as ``fit_var`` always has.  Every window
+    needs more than m finite rows: a NaN row would poison the stack.
     """
-    _check_degrees_of_freedom(*design.shape)
-    _check_conditioning(design.T @ design)
-    q, r = np.linalg.qr(design)
-    r_inv = np.linalg.inv(r)
-    coef = r_inv @ (q.T @ targets)
-    gram_inv_diag = np.einsum("ij,ij->i", r_inv, r_inv)
-    return coef, gram_inv_diag
+    scores = np.atleast_2d(np.asarray(scores, dtype=float))
+    j_dim = scores.shape[1]
+    ends = np.asarray(ends, dtype=int).reshape(-1)
+    n_reg = m if restricted else j_dim * m + intercept
+    failures = [_dof_failure(t - m, n_reg) for t in ends.tolist()]
+    live = [i for i, why in enumerate(failures) if why is None]
+    design = targets = coef = gram_inv_diag = None
+    if live:
+        rows = ends[live] - m
+        design, targets = _window_stacks(scores, m, rows, intercept)
+        x = _own_lags(design, targets, m)[0] if restricted else design
+        conds = np.linalg.cond(_over_rows(_cross, rows, x, x)).reshape(len(live), -1)
+        refused = ~(conds <= CONDITION_LIMIT)
+        if refused.any():
+            for i, cond, bad in zip(live, conds, refused):
+                if bad.any():  # the restricted fit names its first coordinate that fails
+                    failures[i] = _condition_failure(cond[bad][0])
+            keep = ~refused.any(axis=1)
+            live, rows = [i for i, k in zip(live, keep) if k], rows[keep]
+            length = max(rows.tolist(), default=0)
+            design, targets = design[keep, :length], targets[keep, :length]
+    coeffs = np.full((ends.size, m, j_dim, j_dim), np.nan)
+    const = np.full((ends.size, j_dim), np.nan) if intercept else None
+    if live:
+        x, y = _own_lags(design, targets, m) if restricted else (design, targets)
+        q, r = np.linalg.qr(x)
+        r_inv = np.linalg.inv(r)
+        # with X = QR, G^{-1} = R^{-1} R^{-T}, so its diagonal (for standard
+        # errors) holds the squared row norms of R^{-1}; unlike the normal
+        # equations, no X'X enters the solve, so near-collinear designs lose
+        # only about cond(X) * eps
+        coef = r_inv @ _over_rows(_cross, rows, q, y)
+        gram_inv_diag = np.einsum("...ij,...ij->...i", r_inv, r_inv)
+        if restricted:
+            diag = np.arange(j_dim)
+            coeffs[live] = 0.0
+            coeffs[np.array(live)[:, None], :, diag, diag] = coef[..., 0]
+        else:
+            jm = j_dim * m
+            coeffs[live] = coef[:, :jm].reshape(-1, m, j_dim, j_dim).swapaxes(-1, -2)
+            if intercept:
+                const[live] = coef[:, -1]
+    return VarWindows(m, restricted, ends, failures, coeffs, const,
+                      live, design, targets, coef, gram_inv_diag)
 
 
 def fit_var(scores: np.ndarray, m: int, restricted: bool = False,
@@ -127,57 +299,20 @@ def fit_var(scores: np.ndarray, m: int, restricted: bool = False,
         VAR, yielding diagonal lag matrices.
     intercept : bool
         Include a constant term (off by default; scores are centered).
+
+    This is the one-window call of ``fit_var_windows``.
     """
     scores = np.atleast_2d(np.asarray(scores, dtype=float))
     if scores.ndim != 2:
         raise ValueError("scores must be a (T, J) matrix")
-    t_obs, j_dim = scores.shape
+    t_obs = scores.shape[0]
     if m < 1:
         raise ValueError(f"lag order must be at least 1, got {m}")
     if t_obs <= m:
         raise ValueError(f"need more than m={m} observations, got {t_obs}")
-
-    targets = scores[m:]
-    design = _lagged_design(scores, m)
-    coeffs = np.zeros((m, j_dim, j_dim))
-    stderr = np.zeros((m, j_dim, j_dim))
-    const = None
-
-    if restricted:
-        if intercept:
-            raise ValueError("intercept is not supported for the restricted fit")
-        residuals = np.empty_like(targets)
-        for l in range(j_dim):
-            own = design[:, l::j_dim]  # own lags of coordinate l, lags 1..m
-            coef, gram_inv_diag = _solve_ols(own, targets[:, l])
-            residuals[:, l] = targets[:, l] - own @ coef
-            coeffs[:, l, l] = coef
-            s2 = residuals[:, l] @ residuals[:, l] / (t_obs - m)
-            stderr[:, l, l] = np.sqrt(s2 * gram_inv_diag)
-    else:
-        full = np.hstack([design, np.ones((t_obs - m, 1))]) if intercept else design
-        coef, gram_inv_diag = _solve_ols(full, targets)
-        residuals = targets - full @ coef
-        stacked = coef[: j_dim * m].T  # (J, J*m), blocks A_1..A_m
-        for k in range(m):
-            coeffs[k] = stacked[:, k * j_dim : (k + 1) * j_dim]
-        if intercept:
-            const = _frozen(coef[-1])
-        sigma_diag = np.einsum("ti,ti->i", residuals, residuals) / (t_obs - m)
-        se_stack = np.sqrt(np.outer(sigma_diag, gram_inv_diag[: j_dim * m]))
-        for k in range(m):
-            stderr[k] = se_stack[:, k * j_dim : (k + 1) * j_dim]
-
-    sigma_eta = residuals.T @ residuals / (t_obs - m)
-    return VarFit(
-        coefficients=_frozen(coeffs),
-        intercept=const,
-        residuals=_frozen(residuals),
-        sigma_eta=_frozen(sigma_eta),
-        stderr=_frozen(stderr),
-        restricted=restricted,
-        n_obs=t_obs,
-    )
+    if restricted and intercept:
+        raise ValueError("intercept is not supported for the restricted fit")
+    return fit_var_windows(scores, m, [t_obs], restricted, intercept).fit(0)
 
 
 def coefficient_matrix(fit: VarFit) -> np.ndarray:
@@ -210,17 +345,31 @@ def forecast_scores(fit: VarFit, history: np.ndarray, h: int) -> np.ndarray:
             f"history must provide at least {m} rows of dimension {j_dim}, "
             f"got shape {history.shape}"
         )
-    stacked = coefficient_matrix(fit)
-    # lags[k] holds the value at T + step - 1 - k, i.e. most recent first
-    lags = history[::-1][:m].copy()
-    out = np.empty((h, j_dim))
+    lags = history[::-1][:m][None].copy()  # a reversed view would change the BLAS path
+    intercept = None if fit.intercept is None else fit.intercept[None]
+    return forecast_windows(fit.coefficients[None], intercept, lags, h)[0]
+
+
+def forecast_windows(coefficients: np.ndarray, intercept: np.ndarray | None,
+                     lags: np.ndarray, h: int) -> np.ndarray:
+    """Iterated h-step forecasts of W fitted VARs at once.
+
+    ``coefficients`` is (W, m, J, J), ``intercept`` (W, J) or None and
+    ``lags`` (W, m, J), most recent first; returns (W, h, J).  Window w
+    gets ``forecast_scores`` of its fit bit for bit: each step is its
+    (J, J*m) @ (J*m,) product on a C-contiguous [A_1 ... A_m], as
+    ``coefficient_matrix`` lays it out.
+    """
+    n_win, m, j_dim, _ = coefficients.shape
+    stacked = np.ascontiguousarray(
+        coefficients.swapaxes(1, 2).reshape(n_win, j_dim, m * j_dim))
+    out = np.empty((n_win, h, j_dim))
     for step in range(h):
-        x = lags.reshape(-1)
-        nxt = stacked @ x
-        if fit.intercept is not None:
-            nxt = nxt + fit.intercept
-        out[step] = nxt
-        lags = np.vstack([nxt, lags[:-1]])
+        nxt = (stacked @ lags.reshape(n_win, m * j_dim)[..., None])[..., 0]
+        if intercept is not None:
+            nxt = nxt + intercept
+        out[:, step] = nxt
+        lags = np.concatenate([nxt[:, None], lags[:, :-1]], axis=1)
     return out
 
 

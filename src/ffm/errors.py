@@ -10,8 +10,12 @@ class FfmError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ConfigError(FfmError):
-    """An option or option combination is invalid."""
+class ConfigError(FfmError, ValueError):
+    """An option or option combination is invalid.
+
+    Also a ValueError, so callers that catch bad arguments as ValueError
+    keep working.
+    """
 
 
 class DataError(FfmError):

@@ -33,8 +33,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import FunctionalSample
-from .dynamics import (CONDITION_LIMIT, _check_conditioning, _check_degrees_of_freedom,
-                       fit_var)
+from .dynamics import CONDITION_LIMIT, _condition_failure, _dof_failure, fit_var
 from .errors import NumericError
 from .fpca import FpcaResult
 
@@ -128,15 +127,13 @@ def _leading_fits(design: np.ndarray, targets: np.ndarray,
         break
     failures = {}
     for n in sizes:
-        try:
-            _check_degrees_of_freedom(rows, n)
-            if n > valid:
-                raise NumericError(
-                    f"lagged design of {rows} observations has rank below {n} regressors")
-            if n > cleared:
-                _check_conditioning(design[:, :n].T @ design[:, :n])
-        except NumericError as exc:
-            failures[n] = str(exc)
+        why = _dof_failure(rows, n)
+        if why is None and n > valid:
+            why = f"lagged design of {rows} observations has rank below {n} regressors"
+        if why is None and n > cleared:
+            why = _condition_failure(np.linalg.cond(design[:, :n].T @ design[:, :n]))
+        if why is not None:
+            failures[n] = why
     return rss, failures
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ffm.backtest as backtest_module
-from ffm import (BacktestReport, DiscretePanel, Dns, FfmConfig, FfmCriterion,
+from ffm import (BacktestReport, ConfigError, DiscretePanel, Dns, FfmConfig, FfmCriterion,
                  FfmFixed, FfmError, FunctionalSample, NumericError, SimSpec,
                  dns_forecast, dns_loadings, fit_dns, fit_ffm, forecast, rolling_backtest,
                  simulate)
@@ -187,6 +187,16 @@ class TestRolling:
         with pytest.raises(NumericError, match="every backtest origin"):
             rolling_backtest(sample, FfmFixed(9, 1), h=1, initial_window=5)
 
+    def test_argument_errors_are_config_errors(self):
+        sample = m1_sample(20)
+        for kwargs in ({"h": 0}, {"h": 1, "initial_window": 2}, {"h": 5, "initial_window": 18}):
+            with pytest.raises(ConfigError):
+                rolling_backtest(sample, FfmFixed(2, 1), **kwargs)
+        with pytest.raises(ConfigError, match="unknown criterion"):
+            FfmCriterion("aic")
+        with pytest.raises(ConfigError, match="decay"):
+            rolling_backtest(sample, Dns(decay=0.0), h=1, initial_window=5)
+
     def test_validation(self):
         sample = m1_sample(20)
         with pytest.raises(ValueError):
@@ -205,6 +215,77 @@ class TestRolling:
         assert r1.origins.size == 10
         assert r3.origins.size == 8
         assert r3.horizon == 3
+
+
+def mixed_dns_panel():
+    """A yield panel whose expanding windows fail in two ways and succeed.
+
+    Rows 0-4 quote zeros, so their betas are exactly zero; rows 5-12 quote
+    one curve scaled by powers of two, so their betas are exact multiples
+    of one vector.  Windows of those rows fail the condition screen (the
+    diagonal fit only on the zero rows).  Row 40 has two quotes, so every
+    window that holds it fails as bad data; the windows between succeed.
+    """
+    maturities = np.array([3.0, 12.0, 36.0, 60.0, 120.0, 240.0])
+    rng = np.random.default_rng(77)
+    betas = np.zeros((60, 3))
+    betas[0] = [5.0, -1.0, 0.5]
+    for t in range(1, 60):
+        betas[t] = 0.9 * betas[t - 1] + 0.2 * rng.normal(size=3)
+    loadings = dns_loadings(maturities, 0.07)
+    table = betas @ loadings.T + 0.01 * rng.normal(size=(60, 6))
+    table[:5] = 0.0
+    table[5:13] = 2.0 ** np.arange(8)[:, None] * table[13]
+    table[40, 1:5] = np.nan
+    return LoosePanel(maturities, table)
+
+
+class TestChunks:
+    """Results do not depend on how many origins a range hook takes at once."""
+
+    @staticmethod
+    def runs(monkeypatch, data, method, h, initial_window):
+        reports = []
+        for chunk in (1, 7, backtest_module.CHUNK):
+            monkeypatch.setattr(backtest_module, "CHUNK", chunk)
+            reports.append(rolling_backtest(data, method, h=h, initial_window=initial_window))
+        return reports
+
+    @pytest.mark.parametrize("diagonal", [False, True])
+    @pytest.mark.parametrize("h", [1, 3])
+    def test_dns(self, monkeypatch, diagonal, h):
+        panel = mixed_dns_panel()
+        reports = self.runs(monkeypatch, panel, Dns(0.07, diagonal), h, 3)
+        first = reports[0]
+        kinds = {name for _, name, _ in first.failure_reasons}
+        assert kinds == {"NumericError", "DataError"}
+        assert np.isfinite(first.errors).any()
+        # one origin per call is fit_dns on each truncated panel
+        reasons = []
+        for i, t in enumerate(first.origins):
+            try:
+                model = fit_dns(LoosePanel(panel.maturities, panel.table[:t]), 0.07, diagonal)
+            except FfmError as exc:
+                reasons.append((int(t), type(exc).__name__, str(exc)))
+                continue
+            pred = dns_forecast(model, panel.maturities, h).matrix[h - 1]
+            assert np.array_equal(first.errors[i], pred - panel.table[t + h - 1], equal_nan=True)
+        assert first.failure_reasons == tuple(reasons)
+        for other in reports[1:]:
+            assert np.array_equal(other.errors, first.errors, equal_nan=True)
+            assert other.failure_reasons == first.failure_reasons
+            assert other.failures == first.failures
+
+    def test_ffm_fixed(self, monkeypatch):
+        from ffm import make_grid
+        sample = FunctionalSample(make_grid(0.0, 1.0, 6),
+                                  np.random.default_rng(13).normal(size=(12, 6)))
+        reports = self.runs(monkeypatch, sample, FfmFixed(5, 1), 1, 4)
+        assert reports[0].failures == 3
+        for other in reports[1:]:
+            assert np.array_equal(other.errors, reports[0].errors, equal_nan=True)
+            assert other.failure_reasons == reports[0].failure_reasons
+            assert other.failures == reports[0].failures
 
 
 class TestLabelsAndSummary:

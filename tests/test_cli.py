@@ -323,6 +323,18 @@ class TestBacktest:
 
 
 class TestDnsCommand:
+    @pytest.mark.parametrize("args", [
+        ["backtest", "--method", "dns", "--window", 2],
+        ["dns", "--lambda", -1],
+    ], ids=["backtest-window", "dns-lambda"])
+    def test_bad_arguments_exit_2(self, tmp_path, capsys, args):
+        maturities = np.array([3.0, 12.0, 36.0, 60.0, 120.0])
+        betas = np.random.default_rng(21).normal(size=(25, 3))
+        path = tmp_path / "yld.csv"
+        write_panel_csv(DiscretePanel(maturities, betas @ dns_loadings(maturities).T), path)
+        assert run([args[0], "--input", path, *args[1:], "--output-dir", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_outputs(self, tmp_path):
         maturities = np.array([3.0, 12.0, 36.0, 60.0, 120.0])
         rng = np.random.default_rng(20)

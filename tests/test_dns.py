@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffm import (DEFAULT_DECAY, DataError, DiscretePanel, dns_forecast,
+from ffm import (DEFAULT_DECAY, ConfigError, DataError, DiscretePanel, dns_forecast,
                  dns_loadings, fit_dns)
 from ffm.dns import dns_betas
 
@@ -231,6 +231,18 @@ class TestForecast:
         model = fit_dns(DiscretePanel(maturities, betas @ dns_loadings(maturities).T))
         with pytest.raises(ValueError):
             dns_forecast(model, maturities, 0)
+
+    def test_argument_errors_are_config_errors(self):
+        maturities = np.array([3.0, 12.0, 36.0, 60.0, 120.0])
+        betas = np.random.default_rng(1).normal(size=(20, 3))
+        panel = DiscretePanel(maturities, betas @ dns_loadings(maturities).T)
+        with pytest.raises(ConfigError, match="decay must be positive"):
+            fit_dns(panel, decay=-1.0)
+        model = fit_dns(panel)
+        with pytest.raises(ConfigError, match="horizon"):
+            dns_forecast(model, maturities, 0)
+        with pytest.raises(ConfigError, match="nonnegative"):
+            dns_forecast(model, [-1.0, 12.0], 1)
 
 
 class DnsModelPatch:
