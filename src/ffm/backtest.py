@@ -16,15 +16,29 @@ and forecasts origins start..stop-1 and returns one outcome per origin:
 ``(row, orders)``, or the ``FfmError`` that refused that origin.
 ``rolling_backtest`` hands out the origins in chunks of ``CHUNK``.
 
-The factor-model methods run their origins one by one (``_each_origin``,
-the only place a refused origin is caught).  ``Dns`` fits a chunk's
-windows in one stacked least-squares call (``fit_var_windows``) and
-forecasts them in one stacked recursion (``forecast_windows``); windows
-that hold a row without betas fail before stacking, since one NaN would
-poison the stacked factorizations.  Two layout rules keep every origin
-bit for bit equal to refitting ``fit_dns`` on its window: the lag
-matrices are made C-contiguous before the forecast products, as
-``coefficient_matrix`` lays them out, and the loadings product keeps
+A refused origin is caught in one place, ``_attempt``.  ``FfmFixed``
+runs its origins one by one (``_each_origin``).  ``FfmCriterion`` runs
+FPCA per origin, selects (K, p) for the whole range in one stacked
+kernel call (``selection._stacked_choices``), and then fits and
+forecasts each origin as ``fit_ffm`` and ``forecast`` do.  The stack
+pads the lagged designs (16 to 72 columns of [X Y] on an 8 x 8 grid)
+with zero rows, and LAPACK's QR does not always leave R unchanged by
+them: on the seed-7 ``backtest-bic`` panel of ``perfbench``, 3 of 1,440
+(origin, m) designs changed in stacks of 32 (t = 177, m = 8: 525
+entries, up to 4.4e-13 relative; t = 291, m = 4: 180; t = 236, m = 7:
+4).  So the selection does not rely on padding: the stack only vouches
+for an origin whose grid fitted every cell and has no near tie, and any
+other origin is refitted by ``fit_ffm``, which gives its warnings,
+refusal and choice.  ``Dns`` fits a chunk's windows in one stacked
+least-squares call (``fit_var_windows``) and forecasts them in one
+stacked recursion (``forecast_windows``); windows that hold a row
+without betas fail before stacking, since one NaN would poison the
+stacked factorizations.  It relies on the padding leaving R unchanged
+only for its designs of 1 to 3 columns, where the tests check it, and
+two layout rules keep every origin bit for bit equal to refitting
+``fit_dns`` on its window: the lag matrices are made C-contiguous before
+the forecast products, as ``coefficient_matrix`` lays them out, and the
+loadings product keeps
 ``dns_forecast``'s (h, 3) @ (3, N) shape per window as a
 (W, h, 3) @ (3, N) product; a flat (W, 3) @ (3, N) product differs in
 the last bit.  The tests check that reports do not depend on ``CHUNK``.
@@ -41,8 +55,9 @@ from .core import FunctionalSample, Grid, _frozen, panel_to_sample, sample_to_pa
 from .dns import DEFAULT_DECAY, dns_betas, dns_loadings
 from .dynamics import fit_var_windows, forecast_windows
 from .errors import ConfigError, DataError, FfmError, NumericError
-from .pipeline import FfmConfig, fit_ffm, forecast
-from .selection import CRITERIA
+from .fpca import fpca
+from .pipeline import FfmConfig, _fit_orders, fit_ffm, forecast
+from .selection import CRITERIA, _stacked_choices
 
 __all__ = ["FfmFixed", "FfmCriterion", "Dns", "BacktestReport", "rolling_backtest"]
 
@@ -54,35 +69,37 @@ DEFAULT_INITIAL_WINDOW = 120
 CHUNK = 32
 
 
+def _attempt(fn, *args):
+    """``fn(*args)``, or the ``FfmError`` with which the library refuses it."""
+    try:
+        return fn(*args)
+    except FfmError as exc:
+        return exc
+
+
 def _each_origin(step):
     """Range hook that runs ``step(t)`` per origin and keeps each refusal as its outcome."""
-    def run(start, stop):
-        outcomes = []
-        for t in range(start, stop):
-            try:
-                outcomes.append(step(t))
-            except FfmError as exc:
-                outcomes.append(exc)
-        return outcomes
-
-    return run
+    return lambda start, stop: [_attempt(step, t) for t in range(start, stop)]
 
 
-def _ffm_origins(data, h: int, config_at):
-    """Range hook of per-origin factor-model fits, forecasts and fitted (K, p).
+def _splined(data) -> FunctionalSample:
+    """A sample as it is; a panel splined once, on its own maturities."""
+    if isinstance(data, FunctionalSample):
+        return data
+    return panel_to_sample(data, Grid(data.maturities))
 
-    A panel is splined once, on its own maturities; ``config_at(t, n)``
-    gives the config for a t-curve window on an n-point grid.
-    """
-    sample = data if isinstance(data, FunctionalSample) else panel_to_sample(
-        data, Grid(data.maturities))
 
+def _window(sample: FunctionalSample, t: int) -> FunctionalSample:
+    return FunctionalSample(sample.grid, sample.matrix[:t], times=sample.times[:t])
+
+
+def _ffm_step(sample: FunctionalSample, h: int, config_at):
+    """Per-origin factor-model fit and forecast: ``step(t)`` gives (row, (K, p))."""
     def step(t):
-        train = FunctionalSample(sample.grid, sample.matrix[:t], times=sample.times[:t])
-        model = fit_ffm(train, config_at(t, sample.grid.n))
+        model = fit_ffm(_window(sample, t), config_at(t))
         return forecast(model, h).matrix[h - 1], (model.k, model.p)
 
-    return _each_origin(step)
+    return step
 
 
 @dataclass(frozen=True)
@@ -101,7 +118,7 @@ class FfmFixed:
     def backtest_origins(self, data, h: int):
         """Range hook and the report's summary fields."""
         config = FfmConfig(k=self.k, p=self.p, restricted=self.restricted)
-        run = _ffm_origins(data, h, lambda t, n: config)
+        run = _each_origin(_ffm_step(_splined(data), h, lambda t: config))
         return run, {"k": self.k, "p": self.p, "dynamics": "ar" if self.restricted else "var"}
 
 
@@ -127,13 +144,48 @@ class FfmCriterion:
         """Range hook and the report's summary fields.
 
         K and p are re-selected per origin, so the summary leaves them
-        None and each outcome carries the chosen pair.
+        None and each outcome carries the chosen pair.  A range of origins
+        runs FPCA per origin and then selects (K, p) for all of them in
+        one stacked kernel call (``selection._stacked_choices``); each
+        origin then fits and forecasts as ``fit_ffm`` and ``forecast``
+        do.  An origin the stack does not vouch for (a failed cell, a
+        near tie, or a grid ``fit_ffm`` would clip) is refitted by
+        ``fit_ffm`` itself, with its warnings and refusals.
         """
-        def config_at(t, n):
-            return FfmConfig(criterion=self.criterion, k_max=min(self.k_max, t - 1, n),
+        sample = _splined(data)
+
+        def config_at(t):
+            return FfmConfig(criterion=self.criterion, k_max=min(self.k_max, t - 1, sample.grid.n),
                              p_max=self.p_max, restricted=self.restricted)
 
-        run = _ffm_origins(data, h, config_at)
+        step = _ffm_step(sample, h, config_at)
+
+        def forecast_at(full, orders, config):
+            return forecast(_fit_orders(full, *orders, config), h).matrix[h - 1], orders
+
+        def run(start, stop):
+            origins = range(start, stop)
+            results = [_attempt(fpca, _window(sample, t)) for t in origins]
+            stacks = {}   # by k_max, the origins whose grid fit_ffm would not clip
+            for t, full in zip(origins, results):
+                k_max = config_at(t).k_max
+                if not isinstance(full, FfmError) and k_max <= full.rank and self.p_max < t:
+                    stacks.setdefault(k_max, []).append(t)
+            chosen = {}
+            for k_max, members in stacks.items():
+                picks = _stacked_choices([results[t - start] for t in members], k_max,
+                                         self.p_max, self.criterion, self.restricted)
+                chosen.update(zip(members, picks))
+            outcomes = []
+            for t, full in zip(origins, results):
+                if isinstance(full, FfmError):
+                    outcomes.append(full)
+                elif chosen.get(t) is None:
+                    outcomes.append(_attempt(step, t))
+                else:
+                    outcomes.append(_attempt(forecast_at, full, chosen[t], config_at(t)))
+            return outcomes
+
         return run, {"k": None, "p": None, "dynamics": "ar" if self.restricted else "var"}
 
 

@@ -6,12 +6,18 @@ independent univariate autoregression on its own lags, which makes every
 lag matrix diagonal.
 
 ``fit_var_windows`` fits the row-prefix windows ``scores[:t]`` of one
-series at once, for an expanding-window backtest: one stacked condition
-screen, one stacked QR and one stacked inverse for all windows, with
-each window's design padded by zero rows.  ``forecast_windows`` runs
-their forecast recursions as one.  ``fit_var`` and ``forecast_scores``
-are their one-window calls, and every window of a stack gets the bits
-of its one-window call.
+series at once, for the DNS backtest: one stacked condition screen, one
+stacked QR and one stacked inverse for all windows, with each window's
+design padded by zero rows.  ``forecast_windows`` runs their forecast
+recursions as one.  ``fit_var`` and ``forecast_scores`` are their
+one-window cases.  A window of a stack gets the bits of its one-window
+call only where LAPACK's QR leaves R unchanged by the padding: the DNS
+designs of 1 to 3 columns, where the tests check it.  Wider designs
+break it; on the seed-7 ``backtest-bic`` panel of ``perfbench`` the
+selection's lagged designs changed R at t = 177, m = 8 (525 entries,
+up to 4.4e-13 relative), t = 291, m = 4 (180) and t = 236, m = 7 (4),
+which is why the selection stack guards its choices instead
+(``selection._stacked_choices``).
 """
 
 from __future__ import annotations
@@ -152,6 +158,91 @@ def _own_lags(design: np.ndarray, targets: np.ndarray,
     return own, targets.swapaxes(1, 2)[..., None]
 
 
+def _solve(scores: np.ndarray, m: int, rows: np.ndarray, restricted: bool,
+           intercept: bool) -> tuple:
+    """Condition screen and QR solve of windows with ``rows`` observations each.
+
+    Every window must leave residual degrees of freedom.  Returns
+    ``(refused, kept, design, targets, coef, gram_inv_diag)``:
+    ``refused[i]`` is why window i fails the screen, or None, and the
+    stacks hold the windows listed in ``kept``, in that order.
+    """
+    design, targets = _window_stacks(scores, m, rows, intercept)
+    x = _own_lags(design, targets, m)[0] if restricted else design
+    conds = np.linalg.cond(_over_rows(_cross, rows, x, x)).reshape(rows.size, -1)
+    bad = ~(conds <= CONDITION_LIMIT)
+    failed = bad.any(axis=1)
+    # the restricted fit names its first coordinate that fails
+    first = bad.argmax(axis=1)
+    refused = [_condition_failure(conds[i, first[i]]) if why else None
+               for i, why in enumerate(failed.tolist())]
+    kept = np.flatnonzero(~failed)
+    if kept.size < rows.size:
+        rows = rows[kept]
+        length = max(rows.tolist(), default=0)
+        design, targets = design[kept, :length], targets[kept, :length]
+    if not kept.size:
+        return refused, kept, design, targets, None, None
+    x, y = _own_lags(design, targets, m) if restricted else (design, targets)
+    q, r = np.linalg.qr(x)
+    r_inv = np.linalg.inv(r)
+    # with X = QR, G^{-1} = R^{-1} R^{-T}, so its diagonal (for standard
+    # errors) holds the squared row norms of R^{-1}; unlike the normal
+    # equations, no X'X enters the solve, so near-collinear designs lose
+    # only about cond(X) * eps
+    coef = r_inv @ _over_rows(_cross, rows, q, y)
+    gram_inv_diag = np.einsum("...ij,...ij->...i", r_inv, r_inv)
+    return refused, kept, design, targets, coef, gram_inv_diag
+
+
+def _lag_matrices(coef: np.ndarray, m: int, j_dim: int, restricted: bool,
+                  intercept: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Lag matrices (W, m, J, J) and constants (W, J) or None of solved windows."""
+    if restricted:
+        lags = np.zeros((coef.shape[0], m, j_dim, j_dim))
+        diag = np.arange(j_dim)
+        lags[:, :, diag, diag] = coef[..., 0].swapaxes(1, 2)
+        return lags, None
+    jm = j_dim * m
+    lags = np.ascontiguousarray(coef[:, :jm].reshape(-1, m, j_dim, j_dim).swapaxes(-1, -2))
+    return lags, coef[:, -1] if intercept else None
+
+
+def _var_fit(x: np.ndarray, y: np.ndarray, coef: np.ndarray, gram_inv_diag: np.ndarray,
+             lags: np.ndarray, const: np.ndarray | None, restricted: bool) -> VarFit:
+    """A window's fit with its residuals, residual covariance and standard errors.
+
+    ``x`` and ``y`` are the window's own rows: the residual moments sum
+    over rows, so they are taken as a one-window fit takes them.
+    """
+    n, (m, j_dim, _) = x.shape[0], lags.shape
+    stderr = np.zeros((m, j_dim, j_dim))
+    if restricted:
+        x_own, y_own = _own_lags(x[None], y[None], m)
+        resid = y_own[0] - x_own[0] @ coef
+        residuals = np.empty_like(y)   # laid out like the targets
+        residuals[...] = resid[..., 0].T
+        own = residuals.T[..., None]
+        s2 = _cross(own, own)[:, 0] / n
+        diag = np.arange(j_dim)
+        stderr[:, diag, diag] = np.sqrt(s2 * gram_inv_diag).T
+    else:
+        residuals = y - x @ coef
+        sigma_diag = np.einsum("ti,ti->i", residuals, residuals) / n
+        se_stack = np.sqrt(np.outer(sigma_diag, gram_inv_diag[: j_dim * m]))
+        for lag in range(m):
+            stderr[lag] = se_stack[:, lag * j_dim : (lag + 1) * j_dim]
+    return VarFit(
+        coefficients=_frozen(lags),
+        intercept=None if const is None else _frozen(const),
+        residuals=_frozen(residuals),
+        sigma_eta=_frozen(residuals.T @ residuals / n),
+        stderr=_frozen(stderr),
+        restricted=restricted,
+        n_obs=n + m,
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class VarWindows:
     """VAR(m) fits of the row-prefix windows ``scores[:t]``, t in ``ends``, of one series.
@@ -178,42 +269,13 @@ class VarWindows:
     gram_inv_diag: np.ndarray | None
 
     def fit(self, w: int) -> VarFit:
-        """Window w's fit with its residuals, residual covariance and standard errors.
-
-        The residual moments sum over rows, so they are taken on the
-        window's own rows, as a one-window fit takes them.
-        """
+        """Window w's fit with its residuals, residual covariance and standard errors."""
         if self.failures[w] is not None:
             raise NumericError(self.failures[w])
-        k, m, n = self.fitted.index(w), self.m, int(self.ends[w]) - self.m
-        j_dim = self.coefficients.shape[-1]
-        x, y = self.design[k, :n], self.targets[k, :n]
-        gram_inv_diag = self.gram_inv_diag[k]
-        stderr = np.zeros((m, j_dim, j_dim))
-        if self.restricted:
-            x_own, y_own = _own_lags(x[None], y[None], m)
-            resid = y_own[0] - x_own[0] @ self.coef[k]
-            residuals = np.empty_like(y)   # laid out like the targets
-            residuals[...] = resid[..., 0].T
-            own = residuals.T[..., None]
-            s2 = _cross(own, own)[:, 0] / n
-            diag = np.arange(j_dim)
-            stderr[:, diag, diag] = np.sqrt(s2 * gram_inv_diag).T
-        else:
-            residuals = y - x @ self.coef[k]
-            sigma_diag = np.einsum("ti,ti->i", residuals, residuals) / n
-            se_stack = np.sqrt(np.outer(sigma_diag, gram_inv_diag[: j_dim * m]))
-            for lag in range(m):
-                stderr[lag] = se_stack[:, lag * j_dim : (lag + 1) * j_dim]
-        return VarFit(
-            coefficients=_frozen(self.coefficients[w]),
-            intercept=None if self.intercept is None else _frozen(self.intercept[w]),
-            residuals=_frozen(residuals),
-            sigma_eta=_frozen(residuals.T @ residuals / n),
-            stderr=_frozen(stderr),
-            restricted=self.restricted,
-            n_obs=int(self.ends[w]),
-        )
+        k, n = self.fitted.index(w), int(self.ends[w]) - self.m
+        return _var_fit(self.design[k, :n], self.targets[k, :n], self.coef[k],
+                        self.gram_inv_diag[k], self.coefficients[w],
+                        None if self.intercept is None else self.intercept[w], self.restricted)
 
 
 def fit_var_windows(scores: np.ndarray, m: int, ends, restricted: bool = False,
@@ -228,15 +290,17 @@ def fit_var_windows(scores: np.ndarray, m: int, ends, restricted: bool = False,
     same way.  Products that sum over rows (X'X, Q'Y and, in ``fit``, the
     residual moments) are taken on each window's own rows.
 
-    LAPACK's Householder updates skip a reflector's trailing zero rows, so
-    the padding leaves each window's Q and R as its own design gives them.
-    That is an observation about the LAPACK in use, which the tests check,
-    not a guarantee: one 9-column design with exactly collinear leading
+    For the DNS backtest's designs of 1 to 3 columns, the padding leaves
+    each window's Q and R as its own design gives them.  That is an
+    observation about the LAPACK in use, which the tests check for those
+    designs, not a guarantee: wider designs break it (see the module
+    docstring), and one 9-column design with exactly collinear leading
     rows got an R that differs in the last bit once padded by 4 or more
-    rows.  A stack of several windows is C-contiguous, so its windows match
-    their one-window calls on C-contiguous ``scores``; a single window
-    keeps the caller's layout, as ``fit_var`` always has.  Every window
-    needs more than m finite rows: a NaN row would poison the stack.
+    rows.  A stack of several
+    windows is C-contiguous, so its windows match their one-window calls
+    on C-contiguous ``scores``; a single window keeps the caller's layout,
+    as ``fit_var`` always has.  Every window needs more than m finite
+    rows: a NaN row would poison the stack.
     """
     scores = np.atleast_2d(np.asarray(scores, dtype=float))
     j_dim = scores.shape[1]
@@ -245,41 +309,19 @@ def fit_var_windows(scores: np.ndarray, m: int, ends, restricted: bool = False,
     failures = [_dof_failure(t - m, n_reg) for t in ends.tolist()]
     live = [i for i, why in enumerate(failures) if why is None]
     design = targets = coef = gram_inv_diag = None
-    if live:
-        rows = ends[live] - m
-        design, targets = _window_stacks(scores, m, rows, intercept)
-        x = _own_lags(design, targets, m)[0] if restricted else design
-        conds = np.linalg.cond(_over_rows(_cross, rows, x, x)).reshape(len(live), -1)
-        refused = ~(conds <= CONDITION_LIMIT)
-        if refused.any():
-            for i, cond, bad in zip(live, conds, refused):
-                if bad.any():  # the restricted fit names its first coordinate that fails
-                    failures[i] = _condition_failure(cond[bad][0])
-            keep = ~refused.any(axis=1)
-            live, rows = [i for i, k in zip(live, keep) if k], rows[keep]
-            length = max(rows.tolist(), default=0)
-            design, targets = design[keep, :length], targets[keep, :length]
     coeffs = np.full((ends.size, m, j_dim, j_dim), np.nan)
     const = np.full((ends.size, j_dim), np.nan) if intercept else None
     if live:
-        x, y = _own_lags(design, targets, m) if restricted else (design, targets)
-        q, r = np.linalg.qr(x)
-        r_inv = np.linalg.inv(r)
-        # with X = QR, G^{-1} = R^{-1} R^{-T}, so its diagonal (for standard
-        # errors) holds the squared row norms of R^{-1}; unlike the normal
-        # equations, no X'X enters the solve, so near-collinear designs lose
-        # only about cond(X) * eps
-        coef = r_inv @ _over_rows(_cross, rows, q, y)
-        gram_inv_diag = np.einsum("...ij,...ij->...i", r_inv, r_inv)
-        if restricted:
-            diag = np.arange(j_dim)
-            coeffs[live] = 0.0
-            coeffs[np.array(live)[:, None], :, diag, diag] = coef[..., 0]
-        else:
-            jm = j_dim * m
-            coeffs[live] = coef[:, :jm].reshape(-1, m, j_dim, j_dim).swapaxes(-1, -2)
-            if intercept:
-                const[live] = coef[:, -1]
+        refused, kept, design, targets, coef, gram_inv_diag = _solve(
+            scores, m, ends[live] - m, restricted, intercept)
+        for i, why in zip(live, refused):
+            failures[i] = why
+        live = [live[k] for k in kept.tolist()]
+    if live:
+        lags, consts = _lag_matrices(coef, m, j_dim, restricted, intercept)
+        coeffs[live] = lags
+        if intercept:
+            const[live] = consts
     return VarWindows(m, restricted, ends, failures, coeffs, const,
                       live, design, targets, coef, gram_inv_diag)
 
@@ -300,19 +342,29 @@ def fit_var(scores: np.ndarray, m: int, restricted: bool = False,
     intercept : bool
         Include a constant term (off by default; scores are centered).
 
-    This is the one-window call of ``fit_var_windows``.
+    This is the one-window case of ``fit_var_windows``: the same checks
+    and solve, without the bookkeeping of a stack.
     """
     scores = np.atleast_2d(np.asarray(scores, dtype=float))
     if scores.ndim != 2:
         raise ValueError("scores must be a (T, J) matrix")
-    t_obs = scores.shape[0]
+    t_obs, j_dim = scores.shape
     if m < 1:
         raise ValueError(f"lag order must be at least 1, got {m}")
     if t_obs <= m:
         raise ValueError(f"need more than m={m} observations, got {t_obs}")
     if restricted and intercept:
         raise ValueError("intercept is not supported for the restricted fit")
-    return fit_var_windows(scores, m, [t_obs], restricted, intercept).fit(0)
+    why = _dof_failure(t_obs - m, m if restricted else j_dim * m + intercept)
+    if why is not None:
+        raise NumericError(why)
+    refused, _, design, targets, coef, gram_inv_diag = _solve(
+        scores, m, np.array([t_obs - m]), restricted, intercept)
+    if refused[0] is not None:
+        raise NumericError(refused[0])
+    lags, const = _lag_matrices(coef, m, j_dim, restricted, intercept)
+    return _var_fit(design[0], targets[0], coef[0], gram_inv_diag[0], lags[0],
+                    None if const is None else const[0], restricted)
 
 
 def coefficient_matrix(fit: VarFit) -> np.ndarray:

@@ -120,6 +120,12 @@ def fit_ffm(sample: FunctionalSample, config: FfmConfig = FfmConfig()) -> FfmMod
         selection = select_orders(full, k_max, p_max, (config.criterion,),
                                   config.restricted)[config.criterion]
         k, p = selection.chosen
+    return _fit_orders(full, k, p, config, selection)
+
+
+def _fit_orders(full: FpcaResult, k: int, p: int, config: FfmConfig,
+                selection: SelectionGrid | None = None) -> FfmModel:
+    """The model ``fit_ffm`` builds once it has the FPCA and the orders (K, p)."""
     var = fit_var(full.scores[:, :k], p, restricted=config.restricted)
     return FfmModel(
         fpca=full,

@@ -21,6 +21,11 @@ every J at once, and no two large sums of squares are subtracted, which
 keeps near-exact fits accurate.  The restricted (own-lags) fit is
 additive over factors: one univariate fit per (factor, m), summed over
 factors.
+
+The kernel takes several score series at once: for each m, the [X Y]
+of a stack of series are padded with zero rows to the longest and
+factored by one QR.  ``select_orders`` is its one-series call, and a
+backtest selects a range of origins with ``_stacked_choices``.
 """
 
 from __future__ import annotations
@@ -48,6 +53,15 @@ __all__ = [
 ]
 
 CRITERIA = ("bic", "hqc", "ffpe")
+
+# Largest stacked [X Y] of the selection kernel, in bytes.  Series share
+# a stack up to this size, which bounds the kernel's working memory.
+STACK_BYTES = 256 * 1024
+
+# A stacked series keeps its chosen orders only when the best and the
+# second best criterion values differ by more than this, relative to the
+# larger of |best| and 1 (see _stacked_choices).
+TIE_RTOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,92 +100,156 @@ def penalty(criterion: str, j, m, t_obs: int):
     raise ValueError(f"unknown criterion {criterion!r}; expected one of {CRITERIA}")
 
 
-def _leading_fits(design: np.ndarray, targets: np.ndarray,
-                  sizes) -> tuple[np.ndarray, dict[int, str]]:
-    """Least-squares fits of targets on every leading block of regressors.
+def _proved(gram: np.ndarray, traces: np.ndarray, sizes) -> int:
+    """Largest n in ``sizes`` (descending) whose leading Gram blocks are proved well conditioned.
 
-    Returns ``rss`` with ``rss[n-1, i]`` the residual sum of squares of
-    target i on the first n columns of ``design``, for each n whose
-    block can be fitted, and the reason each block size in ``sizes``
-    fails.  As in ``fit_var``, a block fails when it leaves no residual
-    degree of freedom, when it is exactly singular, or when the condition
-    number of its Gram matrix exceeds CONDITION_LIMIT.  That number is only
-    computed for blocks larger than the largest one a shifted Cholesky
-    factorization proves well conditioned.
+    A Cholesky factor of G_n - 2 tr(G_n) / CONDITION_LIMIT * I proves, by
+    interlacing, lambda_min(G_k) > tr(G_n) / CONDITION_LIMIT >= lambda_max(G_k)
+    / CONDITION_LIMIT for every k <= n; the 2 covers rounding in G and in
+    the factorization.  Returns 0 when no size is proved.
     """
-    rows, n_max = design.shape
-    # R of [X Y] = [[R_x, Q'Y], [0, R_y]]; R_x' is the Cholesky factor of
-    # G = X'X, and target i's residual on the first n regressors is the
-    # part of its column below row n, so no sum of squares is subtracted
-    r = np.linalg.qr(np.hstack([design, targets]), mode="r")
-    below = np.cumsum((r[:0:-1, n_max:]) ** 2, axis=0)[::-1]
-    rss = np.vstack([below, np.zeros((1, targets.shape[1]))])
-    pivots = np.diagonal(r)[: min(rows, n_max)]
-    zero = np.flatnonzero(pivots == 0.0)
-    valid = int(zero[0]) if zero.size else pivots.size  # leading blocks of full rank
-    fit_max = min(valid, rows - 1)  # largest block of full rank that leaves a residual
-    lead = r[:fit_max, :fit_max]
-    gram = lead.T @ lead
-    traces = np.cumsum(np.diagonal(gram))
-    # A Cholesky factor of G_n - 2 tr(G_n) / CONDITION_LIMIT * I proves, by
-    # interlacing, lambda_min(G_k) > tr(G_n) / CONDITION_LIMIT >= lambda_max(G_k)
-    # / CONDITION_LIMIT for every k <= n; the 2 covers rounding in G and in
-    # the factorization.
-    cleared = 0
-    for n in sorted((n for n in sizes if n <= fit_max), reverse=True):
+    for n in sizes:
         try:
             np.linalg.cholesky(gram[:n, :n] - (2.0 * traces[n - 1] / CONDITION_LIMIT) * np.eye(n))
         except np.linalg.LinAlgError:
             continue
-        cleared = n
-        break
-    failures = {}
-    for n in sizes:
-        why = _dof_failure(rows, n)
-        if why is None and n > valid:
-            why = f"lagged design of {rows} observations has rank below {n} regressors"
-        if why is None and n > cleared:
-            why = _condition_failure(np.linalg.cond(design[:, :n].T @ design[:, :n]))
+        return n
+    return 0
+
+
+def _leading_fits(r: np.ndarray, n_max: int, rows: np.ndarray, sizes,
+                  design) -> tuple[np.ndarray, list[dict[int, str]]]:
+    """Least-squares fits of targets on every leading block of regressors, for a stack.
+
+    ``r`` (S, ., n_max + q) holds the R factors of S regressions [X Y],
+    regression s with ``rows[s]`` observations; ``design(s)`` gives its
+    own X and is called only where a condition number is needed.  Returns
+    ``rss`` with ``rss[s, n-1, i]`` the residual sum of squares of target
+    i on the first n columns of regression s, for each n whose block can
+    be fitted, and per regression the reason each block size in ``sizes``
+    fails.  As in ``fit_var``, a block fails when it leaves no residual
+    degree of freedom, when it is exactly singular, or when the condition
+    number of its Gram matrix exceeds CONDITION_LIMIT.  That number is
+    only computed for blocks larger than the largest one a shifted
+    Cholesky factorization proves well conditioned.
+    """
+    n_stack = r.shape[0]
+    # R of [X Y] = [[R_x, Q'Y], [0, R_y]]; R_x' is the Cholesky factor of
+    # G = X'X, and target i's residual on the first n regressors is the
+    # part of its column below row n, so no sum of squares is subtracted
+    below = np.cumsum(r[:, :0:-1, n_max:] ** 2, axis=1)[:, ::-1]
+    rss = np.concatenate([below, np.zeros((n_stack, 1, r.shape[2] - n_max))], axis=1)
+    failures = [{} for _ in range(n_stack)]
+    pivots = np.diagonal(r, axis1=1, axis2=2)[:, :n_max]
+    own = np.minimum(rows, n_max)
+    # leading blocks of full rank: up to the first zero pivot of the own rows
+    zero = (pivots == 0.0) | (np.arange(pivots.shape[1]) >= own[:, None])
+    valid = np.where(zero.any(axis=1), zero.argmax(axis=1), pivots.shape[1])
+    fit_max = np.minimum(valid, rows - 1)  # largest full-rank block that leaves a residual
+    top = max(int(fit_max.max()), 0)
+    lead = r[:, :top, :top]
+    gram = lead.swapaxes(1, 2) @ lead
+    traces = np.cumsum(np.diagonal(gram, axis1=1, axis2=2), axis=1)
+    largest = max(sizes)
+    if fit_max.min() >= largest:
+        # one factorization of the whole stack usually proves every size
+        shift = (2.0 * traces[:, largest - 1] / CONDITION_LIMIT)[:, None, None] * np.eye(largest)
+        try:
+            np.linalg.cholesky(gram[:, :largest, :largest] - shift)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            return rss, failures
+    descending = sorted(sizes, reverse=True)
+    cleared = [_proved(gram[s], traces[s], [n for n in descending if n <= f])
+               for s, f in enumerate(fit_max.tolist())]
+    sizes = list(sizes)
+    rows_list = rows.tolist()
+    for s, i in np.argwhere(np.array(sizes) > np.array(cleared)[:, None]).tolist():
+        n = sizes[i]
+        why = _dof_failure(rows_list[s], n)
+        if why is None and n > valid[s]:
+            why = f"lagged design of {rows_list[s]} observations has rank below {n} regressors"
+        if why is None:
+            x = design(s)[:, :n]
+            why = _condition_failure(np.linalg.cond(x.T @ x))
         if why is not None:
-            failures[n] = why
+            failures[s][n] = why
     return rss, failures
 
 
-def _innovation_traces(result: FpcaResult, k_max: int, p_max: int,
-                       restricted: bool) -> tuple[np.ndarray, dict[tuple[int, int], str]]:
-    """tr(Sigma_eta(J, m)) for every grid cell and why each failed cell failed.
+def _innovation_traces(scores: np.ndarray, ends: np.ndarray, p_max: int,
+                       restricted: bool) -> tuple[np.ndarray, list[dict[tuple[int, int], str]]]:
+    """tr(Sigma_eta(J, m)) on every grid cell of W score series, and why failed cells failed.
 
-    Failed cells hold +inf.
+    ``scores`` is (W, L, k_max): series w is its first ``ends[w]`` rows,
+    and later rows are ignored.  Returns the (W, k_max, p_max)
+    traces, +inf where a cell failed, and one sorted {(J, m): reason} per
+    series.  For each lag order the series are factored in stacks of at
+    most STACK_BYTES of [X Y], each with one design build and one QR; a
+    stack pads every design with zero rows to its longest.
     """
-    scores = result.scores[:, :k_max]
-    t_obs = scores.shape[0]
+    n_win, _, k_max = scores.shape
+    traces = np.full((n_win, k_max, p_max), np.inf)
+    failures = [{} for _ in range(n_win)]
     js = np.arange(1, k_max + 1)
-    traces = np.full((k_max, p_max), np.inf)
-    failures = {}
     for m in range(1, p_max + 1):
-        targets = scores[m:]
-        # factor-major lagged design: column l*m + k - 1 is factor l at lag k
-        design = sliding_window_view(scores, m, axis=0)[: t_obs - m, :, ::-1]
-        design = design.reshape(t_obs - m, k_max * m)
-        if restricted:
-            rss = np.zeros(k_max)
-            n_ok = k_max
-            for l in range(k_max):
-                own, why = _leading_fits(design[:, l * m:(l + 1) * m], targets[:, l:l + 1], (m,))
-                if why:
-                    # fit_var stops at the first factor that fails
-                    failures.update({(j, m): why[m] for j in range(l + 1, k_max + 1)})
-                    n_ok = l
-                    break
-                rss[l] = own[m - 1, 0]
-            traces[:n_ok, m - 1] = np.cumsum(rss[:n_ok]) / (t_obs - m)
-        else:
-            rss, why = _leading_fits(design, targets, range(m, k_max * m + 1, m))
-            failures.update({(n // m, m): reason for n, reason in why.items()})
-            ok = np.array([j for j in js if j * m not in why], dtype=int)
-            cum = np.cumsum(rss, axis=1)
-            traces[ok - 1, m - 1] = cum[ok * m - 1, ok - 1] / (t_obs - m)
-    return traces, dict(sorted(failures.items()))
+        all_rows = ends - m
+        n_max = k_max * m
+        # lags 1..m of target row i + m; column l*m + k - 1 of a design is
+        # factor l at lag k (factor major)
+        lagged = sliding_window_view(scores, m, axis=1)[:, :, :, ::-1]
+
+        def design(w, lagged=lagged, rows=all_rows):
+            """Series w's lagged design on its own rows, as one series lays it out."""
+            return lagged[w, :rows[w]].reshape(rows[w], -1)
+
+        per_stack = max(1, STACK_BYTES // (8 * int(all_rows.max()) * k_max * (m + 1)))
+        for lo in range(0, n_win, per_stack):
+            rows = all_rows[lo:lo + per_stack]
+            n_stack, length = rows.size, int(rows.max())
+            past = np.arange(length) >= rows[:, None] if rows.min() < length else None
+            if restricted:
+                # one univariate fit per (series, factor); fit_var stops at
+                # the first factor that fails
+                xy = np.empty((n_stack, length, k_max, m + 1))
+                xy[..., :m] = lagged[lo:lo + n_stack, :length]
+                xy[..., m] = scores[lo:lo + n_stack, m:length + m]
+                if past is not None:
+                    xy[past] = 0.0
+                r = np.linalg.qr(xy.swapaxes(1, 2), mode="r")
+
+                def own_lags(s, lo=lo):
+                    w, l = divmod(s, k_max)
+                    return design(lo + w)[:, l * m:(l + 1) * m]
+
+                rss, why = _leading_fits(r.reshape(n_stack * k_max, -1, m + 1), m,
+                                         np.repeat(rows, k_max), (m,), own_lags)
+                rss = rss[:, min(m, rss.shape[1]) - 1, 0].reshape(n_stack, k_max)
+                cells = np.cumsum(rss, axis=1) / rows[:, None]
+                for w in range(n_stack):
+                    reasons = why[w * k_max:(w + 1) * k_max]
+                    first = next((l for l in range(k_max) if reasons[l]), k_max)
+                    cells[w, first:] = np.inf
+                    failures[lo + w].update({(j, m): reasons[first][m]
+                                             for j in range(first + 1, k_max + 1)})
+            else:
+                xy = np.empty((n_stack, length, n_max + k_max))
+                xy[..., :n_max].reshape(n_stack, length, k_max, m)[...] = lagged[lo:lo + n_stack,
+                                                                                  :length]
+                xy[..., n_max:] = scores[lo:lo + n_stack, m:length + m]
+                if past is not None:
+                    xy[past] = 0.0
+                rss, why = _leading_fits(np.linalg.qr(xy, mode="r"), n_max, rows,
+                                         range(m, n_max + 1, m), lambda s, lo=lo: design(lo + s))
+                cum = np.cumsum(rss, axis=2)
+                cells = cum[:, np.minimum(js * m, cum.shape[1]) - 1, js - 1] / rows[:, None]
+                for w, reasons in enumerate(why):
+                    for n, reason in reasons.items():
+                        cells[w, n // m - 1] = np.inf
+                        failures[lo + w][(n // m, m)] = reason
+            traces[lo:lo + n_stack, :, m - 1] = cells
+    return traces, [dict(sorted(f.items())) for f in failures]
 
 
 def mse_simplified(result: FpcaResult, j: int, m: int, restricted: bool = False) -> float:
@@ -212,6 +290,11 @@ def mse_direct(sample: FunctionalSample, fitted: FunctionalSample, m: int) -> fl
     return float(np.mean(diff**2 @ sample.grid.weights))
 
 
+def _tails(result: FpcaResult, k_max: int) -> np.ndarray:
+    """Eigenvalue tails beyond J = 1..k_max."""
+    return np.array([result.tail_sum(j) for j in range(1, k_max + 1)])
+
+
 def _criterion_values(criterion: str, traces: np.ndarray, tails: np.ndarray,
                       t_obs: int) -> np.ndarray:
     k_max, p_max = traces.shape
@@ -239,7 +322,9 @@ def select_orders(result: FpcaResult, k_max: int, p_max: int,
         if criterion not in CRITERIA:
             raise ValueError(f"unknown criterion {criterion!r}; expected one of {CRITERIA}")
 
-    traces, failures = _innovation_traces(result, k_max, p_max, restricted)
+    traces, failures = _innovation_traces(result.scores[None, :, :k_max], np.array([t_obs]),
+                                          p_max, restricted)
+    traces, failures = traces[0], failures[0]
     if failures:
         cells = ", ".join(f"(J={j}, m={m})" for j, m in failures)
         warnings.warn(
@@ -247,7 +332,7 @@ def select_orders(result: FpcaResult, k_max: int, p_max: int,
             f"first reason: {next(iter(failures.values()))}",
             stacklevel=2,
         )
-    tails = np.array([result.tail_sum(j) for j in range(1, k_max + 1)])
+    tails = _tails(result, k_max)
     mse = traces + tails[:, None]
 
     grids = {}
@@ -270,6 +355,43 @@ def select_orders(result: FpcaResult, k_max: int, p_max: int,
             restricted=restricted,
         )
     return grids
+
+
+def _stacked_choices(results: list[FpcaResult], k_max: int, p_max: int, criterion: str,
+                     restricted: bool) -> list[tuple[int, int] | None]:
+    """The orders ``select_orders`` chooses for each of several samples, from one kernel call.
+
+    The samples' scores are stacked with zero rows after each one's own.
+    Zero padding is not bitwise safe for LAPACK's blocked QR: a padded R
+    can differ from the unpadded one in its last bits, so the stacked
+    traces agree with ``select_orders``'s only to rounding.  A sample
+    therefore keeps the stacked choice only when every cell of its grid
+    was fitted, so every design passed the conditioning proof, and its
+    two best criterion values differ by more than TIE_RTOL, relative to
+    the larger of |best| and 1.  That is a margin, not a bound: on the
+    seed-7 and seed-41 ``backtest-bic`` panels of ``perfbench`` the
+    stacked traces agreed within 3.9e-16 relative, and the smallest
+    relative gap between the best and the second best bic value was
+    2.2e-5.  Any other sample gets None and must run ``select_orders``
+    itself, which gives its warning, failure and choice.  ``k_max`` is
+    at most each sample's rank and ``p_max`` below each one's curve
+    count.
+    """
+    ends = np.array([result.n_curves for result in results])
+    scores = np.zeros((len(results), int(ends.max()), k_max))
+    for w, result in enumerate(results):
+        scores[w, :ends[w]] = result.scores[:, :k_max]
+    traces, failures = _innovation_traces(scores, ends, p_max, restricted)
+    choices = []
+    for result, surface, failed in zip(results, traces, failures):
+        values = _criterion_values(criterion, surface, _tails(result, k_max), result.n_curves)
+        best, second = np.partition(np.append(values.ravel(), np.inf), 1)[:2]
+        if failed or not np.isfinite(best) or not second - best > TIE_RTOL * max(1.0, abs(best)):
+            choices.append(None)
+            continue
+        flat = int(np.argmin(values))
+        choices.append((flat // p_max + 1, flat % p_max + 1))
+    return choices
 
 
 def export_mse_surface(grid: SelectionGrid) -> list[dict]:

@@ -1,13 +1,18 @@
 """Expanding-window forecast evaluation."""
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import ffm.backtest as backtest_module
+import ffm.pipeline as pipeline_module
+import ffm.selection as selection_module
 from ffm import (BacktestReport, ConfigError, DiscretePanel, Dns, FfmConfig, FfmCriterion,
                  FfmFixed, FfmError, FunctionalSample, NumericError, SimSpec,
-                 dns_forecast, dns_loadings, fit_dns, fit_ffm, forecast, rolling_backtest,
-                 simulate)
+                 dns_forecast, dns_loadings, fit_dns, fit_ffm, forecast, make_grid,
+                 rolling_backtest, select_orders, simulate)
 
 RMSFE_AUDIT_TOL = 1e-12
 
@@ -240,6 +245,26 @@ def mixed_dns_panel():
     return LoosePanel(maturities, table)
 
 
+def criterion_sample():
+    """A sample whose expanding windows fail, select one by one, and stack.
+
+    Rows 0-5 are zero, so a window of them has zero scores and every
+    selection cell fails.  The windows just past them lose cells to
+    singular designs or to the degrees-of-freedom limit, which sends them
+    to ``select_orders`` one by one; later windows fit every cell.
+    """
+    grid = make_grid(0.0, 1.0, 7)
+    rng = np.random.default_rng(17)
+    factors = np.zeros((60, 3))
+    for t in range(1, 60):
+        factors[t] = [0.8, 0.5, -0.4] * factors[t - 1] + rng.normal(size=3) * [1.0, 0.6, 0.3]
+    basis = np.array([np.ones(grid.n), np.cos(np.pi * grid.points),
+                      np.cos(2.0 * np.pi * grid.points)])
+    matrix = 2.0 + factors @ basis + 0.05 * rng.normal(size=(60, grid.n))
+    matrix[:6] = 0.0
+    return FunctionalSample(grid, matrix)
+
+
 class TestChunks:
     """Results do not depend on how many origins a range hook takes at once."""
 
@@ -286,6 +311,71 @@ class TestChunks:
             assert np.array_equal(other.errors, reports[0].errors, equal_nan=True)
             assert other.failure_reasons == reports[0].failure_reasons
             assert other.failures == reports[0].failures
+
+    @pytest.mark.parametrize("restricted", [False, True])
+    @pytest.mark.parametrize("h", [1, 3])
+    def test_ffm_criterion(self, monkeypatch, tied_fpca, restricted, h):
+        sample = criterion_sample()
+        method = FfmCriterion("bic", 2, 2, restricted)
+        # the 30-curve window gets an FPCA whose grid ties exactly at its
+        # two best cells, so the stack must hand it to select_orders
+        tie_at = 30
+        real = backtest_module.fpca
+        window = real(FunctionalSample(sample.grid, sample.matrix[:tie_at]))
+        tied = tied_fpca(
+            lambda scores, second: replace(window, eigenvalues=np.array([10.0, second]),
+                                           eigenfunctions=window.eigenfunctions[:2],
+                                           scores=scores, tail_eigenvalues=np.array([])),
+            np.random.default_rng(5), restricted, tie_at)
+        values = np.sort(select_orders(tied, 2, 2, ("bic",), restricted)["bic"].values.ravel())
+        assert values[0] == values[1]
+        assert selection_module._stacked_choices([tied], 2, 2, "bic", restricted) == [None]
+
+        def fpca_with_tie(data, k_max=None):
+            return tied if data.n_curves == tie_at else real(data, k_max)
+
+        monkeypatch.setattr(backtest_module, "fpca", fpca_with_tie)
+        monkeypatch.setattr(pipeline_module, "fpca", fpca_with_tie)
+        rerun = []
+
+        def counted(data, config):
+            rerun.append(data.n_curves)
+            return fit_ffm(data, config)
+
+        monkeypatch.setattr(backtest_module, "fit_ffm", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            reports = self.runs(monkeypatch, sample, method, h, 3)
+            first = reports[-1]   # CHUNK as shipped
+            for budget in (1, 2**30):   # one series per stack, and one stack per chunk
+                monkeypatch.setattr(selection_module, "STACK_BYTES", budget)
+                reports.insert(0, rolling_backtest(sample, method, h=h, initial_window=3))
+            # one origin per call is fit_ffm and forecast on each window
+            errors = np.full_like(first.errors, np.nan)
+            selected = np.zeros_like(first.selected)
+            reasons = []
+            for i, t in enumerate(first.origins):
+                config = FfmConfig(criterion="bic", k_max=min(2, t - 1, sample.grid.n), p_max=2,
+                                   restricted=restricted)
+                try:
+                    model = fit_ffm(FunctionalSample(sample.grid, sample.matrix[:t]), config)
+                except FfmError as exc:
+                    reasons.append((int(t), type(exc).__name__, str(exc)))
+                    continue
+                errors[i] = forecast(model, h).matrix[h - 1] - sample.matrix[t + h - 1]
+                selected[i] = (model.k, model.p)
+        # each run sent the tied window, and other windows, but not all, to fit_ffm
+        assert rerun.count(tie_at) == len(reports)
+        assert len(set(rerun)) > 1 and len(rerun) < len(reports) * first.origins.size
+        assert {name for _, name, _ in first.failure_reasons} == {"NumericError"}
+        assert np.isfinite(first.errors).any()
+        assert np.array_equal(first.errors, errors, equal_nan=True)
+        assert np.array_equal(first.selected, selected)
+        assert first.failure_reasons == tuple(reasons)
+        for other in reports[:-1]:
+            assert np.array_equal(other.errors, first.errors, equal_nan=True)
+            assert np.array_equal(other.selected, first.selected)
+            assert other.failure_reasons == first.failure_reasons
 
 
 class TestLabelsAndSummary:

@@ -1,17 +1,20 @@
 """Order-selection criteria over the factor/lag grid."""
 
+import importlib.util
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffm import (CRITERIA, Curve, DiscretePanel, FpcaResult, FunctionalSample,
+from ffm import (CRITERIA, Curve, DiscretePanel, FpcaResult, FunctionalSample, Grid,
                  NumericError, export_mse_surface, fit_var, fpca,
                  make_grid, mse_direct, mse_simplified, panel_to_sample, penalty,
                  reconstruct, select_orders)
+from ffm.selection import TIE_RTOL, _innovation_traces, _stacked_choices
 
 IDENTITY_RTOL = 1e-12
 KERNEL_RTOL = 1e-10
@@ -45,17 +48,17 @@ def reference_surface(result, k_max, p_max, restricted=False):
     return mse
 
 
-def scores_result(scores, tail):
-    """An FpcaResult carrying the given scores and one tail eigenvalue."""
+def scores_result(scores, tail, eigenvalues=None):
+    """An FpcaResult carrying the given scores and one tail eigenvalue (none if None)."""
     grid = make_grid(0.0, 1.0, 3)
     k = scores.shape[1]
     return FpcaResult(
         grid=grid,
         mean=Curve(grid, np.zeros(grid.n)),
-        eigenvalues=np.mean(scores**2, axis=0),
+        eigenvalues=np.mean(scores**2, axis=0) if eigenvalues is None else eigenvalues,
         eigenfunctions=np.zeros((k, grid.n)),
         scores=scores,
-        tail_eigenvalues=np.array([tail]),
+        tail_eigenvalues=np.array([] if tail is None else [tail]),
         times=tuple(range(1, scores.shape[0] + 1)),
     )
 
@@ -356,3 +359,104 @@ class TestExport:
         assert marked == [g.chosen]
         for r in rows:
             assert r["mse"] == pytest.approx(g.mse[r["J"] - 1, r["m"] - 1])
+
+
+def tied_result(tied_fpca, rng, restricted):
+    """Two factors on a 3-point grid whose bic grid over (2, 2) is exactly tied."""
+    return tied_fpca(lambda scores, second: scores_result(scores, None, np.array([10.0, second])),
+                     rng, restricted)
+
+
+def benchmark_inputs():
+    """The seeded panel generator of ``perfbench``, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    if not path.exists():
+        pytest.skip("no perfbench/inputs.py in this checkout")
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestStackedChoices:
+    """Samples selected in one stacked kernel call keep select_orders's choice or are rerun."""
+
+    @staticmethod
+    def reference(result, k_max, p_max, criterion, restricted):
+        """select_orders's choice, and whether it has a failed cell or a near tie."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                grid = select_orders(result, k_max, p_max, (criterion,), restricted)[criterion]
+            except NumericError:
+                return None, True
+        best = np.sort(grid.values.ravel())[:2]
+        near_tie = best.size > 1 and not best[1] - best[0] > TIE_RTOL * max(1.0, abs(best[0]))
+        return grid.chosen, bool(caught) or near_tie
+
+    def check(self, results, k_max, p_max, criterion, restricted):
+        """Number of samples the stack accepted and of those it sent to a rerun."""
+        choices = _stacked_choices(results, k_max, p_max, criterion, restricted)
+        assert len(choices) == len(results)
+        counts = [0, 0]
+        for result, choice in zip(results, choices):
+            chosen, rerun = self.reference(result, k_max, p_max, criterion, restricted)
+            if rerun:
+                assert choice is None
+            if choice is not None:
+                assert choice == chosen
+            counts[choice is None] += 1
+        return counts
+
+    def test_random_stacks_of_unequal_lengths(self, tied_fpca):
+        # short samples leave cells without residual degrees of freedom,
+        # a copied column makes every cell that holds both copies singular,
+        # and a nearly copied one puts them near the condition limit
+        rng = np.random.default_rng(90)
+        totals = np.zeros(2, dtype=int)
+        for _ in range(120):
+            k_max, p_max = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            criterion, restricted = str(rng.choice(CRITERIA)), bool(rng.integers(2))
+            results = []
+            for _ in range(int(rng.integers(2, 10))):
+                t_obs = int(rng.integers(p_max + 2, 120))
+                scores = np.zeros((t_obs, k_max))
+                shocks = rng.normal(size=(t_obs, k_max)) * 10.0 ** rng.uniform(-2, 2, size=k_max)
+                for t in range(t_obs):
+                    scores[t] = 0.6 * scores[t - 1] + shocks[t] if t else shocks[t]
+                if k_max > 1 and rng.random() < 0.3:
+                    gap = 0.0 if rng.random() < 0.5 else 10.0 ** rng.uniform(-9, -4)
+                    scores[:, -1] = scores[:, 0] * (1.0 + gap * rng.normal(size=t_obs))
+                results.append(scores_result(scores, rng.uniform(1e-3, 1.0)))
+            if k_max == 2 and p_max == 2 and criterion == "bic":
+                at = int(rng.integers(len(results) + 1))
+                results.insert(at, tied_result(tied_fpca, rng, restricted))
+            totals += self.check(results, k_max, p_max, criterion, restricted)
+        assert totals.min() > 50
+
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_exact_tie_is_rerun(self, tied_fpca, restricted):
+        rng = np.random.default_rng(91)
+        others = [scores_result(rng.normal(size=(60 + 9 * s, 2)), 0.1) for s in range(3)]
+        results = others[:2] + [tied_result(tied_fpca, rng, restricted)] + others[2:]
+        assert self.check(results, 2, 2, "bic", restricted) == [3, 1]
+
+    def test_padded_benchmark_window(self):
+        # the 177-row window of the seed-7 backtest panel, stacked with the
+        # 183-row window, is padded by six zero rows; at m = 8 LAPACK then
+        # returned an R that differs from the unpadded one in 525 entries
+        # (up to 4.4e-13 relative), which only moves the traces by rounding
+        inputs = benchmark_inputs()
+        panel = DiscretePanel(inputs.MATURITIES, inputs.yield_panel(7, inputs.BACKTEST_ROWS))
+        sample = panel_to_sample(panel, Grid(panel.maturities))
+        results = [fpca(FunctionalSample(sample.grid, sample.matrix[:t])) for t in (177, 183)]
+        scores = np.zeros((2, 183, 8))
+        for w, result in enumerate(results):
+            scores[w, :result.n_curves] = result.scores[:, :8]
+        traces, failures = _innovation_traces(scores, np.array([177, 183]), 8, False)
+        assert failures == [{}, {}]
+        for result, surface in zip(results, traces):
+            grid = select_orders(result, 8, 8, ("bic",))["bic"]
+            tails = np.array([result.tail_sum(j) for j in range(1, 9)])
+            assert np.allclose(surface + tails[:, None], grid.mse, rtol=1e-12, atol=0.0)
+        assert self.check(results, 8, 8, "bic", False) == [2, 0]
