@@ -20,28 +20,23 @@ A refused origin is caught in one place, ``_attempt``.  ``FfmFixed``
 runs its origins one by one (``_each_origin``).  ``FfmCriterion`` runs
 FPCA per origin, selects (K, p) for the whole range in one stacked
 kernel call (``selection._stacked_choices``), and then fits and
-forecasts each origin as ``fit_ffm`` and ``forecast`` do.  The stack
-pads the lagged designs (16 to 72 columns of [X Y] on an 8 x 8 grid)
-with zero rows, and LAPACK's QR does not always leave R unchanged by
-them: on the seed-7 ``backtest-bic`` panel of ``perfbench``, 3 of 1,440
-(origin, m) designs changed in stacks of 32 (t = 177, m = 8: 525
-entries, up to 4.4e-13 relative; t = 291, m = 4: 180; t = 236, m = 7:
-4).  So the selection does not rely on padding: the stack only vouches
-for an origin whose grid fitted every cell and has no near tie, and any
-other origin is refitted by ``fit_ffm``, which gives its warnings,
-refusal and choice.  ``Dns`` fits a chunk's windows in one stacked
-least-squares call (``fit_var_windows``) and forecasts them in one
-stacked recursion (``forecast_windows``); windows that hold a row
-without betas fail before stacking, since one NaN would poison the
-stacked factorizations.  It relies on the padding leaving R unchanged
-only for its designs of 1 to 3 columns, where the tests check it, and
-two layout rules keep every origin bit for bit equal to refitting
-``fit_dns`` on its window: the lag matrices are made C-contiguous before
-the forecast products, as ``coefficient_matrix`` lays them out, and the
-loadings product keeps
-``dns_forecast``'s (h, 3) @ (3, N) shape per window as a
-(W, h, 3) @ (3, N) product; a flat (W, 3) @ (3, N) product differs in
-the last bit.  The tests check that reports do not depend on ``CHUNK``.
+forecasts each origin as ``fit_ffm`` and ``forecast`` do.  Padding the
+stacked designs with zero rows can change their R factors (see
+``selection._stacked_choices``), so the stack only vouches for an
+origin whose grid fitted every cell and has no near tie, and any other
+origin is refitted by ``fit_ffm``, which gives its warnings, refusal
+and choice.  ``Dns`` fits a chunk's windows in one stacked
+least-squares call (``fit_var_windows``, whose docstring says why its
+designs keep their bits) and forecasts them in one stacked recursion
+(``forecast_windows``); windows that hold a row without betas fail
+before stacking, since one NaN would poison the stacked
+factorizations.  Two layout rules keep every origin bit for bit equal
+to refitting ``fit_dns`` on its window: the lag matrices are made
+C-contiguous before the forecast products, as ``coefficient_matrix``
+lays them out, and the loadings product keeps ``dns_forecast``'s
+(h, 3) @ (3, N) shape per window as a (W, h, 3) @ (3, N) product; a
+flat (W, 3) @ (3, N) product differs in the last bit.  The tests
+check that reports do not depend on ``CHUNK``.
 """
 
 from __future__ import annotations
@@ -216,12 +211,12 @@ class Dns:
 
         def run(start, stop):
             ends = np.arange(start, min(stop, first_bad + 1))  # windows without a bad row
-            fits = fit_var_windows(betas, 1, ends, restricted=self.diagonal)
-            ok = np.array([why is None for why in fits.failures], dtype=bool)
-            beta_fc = forecast_windows(fits.coefficients[ok], None, betas[ends[ok] - 1, None], h)
+            failures, lags = fit_var_windows(betas, 1, ends, restricted=self.diagonal)
+            ok = np.array([why is None for why in failures], dtype=bool)
+            beta_fc = forecast_windows(lags, None, betas[ends[ok] - 1, None], h)
             curves = iter(beta_fc @ loadings.T)  # dns_forecast's (h, 3) @ (3, N) per window
             outcomes = [(next(curves)[h - 1], None) if why is None else NumericError(why)
-                        for why in fits.failures]
+                        for why in failures]
             return outcomes + [DataError(bad[1]) for _ in range(ends.size, stop - start)]
 
         # the benchmark always carries 3 factors

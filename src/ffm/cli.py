@@ -399,26 +399,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # the first class that matches names the exit code; a ConfigError is a ValueError
+    exits = ((ValueError, EXIT_CONFIG), (NetworkError, EXIT_NETWORK), (DataError, EXIT_DATA),
+             (OSError, EXIT_DATA), (NumericError, EXIT_NUMERIC))
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except tuple(cls for cls, _ in exits) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NetworkError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NETWORK
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return next(code for cls, code in exits if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

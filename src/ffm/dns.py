@@ -18,11 +18,8 @@ step is ``fit_var`` on the betas.
 An expanding-window backtest (``backtest.Dns``) therefore solves the
 cross-section once and fits the VAR(1) of every origin's leading rows
 in chunks of stacked windows (``dynamics.fit_var_windows``), with one
-QR per chunk.  Its forecasts equal ``dns_forecast`` of ``fit_dns`` on
-each truncated panel bit for bit because the stacked forecast keeps two
-layouts of this module's path: lag matrices in a C-contiguous
-[A_1 ... A_m], and the loadings product as an (h, 3) @ (3, N) product
-per window, never one flat (W, 3) @ (3, N) product.
+QR per chunk; ``backtest`` says why its forecasts equal ``dns_forecast``
+of ``fit_dns`` on each truncated panel bit for bit.
 """
 
 from __future__ import annotations

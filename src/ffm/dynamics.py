@@ -5,19 +5,13 @@ has no intercept.  The restricted variant fits each coordinate as an
 independent univariate autoregression on its own lags, which makes every
 lag matrix diagonal.
 
-``fit_var_windows`` fits the row-prefix windows ``scores[:t]`` of one
-series at once, for the DNS backtest: one stacked condition screen, one
-stacked QR and one stacked inverse for all windows, with each window's
-design padded by zero rows.  ``forecast_windows`` runs their forecast
-recursions as one.  ``fit_var`` and ``forecast_scores`` are their
-one-window cases.  A window of a stack gets the bits of its one-window
-call only where LAPACK's QR leaves R unchanged by the padding: the DNS
-designs of 1 to 3 columns, where the tests check it.  Wider designs
-break it; on the seed-7 ``backtest-bic`` panel of ``perfbench`` the
-selection's lagged designs changed R at t = 177, m = 8 (525 entries,
-up to 4.4e-13 relative), t = 291, m = 4 (180) and t = 236, m = 7 (4),
-which is why the selection stack guards its choices instead
-(``selection._stacked_choices``).
+``fit_var_windows`` gives the lag matrices of the row-prefix windows
+``scores[:t]`` of one series at once, for the DNS backtest: one stacked
+condition screen, one stacked QR and one stacked inverse for all
+windows, with each window's design padded by zero rows (its docstring
+says when that keeps ``fit_var``'s bits).  ``forecast_windows`` runs
+their forecast recursions as one.  ``fit_var`` shares the window kernel,
+and ``forecast_scores`` is the one-window call of ``forecast_windows``.
 """
 
 from __future__ import annotations
@@ -31,7 +25,6 @@ from .errors import NumericError
 
 __all__ = [
     "VarFit",
-    "VarWindows",
     "fit_var",
     "fit_var_windows",
     "forecast_scores",
@@ -158,15 +151,22 @@ def _own_lags(design: np.ndarray, targets: np.ndarray,
     return own, targets.swapaxes(1, 2)[..., None]
 
 
-def _solve(scores: np.ndarray, m: int, rows: np.ndarray, restricted: bool,
+def _solve(scores: np.ndarray, m: int, ends: np.ndarray, restricted: bool,
            intercept: bool) -> tuple:
-    """Condition screen and QR solve of windows with ``rows`` observations each.
+    """Checks and QR solve of the windows ``scores[:t]``, t in ``ends``.
 
-    Every window must leave residual degrees of freedom.  Returns
-    ``(refused, kept, design, targets, coef, gram_inv_diag)``:
-    ``refused[i]`` is why window i fails the screen, or None, and the
-    stacks hold the windows listed in ``kept``, in that order.
+    Returns ``(failures, design, targets, coef, gram_inv_diag)``:
+    ``failures[i]`` is the NumericError message that refuses window i
+    (too few rows, or a Gram matrix past the condition limit), or None,
+    and the stacks hold the windows that pass, in order (all None when
+    none does).
     """
+    n_reg = m if restricted else scores.shape[1] * m + intercept
+    failures = [_dof_failure(t - m, n_reg) for t in ends.tolist()]
+    live = [i for i, why in enumerate(failures) if why is None]
+    if not live:
+        return failures, None, None, None, None
+    rows = ends[live] - m
     design, targets = _window_stacks(scores, m, rows, intercept)
     x = _own_lags(design, targets, m)[0] if restricted else design
     conds = np.linalg.cond(_over_rows(_cross, rows, x, x)).reshape(rows.size, -1)
@@ -174,15 +174,14 @@ def _solve(scores: np.ndarray, m: int, rows: np.ndarray, restricted: bool,
     failed = bad.any(axis=1)
     # the restricted fit names its first coordinate that fails
     first = bad.argmax(axis=1)
-    refused = [_condition_failure(conds[i, first[i]]) if why else None
-               for i, why in enumerate(failed.tolist())]
-    kept = np.flatnonzero(~failed)
-    if kept.size < rows.size:
-        rows = rows[kept]
-        length = max(rows.tolist(), default=0)
-        design, targets = design[kept, :length], targets[kept, :length]
-    if not kept.size:
-        return refused, kept, design, targets, None, None
+    for k in np.flatnonzero(failed).tolist():
+        failures[live[k]] = _condition_failure(conds[k, first[k]])
+    if failed.all():
+        return failures, None, None, None, None
+    if failed.any():
+        rows = rows[~failed]
+        length = max(rows.tolist())
+        design, targets = design[~failed, :length], targets[~failed, :length]
     x, y = _own_lags(design, targets, m) if restricted else (design, targets)
     q, r = np.linalg.qr(x)
     r_inv = np.linalg.inv(r)
@@ -192,138 +191,56 @@ def _solve(scores: np.ndarray, m: int, rows: np.ndarray, restricted: bool,
     # only about cond(X) * eps
     coef = r_inv @ _over_rows(_cross, rows, q, y)
     gram_inv_diag = np.einsum("...ij,...ij->...i", r_inv, r_inv)
-    return refused, kept, design, targets, coef, gram_inv_diag
+    return failures, design, targets, coef, gram_inv_diag
 
 
-def _lag_matrices(coef: np.ndarray, m: int, j_dim: int, restricted: bool,
-                  intercept: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Lag matrices (W, m, J, J) and constants (W, J) or None of solved windows."""
+def _lag_matrices(coef: np.ndarray, m: int, j_dim: int, restricted: bool) -> np.ndarray:
+    """Lag matrices (W, m, J, J) of solved windows; an intercept row is left out."""
     if restricted:
         lags = np.zeros((coef.shape[0], m, j_dim, j_dim))
         diag = np.arange(j_dim)
         lags[:, :, diag, diag] = coef[..., 0].swapaxes(1, 2)
-        return lags, None
+        return lags
     jm = j_dim * m
-    lags = np.ascontiguousarray(coef[:, :jm].reshape(-1, m, j_dim, j_dim).swapaxes(-1, -2))
-    return lags, coef[:, -1] if intercept else None
+    return np.ascontiguousarray(coef[:, :jm].reshape(-1, m, j_dim, j_dim).swapaxes(-1, -2))
 
 
-def _var_fit(x: np.ndarray, y: np.ndarray, coef: np.ndarray, gram_inv_diag: np.ndarray,
-             lags: np.ndarray, const: np.ndarray | None, restricted: bool) -> VarFit:
-    """A window's fit with its residuals, residual covariance and standard errors.
+def fit_var_windows(scores: np.ndarray, m: int, ends,
+                    restricted: bool = False) -> tuple[list, np.ndarray]:
+    """Lag matrices of the VAR(m) of every window ``scores[:t]``, t in ``ends``, at once.
 
-    ``x`` and ``y`` are the window's own rows: the residual moments sum
-    over rows, so they are taken as a one-window fit takes them.
-    """
-    n, (m, j_dim, _) = x.shape[0], lags.shape
-    stderr = np.zeros((m, j_dim, j_dim))
-    if restricted:
-        x_own, y_own = _own_lags(x[None], y[None], m)
-        resid = y_own[0] - x_own[0] @ coef
-        residuals = np.empty_like(y)   # laid out like the targets
-        residuals[...] = resid[..., 0].T
-        own = residuals.T[..., None]
-        s2 = _cross(own, own)[:, 0] / n
-        diag = np.arange(j_dim)
-        stderr[:, diag, diag] = np.sqrt(s2 * gram_inv_diag).T
-    else:
-        residuals = y - x @ coef
-        sigma_diag = np.einsum("ti,ti->i", residuals, residuals) / n
-        se_stack = np.sqrt(np.outer(sigma_diag, gram_inv_diag[: j_dim * m]))
-        for lag in range(m):
-            stderr[lag] = se_stack[:, lag * j_dim : (lag + 1) * j_dim]
-    return VarFit(
-        coefficients=_frozen(lags),
-        intercept=None if const is None else _frozen(const),
-        residuals=_frozen(residuals),
-        sigma_eta=_frozen(residuals.T @ residuals / n),
-        stderr=_frozen(stderr),
-        restricted=restricted,
-        n_obs=n + m,
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class VarWindows:
-    """VAR(m) fits of the row-prefix windows ``scores[:t]``, t in ``ends``, of one series.
-
-    ``failures[w]`` is the NumericError message that
-    ``fit_var(scores[:ends[w]], m, ...)`` raises, or None;
-    ``coefficients`` (W, m, J, J) and ``intercept`` (W, J) or None hold
-    that call's lag matrices and constant bit for bit, NaN where it
-    fails.  ``fit(w)`` is that call's whole ``VarFit``.  The remaining
-    fields are the stacks of the fitted windows, in the order of their
-    indices in ``fitted``.
-    """
-
-    m: int
-    restricted: bool
-    ends: np.ndarray
-    failures: list
-    coefficients: np.ndarray
-    intercept: np.ndarray | None
-    fitted: list
-    design: np.ndarray | None
-    targets: np.ndarray | None
-    coef: np.ndarray | None
-    gram_inv_diag: np.ndarray | None
-
-    def fit(self, w: int) -> VarFit:
-        """Window w's fit with its residuals, residual covariance and standard errors."""
-        if self.failures[w] is not None:
-            raise NumericError(self.failures[w])
-        k, n = self.fitted.index(w), int(self.ends[w]) - self.m
-        return _var_fit(self.design[k, :n], self.targets[k, :n], self.coef[k],
-                        self.gram_inv_diag[k], self.coefficients[w],
-                        None if self.intercept is None else self.intercept[w], self.restricted)
-
-
-def fit_var_windows(scores: np.ndarray, m: int, ends, restricted: bool = False,
-                    intercept: bool = False) -> VarWindows:
-    """Least-squares VAR(m) on every window ``scores[:t]``, t in ``ends``, at once.
+    Returns ``(failures, lags)``.  ``failures[w]`` is the NumericError
+    message that ``fit_var(scores[:ends[w]], m, restricted)`` raises, or
+    None; ``lags`` (F, m, J, J) holds that call's lag matrices bit for bit
+    for the F windows that fit, in window order.
 
     Windows that fail the degrees-of-freedom check are dropped first; the
     others go through one stacked condition screen of their Gram
     matrices, and those that pass through one QR of their lagged designs,
     stacked with zero rows after each window's own, and one inverse of R.
     A restricted fit stacks the J own-lag regressions of every window the
-    same way.  Products that sum over rows (X'X, Q'Y and, in ``fit``, the
-    residual moments) are taken on each window's own rows.
+    same way.  Products that sum over rows (X'X and Q'Y) are taken on each
+    window's own rows, because BLAS partial sums can depend on the row
+    count.
 
-    For the DNS backtest's designs of 1 to 3 columns, the padding leaves
-    each window's Q and R as its own design gives them.  That is an
-    observation about the LAPACK in use, which the tests check for those
-    designs, not a guarantee: wider designs break it (see the module
-    docstring), and one 9-column design with exactly collinear leading
-    rows got an R that differs in the last bit once padded by 4 or more
-    rows.  A stack of several
-    windows is C-contiguous, so its windows match their one-window calls
-    on C-contiguous ``scores``; a single window keeps the caller's layout,
-    as ``fit_var`` always has.  Every window needs more than m finite
-    rows: a NaN row would poison the stack.
+    Only LAPACK's QR sees the padding, and it leaves each window's Q and
+    R as its own design gives them for the DNS backtest's designs of 1 to
+    3 columns, which the tests check.  That is an observation about the
+    LAPACK in use, not a guarantee: wider designs break it (see
+    ``selection._stacked_choices``), and one 9-column design with exactly
+    collinear leading rows got an R that differs in the last bit once
+    padded by 4 or more rows.  A stack of several windows is
+    C-contiguous, so its windows match their one-window calls on
+    C-contiguous ``scores``.  Every window needs more than m finite rows:
+    a NaN row would poison the stack.
     """
     scores = np.atleast_2d(np.asarray(scores, dtype=float))
     j_dim = scores.shape[1]
-    ends = np.asarray(ends, dtype=int).reshape(-1)
-    n_reg = m if restricted else j_dim * m + intercept
-    failures = [_dof_failure(t - m, n_reg) for t in ends.tolist()]
-    live = [i for i, why in enumerate(failures) if why is None]
-    design = targets = coef = gram_inv_diag = None
-    coeffs = np.full((ends.size, m, j_dim, j_dim), np.nan)
-    const = np.full((ends.size, j_dim), np.nan) if intercept else None
-    if live:
-        refused, kept, design, targets, coef, gram_inv_diag = _solve(
-            scores, m, ends[live] - m, restricted, intercept)
-        for i, why in zip(live, refused):
-            failures[i] = why
-        live = [live[k] for k in kept.tolist()]
-    if live:
-        lags, consts = _lag_matrices(coef, m, j_dim, restricted, intercept)
-        coeffs[live] = lags
-        if intercept:
-            const[live] = consts
-    return VarWindows(m, restricted, ends, failures, coeffs, const,
-                      live, design, targets, coef, gram_inv_diag)
+    failures, _, _, coef, _ = _solve(scores, m, np.asarray(ends, dtype=int).reshape(-1),
+                                     restricted, False)
+    if coef is None:
+        return failures, np.empty((0, m, j_dim, j_dim))
+    return failures, _lag_matrices(coef, m, j_dim, restricted)
 
 
 def fit_var(scores: np.ndarray, m: int, restricted: bool = False,
@@ -342,8 +259,8 @@ def fit_var(scores: np.ndarray, m: int, restricted: bool = False,
     intercept : bool
         Include a constant term (off by default; scores are centered).
 
-    This is the one-window case of ``fit_var_windows``: the same checks
-    and solve, without the bookkeeping of a stack.
+    The checks and the solve are those of ``fit_var_windows`` for one
+    window, which keeps the caller's layout.
     """
     scores = np.atleast_2d(np.asarray(scores, dtype=float))
     if scores.ndim != 2:
@@ -355,16 +272,38 @@ def fit_var(scores: np.ndarray, m: int, restricted: bool = False,
         raise ValueError(f"need more than m={m} observations, got {t_obs}")
     if restricted and intercept:
         raise ValueError("intercept is not supported for the restricted fit")
-    why = _dof_failure(t_obs - m, m if restricted else j_dim * m + intercept)
-    if why is not None:
-        raise NumericError(why)
-    refused, _, design, targets, coef, gram_inv_diag = _solve(
-        scores, m, np.array([t_obs - m]), restricted, intercept)
-    if refused[0] is not None:
-        raise NumericError(refused[0])
-    lags, const = _lag_matrices(coef, m, j_dim, restricted, intercept)
-    return _var_fit(design[0], targets[0], coef[0], gram_inv_diag[0], lags[0],
-                    None if const is None else const[0], restricted)
+    failures, design, targets, coef, gram_inv_diag = _solve(
+        scores, m, np.array([t_obs]), restricted, intercept)
+    if failures[0] is not None:
+        raise NumericError(failures[0])
+    lags = _lag_matrices(coef, m, j_dim, restricted)[0]
+    x, y, coef, gram_inv_diag = design[0], targets[0], coef[0], gram_inv_diag[0]
+    n = t_obs - m
+    stderr = np.zeros((m, j_dim, j_dim))
+    if restricted:
+        x_own, y_own = _own_lags(x[None], y[None], m)
+        resid = y_own[0] - x_own[0] @ coef
+        residuals = np.empty_like(y)   # laid out like the targets
+        residuals[...] = resid[..., 0].T
+        own = residuals.T[..., None]
+        s2 = _cross(own, own)[:, 0] / n
+        diag = np.arange(j_dim)
+        stderr[:, diag, diag] = np.sqrt(s2 * gram_inv_diag).T
+    else:
+        residuals = y - x @ coef
+        sigma_diag = np.einsum("ti,ti->i", residuals, residuals) / n
+        se_stack = np.sqrt(np.outer(sigma_diag, gram_inv_diag[: j_dim * m]))
+        for lag in range(m):
+            stderr[lag] = se_stack[:, lag * j_dim : (lag + 1) * j_dim]
+    return VarFit(
+        coefficients=_frozen(lags),
+        intercept=_frozen(coef[-1]) if intercept else None,
+        residuals=_frozen(residuals),
+        sigma_eta=_frozen(residuals.T @ residuals / n),
+        stderr=_frozen(stderr),
+        restricted=restricted,
+        n_obs=t_obs,
+    )
 
 
 def coefficient_matrix(fit: VarFit) -> np.ndarray:

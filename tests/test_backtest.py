@@ -301,6 +301,39 @@ class TestChunks:
             assert other.failure_reasons == first.failure_reasons
             assert other.failures == first.failures
 
+    @pytest.mark.parametrize("diagonal", [False, True])
+    def test_dns_chunk_without_a_fitted_window(self, monkeypatch, diagonal):
+        # rows 0-4 of the panel quote one zero curve, so their betas are
+        # constant and every window of them is singular: with 4 origins
+        # per call, the first call (origins 3-6) stacks no fitted window
+        panel = mixed_dns_panel()
+        real = backtest_module.fit_var_windows
+        stacked = []
+
+        def spy(*args, **kwargs):
+            stacked.append(real(*args, **kwargs))
+            return stacked[-1]
+
+        monkeypatch.setattr(backtest_module, "fit_var_windows", spy)
+        monkeypatch.setattr(backtest_module, "CHUNK", 4)
+        report = rolling_backtest(panel, Dns(0.07, diagonal), h=2, initial_window=3)
+        failures, lags = stacked[0]
+        assert len(failures) == 4 and None not in failures
+        assert lags.shape == (0, 1, 3, 3)
+        # one origin at a time is fit_dns and dns_forecast on each truncated panel
+        errors = np.full_like(report.errors, np.nan)
+        reasons = []
+        for i, t in enumerate(report.origins):
+            try:
+                model = fit_dns(LoosePanel(panel.maturities, panel.table[:t]), 0.07, diagonal)
+            except FfmError as exc:
+                reasons.append((int(t), type(exc).__name__, str(exc)))
+                continue
+            errors[i] = dns_forecast(model, panel.maturities, 2).matrix[1] - panel.table[t + 1]
+        assert np.array_equal(report.errors, errors, equal_nan=True)
+        assert report.failure_reasons == tuple(reasons)
+        assert reasons[0][0] == 3 and reasons[3][0] == 6
+
     def test_ffm_fixed(self, monkeypatch):
         from ffm import make_grid
         sample = FunctionalSample(make_grid(0.0, 1.0, 6),

@@ -237,75 +237,78 @@ def window_series(rng, t_obs=70):
 
     Rows 0-5 are zero (a zero design, also for every own-lag regression)
     and rows 6-24 hold a second coordinate exactly twice the first
-    (collinear full designs); later rows are generic.
+    (collinear full designs); the third coordinate stays zero up to row
+    9, so restricted fits there fail on it alone.  Later rows are generic.
     """
     scores = simulate_var(rng, [np.array([[0.5, 0.1, 0.0], [0.0, 0.3, 0.2], [0.1, 0.0, -0.4]])],
                           t_obs)
     scores[:6] = 0.0
     scores[6:25, 1] = 2.0 * scores[6:25, 0]
+    scores[6:10, 2] = 0.0
     return scores
 
 
 class TestWindows:
-    """The stacked kernel is fit_var on every window, bit for bit."""
+    """The stacked kernel gives fit_var's lag matrices and refusals, bit for bit."""
 
     @pytest.mark.parametrize("m", [1, 2, 3])
-    @pytest.mark.parametrize("restricted, intercept",
-                             [(False, False), (False, True), (True, False)])
+    # ids name (restricted, intercept); the windowed call fits no intercept
+    @pytest.mark.parametrize("restricted", [False, True], ids=["False-False", "True-False"])
     @pytest.mark.parametrize("dims", [3, 1])
-    def test_every_window_matches_fit_var(self, m, restricted, intercept, dims):
+    def test_every_window_matches_fit_var(self, m, restricted, dims):
         # one series has single-entry products over rows, whose BLAS
         # partial sums depend on the row count
         scores = np.ascontiguousarray(window_series(np.random.default_rng(40 + m))[:, :dims])
         ends = np.arange(m + 1, scores.shape[0] + 1)
-        stacked = fit_var_windows(scores, m, ends, restricted, intercept)
+        failures, lags = fit_var_windows(scores, m, ends, restricted)
+        assert len(failures) == ends.size
+        fitted = iter(lags)
         reasons = set()
         for w, t in enumerate(ends):
             try:
-                fit = fit_var(scores[:t], m, restricted, intercept)
+                fit = fit_var(scores[:t], m, restricted)
             except NumericError as exc:
-                assert stacked.failures[w] == str(exc), t
-                assert np.all(np.isnan(stacked.coefficients[w]))
-                with pytest.raises(NumericError, match="lagged design"):
-                    stacked.fit(w)
+                assert failures[w] == str(exc), t
                 reasons.add("singular" if "numerically singular" in str(exc) else "dof")
                 continue
-            assert stacked.failures[w] is None, t
-            assert np.array_equal(stacked.coefficients[w], fit.coefficients), t
-            window = stacked.fit(w)
-            for field in ("coefficients", "residuals", "sigma_eta", "stderr"):
-                assert np.array_equal(getattr(window, field), getattr(fit, field)), (t, field)
-            if intercept:
-                assert np.array_equal(stacked.intercept[w], fit.intercept)
-                assert np.array_equal(window.intercept, fit.intercept)
+            assert failures[w] is None, t
+            assert np.array_equal(next(fitted), fit.coefficients), t
+        assert next(fitted, None) is None
         # the series reaches both refusals and still fits most windows
         assert reasons == {"dof", "singular"}
-        assert sum(why is None for why in stacked.failures) > ends.size // 2
+        assert lags.shape == (sum(why is None for why in failures), m, dims, dims)
+        assert lags.shape[0] > ends.size // 2
 
     def test_condition_limit_message_is_fit_vars(self):
         scores = window_series(np.random.default_rng(5))
-        stacked = fit_var_windows(scores, 1, [5, 12, 30])
-        assert stacked.failures[0].startswith("lagged design is numerically singular")
-        assert stacked.failures[1].startswith("lagged design is numerically singular")
-        assert f"> {CONDITION_LIMIT:.0e})" in stacked.failures[1]
-        assert stacked.failures[2] is None
+        failures, lags = fit_var_windows(scores, 1, [5, 12, 30])
+        assert failures[0].startswith("lagged design is numerically singular")
+        assert failures[1].startswith("lagged design is numerically singular")
+        assert f"> {CONDITION_LIMIT:.0e})" in failures[1]
+        assert failures[2] is None
+        assert lags.shape == (1, 1, 3, 3)
         with pytest.raises(NumericError) as exc:
             fit_var(scores[:12], 1)
-        assert str(exc.value) == stacked.failures[1]
+        assert str(exc.value) == failures[1]
 
     @pytest.mark.parametrize("m, intercept", [(1, False), (2, False), (3, False), (2, True)])
     def test_stacked_forecasts_match_forecast_scores(self, m, intercept):
         rng = np.random.default_rng(60 + m)
         scores = simulate_var(rng, [np.diag([0.6, 0.3, -0.2]), np.diag([0.1, 0.2, 0.1])], 90)
         ends = np.arange(40, 91, 3)
-        stacked = fit_var_windows(scores, m, ends, intercept=intercept)
-        lags = np.stack([scores[t - m:t][::-1] for t in ends])
-        out = forecast_windows(stacked.coefficients, stacked.intercept, lags, 4)
+        fits = [fit_var(scores[:t], m, intercept=intercept) for t in ends]
+        if intercept:
+            # the windowed fit has no intercept, so stack one-window fits
+            lags = np.stack([fit.coefficients for fit in fits])
+            const = np.stack([fit.intercept for fit in fits])
+        else:
+            _, lags = fit_var_windows(scores, m, ends)
+            const = None
+        history = np.stack([scores[t - m:t][::-1] for t in ends])
+        out = forecast_windows(lags, const, history, 4)
         # the recursion lays the lag matrices out itself, whatever it is given
-        fortran = forecast_windows(np.asfortranarray(stacked.coefficients), stacked.intercept,
-                                   lags, 4)
-        for w, t in enumerate(ends):
-            fit = fit_var(scores[:t], m, intercept=intercept)
+        fortran = forecast_windows(np.asfortranarray(lags), const, history, 4)
+        for w, (t, fit) in enumerate(zip(ends, fits)):
             assert np.array_equal(out[w], forecast_scores(fit, scores[:t], 4)), t
             assert np.array_equal(fortran[w], out[w]), t
 
