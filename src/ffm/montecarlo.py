@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._blas import one_blas_thread
 from .fpca import fpca
-from .selection import CRITERIA, select_orders
+from .selection import CRITERIA, _stacked_grids
 from .simulate import SimSpec, replication_rng, simulate_streams
 
 __all__ = ["McReport", "monte_carlo"]
@@ -83,7 +82,9 @@ def _run_replications(args) -> list[dict]:
     """Chosen (K, p) per criterion for a contiguous range of replications.
 
     Replications are simulated ``CHUNK`` at a time through one factor
-    recursion, and the whole range runs on one BLAS thread.
+    recursion, and their orders selected by one stacked kernel call, which
+    keeps of each FPCA result only what selection reads.  The whole range
+    runs on one BLAS thread.
     """
     spec, reps, k_max, p_max, criteria, restricted = args
     outcomes = []
@@ -91,8 +92,8 @@ def _run_replications(args) -> list[dict]:
         for start in range(reps.start, reps.stop, CHUNK):
             rngs = [replication_rng(spec.seed, rep)
                     for rep in range(start, min(start + CHUNK, reps.stop))]
-            for sample in simulate_streams(spec, rngs):
-                grids = select_orders(fpca(sample), k_max, p_max, criteria, restricted)
+            results = (fpca(sample) for sample in simulate_streams(spec, rngs))
+            for grids in _stacked_grids(results, k_max, p_max, criteria, restricted):
                 outcomes.append({criterion: grid.chosen for criterion, grid in grids.items()})
     return outcomes
 
@@ -113,6 +114,9 @@ def monte_carlo(spec: SimSpec, reps: int, k_max: int = 8, p_max: int = 8,
     ranges = [range(w * reps // workers, (w + 1) * reps // workers) for w in range(workers)]
     tasks = [(spec, span, k_max, p_max, criteria, restricted) for span in ranges]
     if workers > 1:
+        # imported here so that commands without a pool never load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = [chosen for part in pool.map(_run_replications, tasks) for chosen in part]
     else:

@@ -23,9 +23,14 @@ additive over factors: one univariate fit per (factor, m), summed over
 factors.
 
 The kernel takes several score series at once: for each m, the [X Y]
-of a stack of series are padded with zero rows to the longest and
-factored by one QR.  ``select_orders`` is its one-series call, and a
-backtest selects a range of origins with ``_stacked_choices``.
+of a stack of series are factored by one batched QR, which LAPACK runs
+matrix by matrix.  ``_stacked_grids`` stacks series of one length, such
+as a chunk of Monte Carlo replications: no row is padded, so each R,
+and so each grid, is bit for bit what the series gets alone, and
+``select_orders`` is its one-series call.  A backtest's origins have
+different lengths: ``_stacked_choices`` pads their designs with zero
+rows to the longest, which changes R only to rounding, and it keeps a
+choice only when no near tie can hide that.
 """
 
 from __future__ import annotations
@@ -187,7 +192,9 @@ def _innovation_traces(scores: np.ndarray, ends: np.ndarray, p_max: int,
     traces, +inf where a cell failed, and one sorted {(J, m): reason} per
     series.  For each lag order the series are factored in stacks of at
     most STACK_BYTES of [X Y], each with one design build and one QR; a
-    stack pads every design with zero rows to its longest.
+    stack pads every design with zero rows to its longest.  A stack of
+    equal ``ends`` pads nothing, and each series' traces and failures are
+    then bit for bit those of its one-series call.
     """
     n_win, _, k_max = scores.shape
     traces = np.full((n_win, k_max, p_max), np.inf)
@@ -313,26 +320,25 @@ def select_orders(result: FpcaResult, k_max: int, p_max: int,
 
     The VAR fits are done once; each criterion only re-penalizes them.
     """
-    if not 1 <= k_max <= result.rank:
-        raise ValueError(f"k_max must be in [1, {result.rank}], got {k_max}")
-    t_obs = result.n_curves
-    if not 1 <= p_max < t_obs:
-        raise ValueError(f"p_max must be in [1, {t_obs - 1}], got {p_max}")
-    for criterion in criteria:
-        if criterion not in CRITERIA:
-            raise ValueError(f"unknown criterion {criterion!r}; expected one of {CRITERIA}")
+    return _stacked_grids([result], k_max, p_max, criteria, restricted, stacklevel=3)[0]
 
-    traces, failures = _innovation_traces(result.scores[None, :, :k_max], np.array([t_obs]),
-                                          p_max, restricted)
-    traces, failures = traces[0], failures[0]
+
+def _grids(traces: np.ndarray, failures: dict[tuple[int, int], str], tails: np.ndarray,
+           t_obs: int, p_max: int, criteria, restricted: bool,
+           stacklevel: int) -> dict[str, SelectionGrid]:
+    """One sample's grids from its innovation traces, warning once if cells failed.
+
+    The warning is issued at ``stacklevel`` as ``warnings.warn`` counts
+    it from this function.
+    """
     if failures:
         cells = ", ".join(f"(J={j}, m={m})" for j, m in failures)
         warnings.warn(
             f"{len(failures)} selection cells failed and were set to +inf: {cells}; "
             f"first reason: {next(iter(failures.values()))}",
-            stacklevel=2,
+            stacklevel=stacklevel,
         )
-    tails = _tails(result, k_max)
+    k_max = tails.size
     mse = traces + tails[:, None]
 
     grids = {}
@@ -355,6 +361,45 @@ def select_orders(result: FpcaResult, k_max: int, p_max: int,
             restricted=restricted,
         )
     return grids
+
+
+def _stacked_grids(results, k_max: int, p_max: int, criteria, restricted: bool,
+                   stacklevel: int = 2) -> list[dict[str, SelectionGrid]]:
+    """``select_orders`` of several samples with the same curve count, from one kernel call.
+
+    ``results`` is an iterable of FpcaResults, read once: only each one's
+    first ``k_max`` score columns and its eigenvalue tails are kept, so a
+    caller may pass a generator and hold no whole result.  Equal lengths
+    stack with no padding, and every design's R is the one a lone call
+    gets (see the module docstring), so each sample's grids, failed-cell
+    warning and ``NumericError`` are bit for bit those of
+    ``select_orders`` on it alone.  Returns one {criterion: SelectionGrid}
+    per sample, in order; raises at the first sample whose cells all
+    failed.  Warnings are issued at ``stacklevel`` counted from this
+    function, as in ``warnings.warn``.
+    """
+    scores, tails = [], []
+    for result in results:
+        if not 1 <= k_max <= result.rank:
+            raise ValueError(f"k_max must be in [1, {result.rank}], got {k_max}")
+        t_obs = result.n_curves
+        if not 1 <= p_max < t_obs:
+            raise ValueError(f"p_max must be in [1, {t_obs - 1}], got {p_max}")
+        for criterion in criteria:
+            if criterion not in CRITERIA:
+                raise ValueError(f"unknown criterion {criterion!r}; expected one of {CRITERIA}")
+        scores.append(result.scores[:, :k_max].copy())   # a view would keep all the scores
+        tails.append(_tails(result, k_max))
+
+    traces, failures = _innovation_traces(np.stack(scores), np.full(len(scores), t_obs),
+                                          p_max, restricted)
+    # a loop, not a comprehension: before Python 3.12 a comprehension is a
+    # frame of its own, which would move the warning's stacklevel
+    stack = []
+    for surface, failed, tail in zip(traces, failures, tails):
+        stack.append(_grids(surface, failed, tail, t_obs, p_max, criteria, restricted,
+                            stacklevel + 1))
+    return stack
 
 
 def _stacked_choices(results: list[FpcaResult], k_max: int, p_max: int, criterion: str,

@@ -60,9 +60,9 @@ def test_context_sets_one_thread_and_restores(two_threads):
 
 def test_monte_carlo_replications_run_on_one_thread(monkeypatch, two_threads):
     seen = []
-    spy(monkeypatch, montecarlo_module, "select_orders", seen)
+    spy(monkeypatch, montecarlo_module, "_stacked_grids", seen)
     monte_carlo(SPEC, reps=3, k_max=2, p_max=1, criteria=("bic",))
-    assert seen == [[1] * len(two_threads)] * 3
+    assert seen == [[1] * len(two_threads)]   # one stacked call per chunk
     assert thread_counts() == two_threads
 
 
@@ -82,7 +82,7 @@ def test_count_is_restored_when_a_programming_error_propagates(monkeypatch, two_
     with pytest.raises(TypeError, match="bug in the fit"):
         rolling_backtest(simulate(SimSpec(model="M1", n_obs=40, seed=2)), FfmFixed(2, 1),
                          h=1, initial_window=30)
-    spy(monkeypatch, montecarlo_module, "select_orders", seen, fail=True)
+    spy(monkeypatch, montecarlo_module, "_stacked_grids", seen, fail=True)
     with pytest.raises(TypeError, match="bug in the fit"):
         monte_carlo(SPEC, reps=2, k_max=2, p_max=1)
     assert seen == [[1] * len(two_threads)] * 2

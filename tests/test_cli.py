@@ -234,6 +234,36 @@ class TestColdStart:
         assert after_run == []
         assert (tmp_path / "fc" / "model.json").exists()
 
+    def test_forecast_loads_no_process_pool(self, tmp_path):
+        # monte_carlo imports its process pool only when it starts one, so
+        # other commands do not pay for loading multiprocessing
+        path = write_sim_csv(tmp_path, t_obs=60)
+        script = (
+            "import json, sys\n"
+            "import ffm.cli\n"
+            "code = ffm.cli.main(sys.argv[1:])\n"
+            "pool = [m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules]\n"
+            "from ffm import SimSpec, monte_carlo\n"
+            "spec = SimSpec(model='M1', n_obs=40, seed=3)\n"
+            "runs = [monte_carlo(spec, 4, 2, 1, ('bic',), jobs=jobs).selections['bic'].tolist()\n"
+            "        for jobs in (1, 2)]\n"
+            "print(json.dumps([code, pool, runs, 'concurrent.futures.process' in sys.modules]))\n"
+        )
+        src_dir = str(Path(ffm.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "forecast", "--input", str(path), "--horizon", "2",
+             "--criterion", "bic", "--kmax", "3", "--pmax", "2",
+             "--output-dir", str(tmp_path / "fc")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        code, pool, runs, pool_after_mc = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0
+        assert pool == []
+        assert runs[0] == runs[1] and len(runs[0]) == 4
+        assert pool_after_mc
+
 
 class TestMc:
     def test_summary_matches_library(self, tmp_path):

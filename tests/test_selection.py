@@ -11,10 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ffm import (CRITERIA, Curve, DiscretePanel, FpcaResult, FunctionalSample, Grid,
-                 NumericError, export_mse_surface, fit_var, fpca,
+                 NumericError, SimSpec, export_mse_surface, fit_var, fpca,
                  make_grid, mse_direct, mse_simplified, panel_to_sample, penalty,
-                 reconstruct, select_orders)
-from ffm.selection import TIE_RTOL, _innovation_traces, _stacked_choices
+                 reconstruct, replication_rng, select_orders)
+from ffm.montecarlo import CHUNK
+from ffm.selection import (STACK_BYTES, TIE_RTOL, _innovation_traces, _stacked_choices,
+                           _stacked_grids)
+from ffm.simulate import simulate_streams
 
 IDENTITY_RTOL = 1e-12
 KERNEL_RTOL = 1e-10
@@ -460,3 +463,62 @@ class TestStackedChoices:
             tails = np.array([result.tail_sum(j) for j in range(1, 9)])
             assert np.allclose(surface + tails[:, None], grid.mse, rtol=1e-12, atol=0.0)
         assert self.check(results, 8, 8, "bic", False) == [2, 0]
+
+
+class TestStackedGrids:
+    """Equal-length samples selected in one kernel call get select_orders's grids bit for bit."""
+
+    @pytest.mark.parametrize("restricted", [False, True])
+    @pytest.mark.parametrize("model", ["M1", "M2", "M3", "M4"])
+    def test_matches_select_orders(self, model, restricted):
+        t_obs, k_max, p_max = 120, 4, 3
+        # at m = 1 a stack holds fewer than CHUNK samples, so a chunk spans several stacks
+        assert STACK_BYTES // (8 * (t_obs - 1) * k_max * 2) < CHUNK
+        spec = SimSpec(model=model, n_obs=t_obs, seed=17)
+        rngs = [replication_rng(spec.seed, rep) for rep in range(CHUNK)]
+        results = [fpca(sample) for sample in simulate_streams(spec, rngs)]
+        alone = [select_orders(result, k_max, p_max, CRITERIA, restricted) for result in results]
+        for size in (1, 7, CHUNK):
+            stack = _stacked_grids(results[:size], k_max, p_max, CRITERIA, restricted)
+            assert len(stack) == size
+            for grids, expected in zip(stack, alone):
+                for criterion in CRITERIA:
+                    got, want = grids[criterion], expected[criterion]
+                    assert np.array_equal(got.mse, want.mse)
+                    assert np.array_equal(got.values, want.values)
+                    assert got.chosen == want.chosen
+                    assert (got.k_max, got.p_max, got.n_obs, got.restricted) == \
+                        (want.k_max, want.p_max, want.n_obs, want.restricted)
+
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_failed_cells_warn_for_their_sample_only(self, restricted):
+        rng = np.random.default_rng(92)
+        results = [scores_result(rng.normal(size=(80, 2)), 0.1) for _ in range(4)]
+        copied = rng.normal(size=(80, 2))
+        copied[:, 1] = copied[:, 0] if not restricted else 0.0
+        results[2] = scores_result(copied, 0.1)
+        with warnings.catch_warnings(record=True) as alone:
+            warnings.simplefilter("always")
+            expected = [select_orders(result, 2, 2, ("bic",), restricted) for result in results]
+        assert len(alone) == 1 and alone[0].filename == __file__
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            stack = _stacked_grids(results, 2, 2, ("bic",), restricted)
+        assert [str(w.message) for w in caught] == [str(alone[0].message)]
+        assert caught[0].filename == __file__
+        assert np.all(np.isinf(stack[2]["bic"].values[1]))
+        for grids, want in zip(stack, expected):
+            assert np.array_equal(grids["bic"].values, want["bic"].values)
+
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_sample_with_every_cell_failed_raises(self, restricted):
+        rng = np.random.default_rng(93)
+        results = [scores_result(rng.normal(size=(50, 2)), 0.1),
+                   scores_result(np.zeros((50, 2)), 0.1),
+                   scores_result(rng.normal(size=(50, 2)), 0.1)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(NumericError, match="every selection cell failed"):
+                select_orders(results[1], 2, 2, ("bic",), restricted)
+            with pytest.raises(NumericError, match="every selection cell failed"):
+                _stacked_grids(results, 2, 2, ("bic",), restricted)
