@@ -11,7 +11,9 @@ Libraries are found in ``/proc/self/maps`` and driven through their own
 ``openblas_set_num_threads`` (or the ``scipy_openblas`` build's
 ``..._set_num_threads64_``) symbol by ``ctypes``, on first use rather than
 at import.  Where neither the file nor such a symbol exists (another
-OS, MKL) the block runs unchanged.
+OS, MKL) the block runs unchanged.  The ``scipy_openblas`` names are
+those of numpy's own bundled OpenBLAS
+(``numpy.libs/libscipy_openblas64_*.so``), not a sign of scipy.
 """
 
 from __future__ import annotations

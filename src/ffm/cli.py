@@ -287,19 +287,32 @@ def cmd_fetch_h15(args) -> int:
 # parser
 
 
-def _add_common(parser):
-    parser.add_argument("--output-dir", default=".", help="directory for outputs")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="output format")
-
-
-def _add_selection_flags(parser):
-    parser.add_argument("--criterion", choices=CRITERIA, default="bic",
-                        help="information criterion")
-    parser.add_argument("--kmax", type=int, default=8, help="largest number of factors")
-    parser.add_argument("--pmax", type=int, default=8, help="largest lag order")
-    parser.add_argument("--restricted", action="store_true",
-                        help="diagonal (own-lags) dynamics instead of a full VAR")
+# Flags shared by several commands, each declared once; a command names
+# the ones it takes.
+_FLAGS = {
+    "--input": dict(required=True, help="panel CSV (wide or long)"),
+    "--grid": dict(default=None, metavar="a,b,n",
+                   help="evaluation grid (default: 100 uniform points over the maturities; "
+                        "simulate: 51 on [0,1])"),
+    "--horizon": dict(type=int, default=1, help="steps ahead"),
+    "--k": dict(type=int, default=None, help="fixed number of factors"),
+    "--p": dict(type=int, default=None, help="fixed lag order"),
+    "--criterion": dict(choices=CRITERIA, default="bic", help="information criterion"),
+    "--kmax": dict(type=int, default=8, help="largest number of factors"),
+    "--pmax": dict(type=int, default=8, help="largest lag order"),
+    "--restricted": dict(action="store_true",
+                         help="diagonal (own-lags) dynamics instead of a full VAR"),
+    "--dynamics": dict(choices=("full", "diagonal"), default="full",
+                       help="full VAR or diagonal (own-lags) dynamics"),
+    "--lambda": dict(dest="lam", type=float, default=DEFAULT_DECAY,
+                     help="Nelson-Siegel loading decay"),
+    "--model": dict(choices=sorted(MODELS), default="M1", help="simulated model"),
+    "--T": dict(type=int, default=200, help="sample length"),
+    "--seed": dict(type=int, default=0, help="random seed"),
+    "--output-dir": dict(default=".", help="directory for outputs"),
+    "--format": dict(choices=("csv", "json"), default="csv", help="output format"),
+}
+_OUTPUT = ("--output-dir", "--format")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -310,90 +323,44 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fpca", help="eigenstructure and scores of a curve panel")
-    p.add_argument("--input", required=True, help="panel CSV (wide or long)")
-    p.add_argument("--grid", default=None, metavar="a,b,n",
-                   help="evaluation grid (default: 100 uniform points over the maturities)")
+    def command(name, func, summary, flags):
+        p = sub.add_parser(name, help=summary)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
+        return p
+
+    p = command("fpca", cmd_fpca, "eigenstructure and scores of a curve panel",
+                ("--input", "--grid", *_OUTPUT))
     p.add_argument("--kmax", type=int, default=None, help="components to keep (default: all)")
-    _add_common(p)
-    p.set_defaults(func=cmd_fpca)
-
-    p = sub.add_parser("select", help="criterion surface and chosen (K, p)")
-    p.add_argument("--input", required=True, help="panel CSV (wide or long)")
-    p.add_argument("--grid", default=None, metavar="a,b,n")
-    _add_selection_flags(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_select)
-
-    p = sub.add_parser("forecast", help="fit and forecast curves")
-    p.add_argument("--input", required=True, help="panel CSV (wide or long)")
-    p.add_argument("--grid", default=None, metavar="a,b,n")
-    p.add_argument("--horizon", type=int, default=1, help="steps ahead")
-    p.add_argument("--k", type=int, default=None, help="pin the number of factors")
-    p.add_argument("--p", type=int, default=None, help="pin the lag order")
-    _add_selection_flags(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_forecast)
-
-    p = sub.add_parser("simulate", help="draw a synthetic curve sample")
-    p.add_argument("--model", choices=sorted(MODELS), default="M1")
-    p.add_argument("--T", type=int, default=200, help="sample length")
-    p.add_argument("--grid", default=None, metavar="a,b,n",
-                   help="simulation grid (default: 51 uniform points on [0,1])")
+    command("select", cmd_select, "criterion surface and chosen (K, p)",
+            ("--input", "--grid", "--criterion", "--kmax", "--pmax", "--restricted", *_OUTPUT))
+    command("forecast", cmd_forecast, "fit and forecast curves",
+            ("--input", "--grid", "--horizon", "--k", "--p", "--criterion", "--kmax", "--pmax",
+             "--restricted", *_OUTPUT))
+    p = command("simulate", cmd_simulate, "draw a synthetic curve sample",
+                ("--model", "--T", "--grid", "--seed", *_OUTPUT))
     p.add_argument("--burn-in", type=int, default=200)
     p.add_argument("--noise-scale", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0, help="random seed")
-    _add_common(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("mc", help="replicated order-selection experiment")
-    p.add_argument("--model", choices=sorted(MODELS), default="M1")
-    p.add_argument("--T", type=int, default=200, help="sample length")
+    p = command("mc", cmd_mc, "replicated order-selection experiment",
+                ("--model", "--T", "--kmax", "--pmax", "--restricted", "--seed", *_OUTPUT))
     p.add_argument("--reps", type=int, default=100, help="number of replications")
     p.add_argument("--criteria", default=",".join(CRITERIA),
                    help="comma-separated list of criteria")
-    p.add_argument("--kmax", type=int, default=8)
-    p.add_argument("--pmax", type=int, default=8)
-    p.add_argument("--restricted", action="store_true")
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
-    _add_common(p)
-    p.set_defaults(func=cmd_mc)
-
-    p = sub.add_parser("backtest", help="expanding-window forecast comparison")
-    p.add_argument("--input", required=True, help="panel CSV (wide or long)")
-    p.add_argument("--method", choices=("ffm-fixed", "ffm-criterion", "dns"),
-                   required=True)
-    p.add_argument("--dynamics", choices=("full", "diagonal"), default="full")
-    p.add_argument("--horizon", type=int, default=1)
+    p = command("backtest", cmd_backtest, "expanding-window forecast comparison",
+                ("--input", "--dynamics", "--horizon", "--k", "--p", "--lambda", "--criterion",
+                 "--kmax", "--pmax", *_OUTPUT))
+    p.add_argument("--method", choices=("ffm-fixed", "ffm-criterion", "dns"), required=True)
     p.add_argument("--window", type=int, default=DEFAULT_INITIAL_WINDOW,
                    help="observations in the first training window")
-    p.add_argument("--k", type=int, default=None, help="factors for ffm-fixed")
-    p.add_argument("--p", type=int, default=None, help="lags for ffm-fixed")
-    p.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_DECAY,
-                   help="decay for the dns method")
-    p.add_argument("--criterion", choices=CRITERIA, default="bic")
-    p.add_argument("--kmax", type=int, default=8)
-    p.add_argument("--pmax", type=int, default=8)
-    _add_common(p)
-    p.set_defaults(func=cmd_backtest)
-
-    p = sub.add_parser("dns", help="dynamic Nelson-Siegel fit and forecast")
-    p.add_argument("--input", required=True, help="panel CSV (wide or long)")
-    p.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_DECAY,
-                   help="loading decay parameter")
-    p.add_argument("--dynamics", choices=("full", "diagonal"), default="full")
-    p.add_argument("--horizon", type=int, default=1)
-    _add_common(p)
-    p.set_defaults(func=cmd_dns)
-
-    p = sub.add_parser("fetch-h15", help="download the Treasury yield panel")
+    command("dns", cmd_dns, "dynamic Nelson-Siegel fit and forecast",
+            ("--input", "--lambda", "--dynamics", "--horizon", *_OUTPUT))
+    p = command("fetch-h15", cmd_fetch_h15, "download the Treasury yield panel",
+                ("--output-dir",))
     p.add_argument("--url", default=io.H15_URL)
     p.add_argument("--layout", choices=("wide", "long"), default="wide",
                    help="layout of the written panel CSV")
-    p.add_argument("--output-dir", default=".", help="directory for outputs")
-    p.set_defaults(func=cmd_fetch_h15)
-
     return parser
 
 

@@ -378,6 +378,9 @@ def _stacked_grids(results, k_max: int, p_max: int, criteria, restricted: bool,
     failed.  Warnings are issued at ``stacklevel`` counted from this
     function, as in ``warnings.warn``.
     """
+    for criterion in criteria:
+        if criterion not in CRITERIA:
+            raise ValueError(f"unknown criterion {criterion!r}; expected one of {CRITERIA}")
     scores, tails = [], []
     for result in results:
         if not 1 <= k_max <= result.rank:
@@ -385,9 +388,6 @@ def _stacked_grids(results, k_max: int, p_max: int, criteria, restricted: bool,
         t_obs = result.n_curves
         if not 1 <= p_max < t_obs:
             raise ValueError(f"p_max must be in [1, {t_obs - 1}], got {p_max}")
-        for criterion in criteria:
-            if criterion not in CRITERIA:
-                raise ValueError(f"unknown criterion {criterion!r}; expected one of {CRITERIA}")
         scores.append(result.scores[:, :k_max].copy())   # a view would keep all the scores
         tails.append(_tails(result, k_max))
 

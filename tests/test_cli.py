@@ -14,8 +14,8 @@ import pytest
 import ffm
 from ffm import (DiscretePanel, FpcaResult, Grid, dns_loadings, fpca, make_grid,
                  panel_to_sample, select_orders)
-from ffm.cli import EXIT_DATA, EXIT_NUMERIC, main
-from ffm.io import from_json, model_from_json, panel_rows, read_panel_csv, write_panel_csv
+from ffm.cli import EXIT_DATA, EXIT_NUMERIC, build_parser, main
+from ffm.io import H15_URL, from_json, model_from_json, panel_rows, read_panel_csv, write_panel_csv
 
 RT_TOL = 1e-12
 
@@ -200,8 +200,8 @@ class TestForecast:
 
 class TestColdStart:
     def test_forecast_imports_neither_scipy_nor_requests(self, tmp_path):
-        # the CLI runs on numpy alone; scipy serves population_structure
-        # only, and a module import here would put its load on every call
+        # the CLI runs on numpy alone; neither package is a runtime
+        # dependency, and a module import would put its load on every call
         rng = np.random.default_rng(8)
         maturities = np.array([1, 3, 6, 12, 24, 36, 60, 84, 120, 240, 360], dtype=float)
         table = rng.normal(size=(80, maturities.size)).cumsum(axis=0)
@@ -233,6 +233,27 @@ class TestColdStart:
         assert after_import == []
         assert after_run == []
         assert (tmp_path / "fc" / "model.json").exists()
+
+    def test_runtime_works_without_scipy(self, tmp_path):
+        # a None entry in sys.modules makes every scipy import fail
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from ffm import MODELS, SimSpec, population_structure\n"
+            "for name in sorted(MODELS):\n"
+            "    population_structure(SimSpec(model=name))\n"
+            "import ffm.cli\n"
+            "sys.exit(ffm.cli.main(sys.argv[1:]))\n"
+        )
+        src_dir = str(Path(ffm.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "mc", "--model", "M3", "--T", "60", "--reps", "3",
+             "--kmax", "3", "--pmax", "4", "--output-dir", str(tmp_path / "mc")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "mc" / "mc.csv").exists()
 
     def test_forecast_loads_no_process_pool(self, tmp_path):
         # monte_carlo imports its process pool only when it starts one, so
@@ -451,6 +472,40 @@ class TestParser:
             run(argv + ["--seed", 1])
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, parsed", [
+        (["fpca", "--input", "x.csv"],
+         {"input": "x.csv", "grid": None, "kmax": None, "output_dir": ".", "format": "csv"}),
+        (["select", "--input", "x.csv"],
+         {"input": "x.csv", "grid": None, "criterion": "bic", "kmax": 8, "pmax": 8,
+          "restricted": False, "output_dir": ".", "format": "csv"}),
+        (["forecast", "--input", "x.csv"],
+         {"input": "x.csv", "grid": None, "horizon": 1, "k": None, "p": None,
+          "criterion": "bic", "kmax": 8, "pmax": 8, "restricted": False,
+          "output_dir": ".", "format": "csv"}),
+        (["simulate"],
+         {"model": "M1", "T": 200, "grid": None, "burn_in": 200, "noise_scale": 1.0,
+          "seed": 0, "output_dir": ".", "format": "csv"}),
+        (["mc"],
+         {"model": "M1", "T": 200, "reps": 100, "criteria": "bic,hqc,ffpe", "kmax": 8,
+          "pmax": 8, "restricted": False, "jobs": 1, "seed": 0, "output_dir": ".",
+          "format": "csv"}),
+        (["backtest", "--input", "x.csv", "--method", "dns"],
+         {"input": "x.csv", "method": "dns", "dynamics": "full", "horizon": 1,
+          "window": 120, "k": None, "p": None, "lam": 0.0609, "criterion": "bic",
+          "kmax": 8, "pmax": 8, "output_dir": ".", "format": "csv"}),
+        (["dns", "--input", "x.csv"],
+         {"input": "x.csv", "lam": 0.0609, "dynamics": "full", "horizon": 1,
+          "output_dir": ".", "format": "csv"}),
+        (["fetch-h15"], {"url": H15_URL, "layout": "wide", "output_dir": "."}),
+    ], ids=["fpca", "select", "forecast", "simulate", "mc", "backtest", "dns", "fetch-h15"])
+    def test_each_command_parses_its_dests_and_defaults(self, argv, parsed):
+        # every parsed dest is echoed in manifest.json, so dests, defaults
+        # and their JSON types (1 is not 1.0) are pinned per command
+        args = vars(build_parser().parse_args(argv))
+        assert callable(args.pop("func"))
+        expected = {"command": argv[0], **parsed}
+        assert json.dumps(args, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
     def test_fetch_h15_has_no_format_flag(self, capsys):
         # it always writes h15.csv; --layout picks the panel layout

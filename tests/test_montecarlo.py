@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import ffm.montecarlo
 from ffm import SimSpec, fpca, monte_carlo, replication_rng, select_orders, simulate
 from ffm.montecarlo import CHUNK
+from ffm.selection import CRITERIA
 
 SPEC = SimSpec(model="M1", n_obs=100, seed=42)
 
@@ -86,6 +88,15 @@ class TestMonteCarlo:
     def test_validation(self):
         with pytest.raises(ValueError):
             monte_carlo(SPEC, reps=0)
+
+    def test_unknown_criterion_is_refused_before_any_fpca(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ffm.montecarlo, "fpca", lambda *a: calls.append(a) or fpca(*a))
+        message = f"unknown criterion 'aic'; expected one of {CRITERIA}"
+        with pytest.raises(ValueError) as exc:
+            monte_carlo(SPEC, reps=3, k_max=4, p_max=2, criteria=("aic",))
+        assert str(exc.value) == message
+        assert calls == []
 
     def test_seed_controls_everything(self):
         a = monte_carlo(SPEC, reps=3, k_max=4, p_max=2, criteria=("bic",))

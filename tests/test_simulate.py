@@ -1,14 +1,18 @@
 """Synthetic factor-driven curve processes and their population structure."""
 
+import importlib
+
 import numpy as np
 import pytest
 
-from ffm import (MODELS, SimSpec, companion_spectral_radius, fourier_basis,
+from ffm import (MODELS, NumericError, SimSpec, companion_spectral_radius, fourier_basis,
                  fpca, make_grid, population_structure, replication_rng,
                  simulate)
-from ffm.simulate import BASIS_SIZE, simulate_streams
+from ffm.simulate import BASIS_SIZE, _stationary_covariance, simulate_streams
 
 MOMENT_RTOL = 0.05
+# the module itself: ffm.simulate is the function the package exports
+SIMULATE_MODULE = importlib.import_module("ffm.simulate")
 
 
 def per_step_simulate(spec, rng):
@@ -162,6 +166,27 @@ class TestSimulate:
         assert np.allclose(gamma1_hat, gamma1, atol=0.03)
 
 
+def scaled_custom_spec(radius, seed, k=10, p=8):
+    """A random K x K VAR(p) spec whose companion has the given spectral radius.
+
+    Scaling lag i by c^i scales every companion eigenvalue by c.
+    """
+    lags = np.random.default_rng(seed).standard_normal((p, k, k)) / np.sqrt(k * p)
+    c = radius / companion_spectral_radius(lags)
+    return SimSpec(model="custom", lag_matrices=tuple(lags[i] * c ** (i + 1) for i in range(p)))
+
+
+def companion_system(spec):
+    """Companion matrix A and innovation covariance Q of the factor recursion."""
+    k, p = spec.k, spec.p
+    comp = np.zeros((k * p, k * p))
+    comp[:k] = np.hstack(spec.lag_matrices)
+    comp[k:, :k * (p - 1)] = np.eye(k * (p - 1))
+    innov = np.zeros((k * p, k * p))
+    innov[:k, :k] = np.diag((spec.noise_scale / np.arange(1, k + 1)) ** 2)
+    return comp, innov
+
+
 def spec_id(spec):
     return f"{spec.model}-k{spec.k}-p{spec.p}-b{spec.burn_in}-s{spec.noise_scale:g}"
 
@@ -227,6 +252,32 @@ class TestPopulationStructure:
             dot = np.dot(result.eigenfunctions[l] * result.grid.weights,
                          pop.loadings[l])
             assert abs(dot) > 0.99
+
+    @pytest.mark.parametrize("spec", [
+        *(pytest.param(SimSpec(model=name), id=name) for name in sorted(MODELS)),
+        *(pytest.param(scaled_custom_spec(radius, seed), id=f"k10-p8-r{radius}-seed{seed}")
+          for radius in (0.96, 0.999) for seed in (0, 1)),
+    ])
+    def test_gamma0_matches_scipy_lyapunov_oracle(self, spec):
+        # the solver the doubling replaced: scipy's solve_discrete_lyapunov
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        comp, innov = companion_system(spec)
+        oracle = scipy_linalg.solve_discrete_lyapunov(comp, innov)[:spec.k, :spec.k]
+        oracle = (oracle + oracle.T) / 2.0
+        gamma0 = population_structure(spec).gamma0
+        np.testing.assert_allclose(gamma0, oracle, rtol=1e-12,
+                                   atol=1e-12 * np.abs(oracle).max())
+        full = _stationary_covariance(comp, innov)
+        block = full[:spec.k, :spec.k]
+        assert np.array_equal(gamma0, (block + block.T) / 2.0)
+        residual = full - comp @ full @ comp.T - innov
+        assert np.abs(residual).max() <= 10 * np.finfo(float).eps * np.abs(full).max()
+
+    def test_unsettled_doubling_is_a_numeric_error(self, monkeypatch):
+        # M3 (radius 0.98) needs 12 doubling steps to settle
+        monkeypatch.setattr(SIMULATE_MODULE, "_DOUBLING_STEPS", 2)
+        with pytest.raises(NumericError, match="did not settle in 2 steps"):
+            population_structure(SimSpec(model="M3"))
 
     def test_m4_variance_matches_yule_walker_oracle(self):
         spec = SimSpec(model="M4")
