@@ -59,6 +59,9 @@ RUNS = {
                         "--restricted"],
     "forecast-inf": ["forecast", "--input", "p60.csv", "--kmax", "8", "--pmax", "8"],
     "mc": ["mc", "--model", "M4", "--T", "60", "--reps", "4", "--seed", "5"],
+    # own-lags selection on an equal-length stack of replications
+    "mc-restricted": ["mc", "--model", "M3", "--T", "70", "--reps", "6", "--seed", "8",
+                      "--restricted", "--kmax", "5", "--pmax", "5"],
     "mc-jobs": ["mc", "--model", "M1", "--T", "80", "--reps", "7", "--seed", "9", "--jobs", "2",
                 "--kmax", "4", "--pmax", "3"],
     "backtest-fixed": ["backtest", "--input", "p160.csv", "--method", "ffm-fixed", "--k", "3",

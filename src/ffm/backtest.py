@@ -52,7 +52,7 @@ from .dynamics import fit_var_windows, forecast_windows
 from .errors import ConfigError, DataError, FfmError, NumericError
 from .fpca import fpca
 from .pipeline import FfmConfig, _fit_orders, fit_ffm, forecast
-from .selection import CRITERIA, _stacked_choices
+from .selection import _check_criteria, _stacked_choices
 
 __all__ = ["FfmFixed", "FfmCriterion", "Dns", "BacktestReport", "rolling_backtest"]
 
@@ -127,8 +127,7 @@ class FfmCriterion:
     restricted: bool = False
 
     def __post_init__(self):
-        if self.criterion not in CRITERIA:
-            raise ConfigError(f"unknown criterion {self.criterion!r}; expected one of {CRITERIA}")
+        _check_criteria((self.criterion,))
 
     @property
     def label(self) -> str:
@@ -149,28 +148,26 @@ class FfmCriterion:
         """
         sample = _splined(data)
 
-        def config_at(t):
-            return FfmConfig(criterion=self.criterion, k_max=min(self.k_max, t - 1, sample.grid.n),
-                             p_max=self.p_max, restricted=self.restricted)
-
-        step = _ffm_step(sample, h, config_at)
-
         def forecast_at(full, orders, config):
             return forecast(_fit_orders(full, *orders, config), h).matrix[h - 1], orders
 
         def run(start, stop):
             origins = range(start, stop)
             results = [_attempt(fpca, _window(sample, t)) for t in origins]
-            stacks = {}   # by k_max, the origins whose grid fit_ffm would not clip
-            for t, full in zip(origins, results):
-                k_max = config_at(t).k_max
-                if not isinstance(full, FfmError) and k_max <= full.rank and self.p_max < t:
-                    stacks.setdefault(k_max, []).append(t)
+            # each origin's grid as fit_ffm clips it to the rank of its FPCA
+            configs = {t: FfmConfig(criterion=self.criterion, k_max=min(self.k_max, full.rank),
+                                    p_max=self.p_max, restricted=self.restricted)
+                       for t, full in zip(origins, results) if not isinstance(full, FfmError)}
+            stacks = {}   # by k_max, the origins whose p_max fit_ffm would not clip
+            for t, config in configs.items():
+                if self.p_max < t:
+                    stacks.setdefault(config.k_max, []).append(t)
             chosen = {}
             for k_max, members in stacks.items():
                 picks = _stacked_choices([results[t - start] for t in members], k_max,
                                          self.p_max, self.criterion, self.restricted)
                 chosen.update(zip(members, picks))
+            step = _ffm_step(sample, h, configs.get)
             outcomes = []
             for t, full in zip(origins, results):
                 if isinstance(full, FfmError):
@@ -178,7 +175,7 @@ class FfmCriterion:
                 elif chosen.get(t) is None:
                     outcomes.append(_attempt(step, t))
                 else:
-                    outcomes.append(_attempt(forecast_at, full, chosen[t], config_at(t)))
+                    outcomes.append(_attempt(forecast_at, full, chosen[t], configs[t]))
             return outcomes
 
         return run, {"k": None, "p": None, "dynamics": "ar" if self.restricted else "var"}

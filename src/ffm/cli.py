@@ -35,7 +35,7 @@ from .errors import ConfigError, DataError, NetworkError, NumericError
 from .fpca import fpca
 from .montecarlo import monte_carlo
 from .pipeline import FfmConfig, fit_ffm, forecast
-from .selection import CRITERIA, export_mse_surface, select_orders
+from .selection import CRITERIA, _check_criteria, export_mse_surface, select_orders
 from .simulate import MODELS, SimSpec, simulate
 
 __all__ = ["RunConfig", "main", "cmd_fpca", "cmd_select", "cmd_forecast",
@@ -90,9 +90,7 @@ def _parse_criteria(text: str) -> tuple:
     names = tuple(name.strip() for name in text.split(",") if name.strip())
     if not names:
         raise ConfigError("--criteria must name at least one criterion")
-    for name in names:
-        if name not in CRITERIA:
-            raise ConfigError(f"unknown criterion {name!r}; expected one of {CRITERIA}")
+    _check_criteria(names)
     return names
 
 

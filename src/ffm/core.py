@@ -361,6 +361,13 @@ def natural_cubic_spline(xs, ys, min_knots: int = DiscretePanel.MIN_KNOTS) -> Sp
     return SplineFunction(xs, ys)
 
 
+def _patterns(observed: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(mask, rows) for each distinct row of a boolean table, in ``np.unique`` order."""
+    patterns, group = np.unique(observed, axis=0, return_inverse=True)
+    group = group.reshape(-1)
+    return [(mask, np.flatnonzero(group == g)) for g, mask in enumerate(patterns)]
+
+
 def panel_to_sample(panel: DiscretePanel, grid: Grid,
                     min_knots: int = DiscretePanel.MIN_KNOTS) -> FunctionalSample:
     """Interpolate every panel row onto ``grid`` with natural cubic splines.
@@ -388,10 +395,7 @@ def panel_to_sample(panel: DiscretePanel, grid: Grid,
         )
 
     rows = np.empty((panel.n_rows, grid.n))
-    patterns, group = np.unique(observed, axis=0, return_inverse=True)
-    group = group.reshape(-1)
-    for g, mask in enumerate(patterns):
-        members = np.flatnonzero(group == g)
+    for mask, members in _patterns(observed):
         if mask.all() and np.array_equal(panel.maturities, grid.points):
             rows[members] = panel.table[members]
             continue

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Grid, _frozen
+from .core import Grid, _frozen, _patterns
 from .dynamics import VarFit, fit_var, forecast_scores
 from .errors import ConfigError, DataError
 from .pipeline import ForecastResult
@@ -48,8 +48,8 @@ def dns_loadings(maturities, decay: float = DEFAULT_DECAY) -> np.ndarray:
     for maturity r; the slope column tends to 1 and the curvature column
     to 0 as r -> 0, and maturity 0 is mapped to those limits exactly.
     """
-    if decay <= 0:
-        raise ConfigError(f"decay must be positive, got {decay}")
+    if not 0 < decay < np.inf:
+        raise ConfigError(f"decay must be positive and finite, got {decay}")
     r = np.atleast_1d(np.asarray(maturities, dtype=float))
     if np.any(r < 0):
         raise ConfigError("maturities must be nonnegative")
@@ -94,13 +94,9 @@ def dns_betas(panel, decay: float = DEFAULT_DECAY) -> tuple[np.ndarray, tuple[in
     order with the reason; rows that cannot be fitted hold NaN.
     """
     loadings = dns_loadings(panel.maturities, decay)
-    observed = ~np.isnan(panel.table)
     betas = np.full((panel.n_rows, 3), np.nan)
     bad = {}
-    patterns, group = np.unique(observed, axis=0, return_inverse=True)
-    group = group.reshape(-1)
-    for g, mask in enumerate(patterns):
-        members = np.flatnonzero(group == g)
+    for mask, members in _patterns(~np.isnan(panel.table)):
         first = int(members[0])
         n_obs = int(mask.sum())
         if n_obs < 3:
@@ -136,8 +132,6 @@ def fit_dns(panel, decay: float = DEFAULT_DECAY, diagonal: bool = False) -> DnsM
 
 def dns_forecast(model: DnsModel, maturities, h: int) -> ForecastResult:
     """Curve forecasts 1..h steps ahead at the requested maturities."""
-    if h < 1:
-        raise ConfigError(f"horizon must be at least 1, got {h}")
     beta_fc = forecast_scores(model.dynamics, model.betas, h)
     loadings = dns_loadings(maturities, model.decay)
     matrix = beta_fc @ loadings.T

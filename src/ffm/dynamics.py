@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _frozen
-from .errors import NumericError
+from .errors import ConfigError, NumericError
 
 __all__ = [
     "VarFit",
@@ -328,7 +328,7 @@ def forecast_scores(fit: VarFit, history: np.ndarray, h: int) -> np.ndarray:
         Forecasts for T+1..T+h.
     """
     if h < 1:
-        raise ValueError(f"horizon must be at least 1, got {h}")
+        raise ConfigError(f"horizon must be at least 1, got {h}")
     history = np.atleast_2d(np.asarray(history, dtype=float))
     m, j_dim = fit.order, fit.dim
     if history.shape[0] < m or history.shape[1] != j_dim:
@@ -375,12 +375,16 @@ def companion_spectral_radius(coefficients: np.ndarray) -> float:
     coefficients = np.asarray(coefficients, dtype=float)
     if coefficients.ndim == 2:
         coefficients = coefficients[None]
+    return float(np.max(np.abs(np.linalg.eigvals(_companion(coefficients)))))
+
+
+def _companion(coefficients: np.ndarray) -> np.ndarray:
+    """Companion matrix of a (m, J, J) stack A_1..A_m: [A_1 ... A_m] above [I 0]."""
     m, j_dim, _ = coefficients.shape
     comp = np.zeros((m * j_dim, m * j_dim))
     comp[:j_dim] = np.hstack(list(coefficients))
-    if m > 1:
-        comp[j_dim:, : (m - 1) * j_dim] = np.eye((m - 1) * j_dim)
-    return float(np.max(np.abs(np.linalg.eigvals(comp))))
+    comp[j_dim:, : (m - 1) * j_dim] = np.eye((m - 1) * j_dim)
+    return comp
 
 
 def max_abs_tstat(fit: VarFit) -> float:

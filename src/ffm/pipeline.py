@@ -11,7 +11,7 @@ from .core import Curve, FunctionalSample, Grid
 from .dynamics import VarFit, fit_var, forecast_scores, max_abs_tstat
 from .errors import DataError, NumericError
 from .fpca import FpcaResult, fpca, reconstruct
-from .selection import CRITERIA, SelectionGrid, select_orders
+from .selection import SelectionGrid, _check_criteria, select_orders
 
 __all__ = [
     "FfmConfig",
@@ -44,8 +44,7 @@ class FfmConfig:
     restricted: bool = False
 
     def __post_init__(self):
-        if self.criterion not in CRITERIA:
-            raise ValueError(f"unknown criterion {self.criterion!r}; expected one of {CRITERIA}")
+        _check_criteria((self.criterion,))
         if (self.k is None) != (self.p is None):
             raise ValueError("set both k and p to fix the orders, or neither")
         if self.k is not None and (self.k < 1 or self.p < 1):
@@ -183,8 +182,6 @@ def forecast(model: FfmModel, h: int) -> ForecastResult:
     plugged in where available; curves are the mean plus the loading
     combination of the factor forecasts.
     """
-    if h < 1:
-        raise ValueError(f"horizon must be at least 1, got {h}")
     k = model.k
     history = model.fpca.scores[-model.p:, :k]
     score_fc = forecast_scores(model.var_fit, history, h)

@@ -19,8 +19,12 @@ regressing target i on the first n columns of X leaves exactly the
 squares of its column below row n.  Sums from the bottom up then give
 every J at once, and no two large sums of squares are subtracted, which
 keeps near-exact fits accurate.  The restricted (own-lags) fit is
-additive over factors: one univariate fit per (factor, m), summed over
-factors.
+additive over factors, so it is the same full-VAR kernel run on each
+factor as a one-factor series, summed over factors.  Only its condition
+numbers keep the multi-factor layout: each is taken on the factor's
+column block of the series' design, as ``fit_var`` and earlier releases
+took it, because ``x.T @ x`` on a contiguous one-factor copy can round
+differently and change the number a failure reports.
 
 The kernel takes several score series at once: for each m, the [X Y]
 of a stack of series are factored by one batched QR, which LAPACK runs
@@ -44,7 +48,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import FunctionalSample
 from .dynamics import CONDITION_LIMIT, _condition_failure, _dof_failure, fit_var
-from .errors import NumericError
+from .errors import ConfigError, NumericError
 from .fpca import FpcaResult
 
 __all__ = [
@@ -96,13 +100,25 @@ def penalty(criterion: str, j, m, t_obs: int):
     ffpe has no additive penalty (its correction is multiplicative), so
     it returns 0.
     """
+    _check_criteria((criterion,))
     if criterion == "bic":
         return j * m * math.log(t_obs) / t_obs
     if criterion == "hqc":
         return 2.0 * j * m * math.log(math.log(t_obs)) / t_obs
-    if criterion == "ffpe":
-        return 0.0
-    raise ValueError(f"unknown criterion {criterion!r}; expected one of {CRITERIA}")
+    return 0.0
+
+
+def _check_criteria(criteria) -> None:
+    """Raise ConfigError at the first name that is not in CRITERIA."""
+    for criterion in criteria:
+        if criterion not in CRITERIA:
+            raise ConfigError(f"unknown criterion {criterion!r}; expected one of {CRITERIA}")
+
+
+def _orders(values: np.ndarray) -> tuple[int, int]:
+    """The (J, m) of a grid's minimum; a row-major argmin takes the first, the smallest (J, m)."""
+    j, m = divmod(int(np.argmin(values)), values.shape[1])
+    return j + 1, m + 1
 
 
 def _proved(gram: np.ndarray, traces: np.ndarray, sizes) -> int:
@@ -183,6 +199,45 @@ def _leading_fits(r: np.ndarray, n_max: int, rows: np.ndarray, sizes,
     return rss, failures
 
 
+def _innovation_rss(scores: np.ndarray, ends: np.ndarray, p_max: int,
+                    design) -> tuple[np.ndarray, list[dict[tuple[int, int], str]]]:
+    """Residual sums of squares of the full VAR on every grid cell of W score series.
+
+    As ``_innovation_traces``, but unnormalized and with unsorted
+    reasons; ``design(w, m)`` gives the X whose Gram matrix is checked
+    when series w's lag order m needs a condition number.
+    """
+    n_win, _, k_max = scores.shape
+    rss = np.empty((n_win, k_max, p_max))
+    failures = [{} for _ in range(n_win)]
+    js = np.arange(1, k_max + 1)
+    for m in range(1, p_max + 1):
+        all_rows = ends - m
+        n_max = k_max * m
+        # lags 1..m of target row i + m; column l*m + k - 1 of a design is
+        # factor l at lag k (factor major)
+        lagged = sliding_window_view(scores, m, axis=1)[:, :, :, ::-1]
+        per_stack = max(1, STACK_BYTES // (8 * int(all_rows.max()) * k_max * (m + 1)))
+        for lo in range(0, n_win, per_stack):
+            rows = all_rows[lo:lo + per_stack]
+            n_stack, length = rows.size, int(rows.max())
+            xy = np.empty((n_stack, length, n_max + k_max))
+            xy[..., :n_max].reshape(n_stack, length, k_max, m)[...] = lagged[lo:lo + n_stack,
+                                                                              :length]
+            xy[..., n_max:] = scores[lo:lo + n_stack, m:length + m]
+            xy[np.arange(length) >= rows[:, None]] = 0.0
+            fits, why = _leading_fits(np.linalg.qr(xy, mode="r"), n_max, rows,
+                                      range(m, n_max + 1, m), lambda s, lo=lo: design(lo + s, m))
+            cum = np.cumsum(fits, axis=2)
+            cells = cum[:, np.minimum(js * m, cum.shape[1]) - 1, js - 1]
+            for w, reasons in enumerate(why):
+                for n, reason in reasons.items():
+                    cells[w, n // m - 1] = np.inf
+                    failures[lo + w][(n // m, m)] = reason
+            rss[lo:lo + n_stack, :, m - 1] = cells
+    return rss, failures
+
+
 def _innovation_traces(scores: np.ndarray, ends: np.ndarray, p_max: int,
                        restricted: bool) -> tuple[np.ndarray, list[dict[tuple[int, int], str]]]:
     """tr(Sigma_eta(J, m)) on every grid cell of W score series, and why failed cells failed.
@@ -195,68 +250,41 @@ def _innovation_traces(scores: np.ndarray, ends: np.ndarray, p_max: int,
     stack pads every design with zero rows to its longest.  A stack of
     equal ``ends`` pads nothing, and each series' traces and failures are
     then bit for bit those of its one-series call.
+
+    The restricted fit is the full one run on the W * k_max one-factor
+    series, summed over factors by one cumulative sum, which carries the
+    +inf of the first factor that fails (where ``fit_var`` stops) to
+    every larger J; that factor's reason names those cells.  A factor's
+    condition number is still taken on its column block of the series'
+    C-contiguous design, as ``fit_var`` lays it out: ``x.T @ x`` can
+    round differently on a contiguous one-factor copy, and so could the
+    reported number.
     """
     n_win, _, k_max = scores.shape
-    traces = np.full((n_win, k_max, p_max), np.inf)
-    failures = [{} for _ in range(n_win)]
-    js = np.arange(1, k_max + 1)
-    for m in range(1, p_max + 1):
-        all_rows = ends - m
-        n_max = k_max * m
-        # lags 1..m of target row i + m; column l*m + k - 1 of a design is
-        # factor l at lag k (factor major)
-        lagged = sliding_window_view(scores, m, axis=1)[:, :, :, ::-1]
 
-        def design(w, lagged=lagged, rows=all_rows):
-            """Series w's lagged design on its own rows, as one series lays it out."""
-            return lagged[w, :rows[w]].reshape(rows[w], -1)
+    def design(w, m):
+        """Series w's lagged design on its own rows, C-contiguous and factor major."""
+        rows = ends[w] - m
+        return sliding_window_view(scores[w], m, axis=0)[:rows, :, ::-1].reshape(rows, -1)
 
-        per_stack = max(1, STACK_BYTES // (8 * int(all_rows.max()) * k_max * (m + 1)))
-        for lo in range(0, n_win, per_stack):
-            rows = all_rows[lo:lo + per_stack]
-            n_stack, length = rows.size, int(rows.max())
-            past = np.arange(length) >= rows[:, None] if rows.min() < length else None
-            if restricted:
-                # one univariate fit per (series, factor); fit_var stops at
-                # the first factor that fails
-                xy = np.empty((n_stack, length, k_max, m + 1))
-                xy[..., :m] = lagged[lo:lo + n_stack, :length]
-                xy[..., m] = scores[lo:lo + n_stack, m:length + m]
-                if past is not None:
-                    xy[past] = 0.0
-                r = np.linalg.qr(xy.swapaxes(1, 2), mode="r")
+    if restricted:
+        def own_lags(s, m):
+            w, l = divmod(s, k_max)
+            return design(w, m)[:, l * m:(l + 1) * m]
 
-                def own_lags(s, lo=lo):
-                    w, l = divmod(s, k_max)
-                    return design(lo + w)[:, l * m:(l + 1) * m]
-
-                rss, why = _leading_fits(r.reshape(n_stack * k_max, -1, m + 1), m,
-                                         np.repeat(rows, k_max), (m,), own_lags)
-                rss = rss[:, min(m, rss.shape[1]) - 1, 0].reshape(n_stack, k_max)
-                cells = np.cumsum(rss, axis=1) / rows[:, None]
-                for w in range(n_stack):
-                    reasons = why[w * k_max:(w + 1) * k_max]
-                    first = next((l for l in range(k_max) if reasons[l]), k_max)
-                    cells[w, first:] = np.inf
-                    failures[lo + w].update({(j, m): reasons[first][m]
-                                             for j in range(first + 1, k_max + 1)})
-            else:
-                xy = np.empty((n_stack, length, n_max + k_max))
-                xy[..., :n_max].reshape(n_stack, length, k_max, m)[...] = lagged[lo:lo + n_stack,
-                                                                                  :length]
-                xy[..., n_max:] = scores[lo:lo + n_stack, m:length + m]
-                if past is not None:
-                    xy[past] = 0.0
-                rss, why = _leading_fits(np.linalg.qr(xy, mode="r"), n_max, rows,
-                                         range(m, n_max + 1, m), lambda s, lo=lo: design(lo + s))
-                cum = np.cumsum(rss, axis=2)
-                cells = cum[:, np.minimum(js * m, cum.shape[1]) - 1, js - 1] / rows[:, None]
-                for w, reasons in enumerate(why):
-                    for n, reason in reasons.items():
-                        cells[w, n // m - 1] = np.inf
-                        failures[lo + w][(n // m, m)] = reason
-            traces[lo:lo + n_stack, :, m - 1] = cells
-    return traces, [dict(sorted(f.items())) for f in failures]
+        single, why = _innovation_rss(scores.transpose(0, 2, 1).reshape(n_win * k_max, -1, 1),
+                                      np.repeat(ends, k_max), p_max, own_lags)
+        rss = np.cumsum(single.reshape(n_win, k_max, p_max), axis=1)
+        failures = [{} for _ in range(n_win)]
+        # backward, so the first factor that fails names the cells last
+        for s in reversed(range(n_win * k_max)):
+            w, l = divmod(s, k_max)
+            for (_, m), reason in why[s].items():
+                failures[w].update(((j, m), reason) for j in range(l + 1, k_max + 1))
+    else:
+        rss, failures = _innovation_rss(scores, ends, p_max, design)
+    rows = ends[:, None, None] - np.arange(1, p_max + 1)
+    return rss / rows, [dict(sorted(f.items())) for f in failures]
 
 
 def mse_simplified(result: FpcaResult, j: int, m: int, restricted: bool = False) -> float:
@@ -265,12 +293,10 @@ def mse_simplified(result: FpcaResult, j: int, m: int, restricted: bool = False)
     ``j = 0`` is the static no-factor case: the full variance sum, with
     no dynamics fitted and ``m`` ignored.
     """
+    tail = result.tail_sum(j)
     if j == 0:
-        return result.total_variance()
-    if not 1 <= j <= result.rank:
-        raise ValueError(f"j must be in [0, {result.rank}], got {j}")
-    fit = fit_var(result.scores[:, :j], m, restricted)
-    return float(np.trace(fit.sigma_eta)) + result.tail_sum(j)
+        return tail
+    return float(np.trace(fit_var(result.scores[:, :j], m, restricted).sigma_eta)) + tail
 
 
 def mse_direct(sample: FunctionalSample, fitted: FunctionalSample, m: int) -> float:
@@ -324,8 +350,7 @@ def select_orders(result: FpcaResult, k_max: int, p_max: int,
 
 
 def _grids(traces: np.ndarray, failures: dict[tuple[int, int], str], tails: np.ndarray,
-           t_obs: int, p_max: int, criteria, restricted: bool,
-           stacklevel: int) -> dict[str, SelectionGrid]:
+           t_obs: int, criteria, restricted: bool, stacklevel: int) -> dict[str, SelectionGrid]:
     """One sample's grids from its innovation traces, warning once if cells failed.
 
     The warning is issued at ``stacklevel`` as ``warnings.warn`` counts
@@ -338,7 +363,7 @@ def _grids(traces: np.ndarray, failures: dict[tuple[int, int], str], tails: np.n
             f"first reason: {next(iter(failures.values()))}",
             stacklevel=stacklevel,
         )
-    k_max = tails.size
+    k_max, p_max = traces.shape
     mse = traces + tails[:, None]
 
     grids = {}
@@ -347,16 +372,13 @@ def _grids(traces: np.ndarray, failures: dict[tuple[int, int], str], tails: np.n
         values = np.where(np.isfinite(traces), values, np.inf)
         if not np.isfinite(values).any():
             raise NumericError("every selection cell failed; the grid is empty")
-        # row-major argmin takes the first minimum, i.e. the smallest (J, m)
-        flat = int(np.argmin(values))
-        chosen = (flat // p_max + 1, flat % p_max + 1)
         grids[criterion] = SelectionGrid(
             criterion=criterion,
             k_max=k_max,
             p_max=p_max,
             mse=mse,
             values=values,
-            chosen=chosen,
+            chosen=_orders(values),
             n_obs=t_obs,
             restricted=restricted,
         )
@@ -378,9 +400,7 @@ def _stacked_grids(results, k_max: int, p_max: int, criteria, restricted: bool,
     failed.  Warnings are issued at ``stacklevel`` counted from this
     function, as in ``warnings.warn``.
     """
-    for criterion in criteria:
-        if criterion not in CRITERIA:
-            raise ValueError(f"unknown criterion {criterion!r}; expected one of {CRITERIA}")
+    _check_criteria(criteria)
     scores, tails = [], []
     for result in results:
         if not 1 <= k_max <= result.rank:
@@ -397,8 +417,7 @@ def _stacked_grids(results, k_max: int, p_max: int, criteria, restricted: bool,
     # frame of its own, which would move the warning's stacklevel
     stack = []
     for surface, failed, tail in zip(traces, failures, tails):
-        stack.append(_grids(surface, failed, tail, t_obs, p_max, criteria, restricted,
-                            stacklevel + 1))
+        stack.append(_grids(surface, failed, tail, t_obs, criteria, restricted, stacklevel + 1))
     return stack
 
 
@@ -438,8 +457,7 @@ def _stacked_choices(results: list[FpcaResult], k_max: int, p_max: int, criterio
         if failed or not np.isfinite(best) or not second - best > TIE_RTOL * max(1.0, abs(best)):
             choices.append(None)
             continue
-        flat = int(np.argmin(values))
-        choices.append((flat // p_max + 1, flat % p_max + 1))
+        choices.append(_orders(values))
     return choices
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FunctionalSample, Grid, _frozen, make_grid
-from .dynamics import companion_spectral_radius
+from .dynamics import _companion, companion_spectral_radius
 from .errors import NumericError
 
 __all__ = [
@@ -131,6 +131,8 @@ class SimSpec:
         else:
             raise ValueError(f"unknown model {self.model!r}; expected one of "
                              f"{sorted(MODELS)} or 'custom'")
+        if any(a.ndim != 2 or not np.isfinite(a).all() for a in lags):
+            raise ValueError("lag matrices must be finite 2-D arrays")
         k = lags[0].shape[0]
         if any(a.shape != (k, k) for a in lags):
             raise ValueError("lag matrices must all be square and of equal size")
@@ -249,12 +251,9 @@ def population_structure(spec: SimSpec) -> PopulationStructure:
     overflow, into a NumericError.
     """
     k, p = spec.k, spec.p
-    comp = np.zeros((k * p, k * p))
-    comp[:k] = np.hstack(spec.lag_matrices)
-    comp[k:, : k * (p - 1)] = np.eye(k * (p - 1))
     innov = np.zeros((k * p, k * p))
     innov[:k, :k] = np.diag((spec.noise_scale / np.arange(1, k + 1)) ** 2)
-    gamma0 = _stationary_covariance(comp, innov)[:k, :k]
+    gamma0 = _stationary_covariance(_companion(np.stack(spec.lag_matrices)), innov)[:k, :k]
     gamma0 = (gamma0 + gamma0.T) / 2.0
 
     vals, q = np.linalg.eigh(gamma0)

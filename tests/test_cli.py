@@ -386,6 +386,18 @@ class TestDnsCommand:
         assert run([args[0], "--input", path, *args[1:], "--output-dir", tmp_path / "out"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("lam", ["inf", "nan"])
+    @pytest.mark.parametrize("command", [["dns"], ["backtest", "--method", "dns", "--window", 10]],
+                             ids=["dns", "backtest"])
+    def test_non_finite_lambda_exits_2(self, tmp_path, capsys, command, lam):
+        maturities = np.array([3.0, 12.0, 36.0, 60.0, 120.0])
+        betas = np.random.default_rng(22).normal(size=(25, 3))
+        path = tmp_path / "yld.csv"
+        write_panel_csv(DiscretePanel(maturities, betas @ dns_loadings(maturities).T), path)
+        assert run([command[0], "--input", path, *command[1:], "--lambda", lam,
+                    "--output-dir", tmp_path / "out"]) == 2
+        assert "decay must be positive and finite" in capsys.readouterr().err
+
     def test_outputs(self, tmp_path):
         maturities = np.array([3.0, 12.0, 36.0, 60.0, 120.0])
         rng = np.random.default_rng(20)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffm import (DEFAULT_DECAY, ConfigError, DataError, DiscretePanel, dns_forecast,
-                 dns_loadings, fit_dns)
+from ffm import (DEFAULT_DECAY, ConfigError, DataError, DiscretePanel, Dns, dns_forecast,
+                 dns_loadings, fit_dns, rolling_backtest)
 from ffm.dns import dns_betas
 
 # slope and curvature loadings at maturity 30 months with the standard
@@ -243,6 +243,19 @@ class TestForecast:
             dns_forecast(model, maturities, 0)
         with pytest.raises(ConfigError, match="nonnegative"):
             dns_forecast(model, [-1.0, 12.0], 1)
+
+    @pytest.mark.parametrize("decay", [np.inf, -np.inf, np.nan])
+    def test_non_finite_decay_is_a_config_error(self, decay):
+        maturities = np.array([3.0, 12.0, 36.0, 60.0, 120.0])
+        betas = np.random.default_rng(1).normal(size=(20, 3))
+        panel = DiscretePanel(maturities, betas @ dns_loadings(maturities).T)
+        message = "decay must be positive and finite"
+        with pytest.raises(ConfigError, match=message):
+            dns_loadings(maturities, decay)
+        with pytest.raises(ConfigError, match=message):
+            fit_dns(panel, decay=decay)
+        with pytest.raises(ConfigError, match=message):
+            rolling_backtest(panel, Dns(decay=decay), initial_window=10)
 
 
 class DnsModelPatch:

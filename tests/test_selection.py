@@ -522,3 +522,41 @@ class TestStackedGrids:
                 select_orders(results[1], 2, 2, ("bic",), restricted)
             with pytest.raises(NumericError, match="every selection cell failed"):
                 _stacked_grids(results, 2, 2, ("bic",), restricted)
+
+
+class TestRestrictedKernel:
+    """The own-lags grid is the full-VAR kernel per factor, summed over factors."""
+
+    @pytest.mark.parametrize("ends", [[50, 50, 50], [50, 41, 47]], ids=["equal", "padded"])
+    def test_first_failed_factor_names_restricted_cells(self, ends):
+        # factors: a fine AR(1), an exactly zero one (rank below m) and an
+        # exactly geometric one (numerically singular for m >= 2); every
+        # J >= 2 cell fails at the zero factor, so its reason names them
+        rng = np.random.default_rng(94)
+        p_max = 4
+        scores = np.zeros((len(ends), max(ends), 3))
+        for w, t_obs in enumerate(ends):
+            fine = np.zeros(t_obs)
+            shocks = rng.normal(size=t_obs)
+            for t in range(1, t_obs):
+                fine[t] = 0.6 * fine[t - 1] + shocks[t]
+            scores[w, :t_obs] = np.column_stack([fine, np.zeros(t_obs), 0.9 ** np.arange(t_obs)])
+        ends = np.array(ends)
+        traces, failures = _innovation_traces(scores, ends, p_max, True)
+        geometric = _innovation_traces(scores[:, :, 2:], ends, p_max, True)[1]
+        for w, t_obs in enumerate(ends.tolist()):
+            assert set(geometric[w]) == {(1, m) for m in range(2, p_max + 1)}
+            assert all("numerically singular" in why for why in geometric[w].values())
+            refused = set()
+            for j in range(1, 4):
+                for m in range(1, p_max + 1):
+                    try:
+                        fit_var(scores[w, :t_obs, :j], m, restricted=True)
+                    except NumericError:
+                        refused.add((j, m))
+            assert refused == {(j, m) for j in (2, 3) for m in range(1, p_max + 1)}
+            assert set(failures[w]) == refused
+            assert {(j + 1, m + 1) for j, m in np.argwhere(np.isinf(traces[w])).tolist()} == refused
+            for (j, m), why in failures[w].items():
+                assert why == (f"lagged design of {t_obs - m} observations has rank below "
+                               f"{m} regressors")

@@ -102,6 +102,17 @@ class TestSpec:
         with pytest.raises(ValueError):
             SimSpec(noise_scale=-0.5)
 
+    @pytest.mark.parametrize("lags", [
+        (np.array(5.0),),
+        (np.array([0.5]),),
+        (np.array([[0.5]]), np.array(0.1)),
+        (np.array([[np.nan]]),),
+        (np.array([[0.2, np.inf], [0.0, 0.1]]),),
+    ], ids=["0-d", "1-d", "0-d-second", "nan", "inf"])
+    def test_malformed_lag_matrices_are_refused(self, lags):
+        with pytest.raises(ValueError, match="lag matrices must be finite 2-D arrays"):
+            SimSpec(model="custom", lag_matrices=lags)
+
     def test_default_grid(self):
         spec = SimSpec()
         assert spec.grid.n == 51
