@@ -17,15 +17,15 @@ and forecasts origins start..stop-1 and returns one outcome per origin:
 ``rolling_backtest`` hands out the origins in chunks of ``CHUNK``.
 
 A refused origin is caught in one place, ``_attempt``.  ``FfmFixed``
-runs its origins one by one (``_each_origin``).  ``FfmCriterion`` runs
-FPCA per origin, selects (K, p) for the whole range in one stacked
-kernel call (``selection._stacked_choices``), and then fits and
-forecasts each origin as ``fit_ffm`` and ``forecast`` do.  Padding the
-stacked designs with zero rows can change their R factors (see
-``selection._stacked_choices``), so the stack only vouches for an
-origin whose grid fitted every cell and has no near tie, and any other
-origin is refitted by ``fit_ffm``, which gives its warnings, refusal
-and choice.  ``Dns`` fits a chunk's windows in one stacked
+and ``FfmCriterion`` share one range hook (``_ffm_origins``): FPCA per
+origin, one stacked selection kernel call per grid size
+(``selection._stacked_grids``), then ``fit_ffm``'s own fit on the FPCA
+the origin already ran (``pipeline._fit``) and ``forecast``.  Padding
+the stacked designs with zero rows can change their R factors (see
+``selection._stacked_grids``), so the stack only vouches for an origin
+whose grid fitted every cell and has no near tie; any other origin
+selects on its own FPCA, which gives ``select_orders``'s warnings,
+refusal and choice.  ``Dns`` fits a chunk's windows in one stacked
 least-squares call (``fit_var_windows``, whose docstring says why its
 designs keep their bits) and forecasts them in one stacked recursion
 (``forecast_windows``); windows that hold a row without betas fail
@@ -41,7 +41,7 @@ check that reports do not depend on ``CHUNK``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,8 +51,8 @@ from .dns import DEFAULT_DECAY, dns_betas, dns_loadings
 from .dynamics import fit_var_windows, forecast_windows
 from .errors import ConfigError, DataError, FfmError, NumericError
 from .fpca import fpca
-from .pipeline import FfmConfig, _fit_orders, fit_ffm, forecast
-from .selection import _check_criteria, _stacked_choices
+from .pipeline import FfmConfig, _fit, forecast
+from .selection import _check_criteria, _stacked_grids
 
 __all__ = ["FfmFixed", "FfmCriterion", "Dns", "BacktestReport", "rolling_backtest"]
 
@@ -72,11 +72,6 @@ def _attempt(fn, *args):
         return exc
 
 
-def _each_origin(step):
-    """Range hook that runs ``step(t)`` per origin and keeps each refusal as its outcome."""
-    return lambda start, stop: [_attempt(step, t) for t in range(start, stop)]
-
-
 def _splined(data) -> FunctionalSample:
     """A sample as it is; a panel splined once, on its own maturities."""
     if isinstance(data, FunctionalSample):
@@ -88,13 +83,43 @@ def _window(sample: FunctionalSample, t: int) -> FunctionalSample:
     return FunctionalSample(sample.grid, sample.matrix[:t], times=sample.times[:t])
 
 
-def _ffm_step(sample: FunctionalSample, h: int, config_at):
-    """Per-origin factor-model fit and forecast: ``step(t)`` gives (row, (K, p))."""
-    def step(t):
-        model = fit_ffm(_window(sample, t), config_at(t))
+def _ffm_origins(data, h: int, config: FfmConfig):
+    """Range hook of a factor-model method: ``fit_ffm`` and ``forecast`` per origin.
+
+    Selected orders are stacked only for origins that share a grid size
+    with another origin of the range and whose p_max fits their window:
+    a lone origin is not padded, so the stack would warn and raise for
+    it as ``select_orders`` does, and ``_fit`` must clip a p_max that
+    does not fit, with its warning.
+    """
+    sample = _splined(data)
+    criteria = (config.criterion,)
+
+    def step(full, config, grid):
+        model = _fit(full, config, grid)
         return forecast(model, h).matrix[h - 1], (model.k, model.p)
 
-    return step
+    def run(start, stop):
+        results = {t: _attempt(fpca, _window(sample, t)) for t in range(start, stop)}
+        configs, groups, grids = {}, {}, {}
+        for t, full in results.items():
+            if isinstance(full, FfmError) or config.k is not None:
+                configs[t] = config
+                continue
+            # the grid clipped to the window's rank, without fit_ffm's warning
+            configs[t] = replace(config, k_max=min(config.k_max, full.rank))
+            if config.p_max < t:
+                groups.setdefault(configs[t].k_max, []).append(t)
+        for k_max, members in groups.items():
+            if len(members) > 1:
+                stack = _stacked_grids([results[t] for t in members], k_max, config.p_max,
+                                       criteria, config.restricted)
+                grids.update((t, g and g[config.criterion]) for t, g in zip(members, stack))
+        return [full if isinstance(full, FfmError) else
+                _attempt(step, full, configs[t], grids.get(t))
+                for t, full in results.items()]
+
+    return run
 
 
 @dataclass(frozen=True)
@@ -113,8 +138,8 @@ class FfmFixed:
     def backtest_origins(self, data, h: int):
         """Range hook and the report's summary fields."""
         config = FfmConfig(k=self.k, p=self.p, restricted=self.restricted)
-        run = _each_origin(_ffm_step(_splined(data), h, lambda t: config))
-        return run, {"k": self.k, "p": self.p, "dynamics": "ar" if self.restricted else "var"}
+        return (_ffm_origins(data, h, config),
+                {"k": self.k, "p": self.p, "dynamics": "ar" if self.restricted else "var"})
 
 
 @dataclass(frozen=True)
@@ -138,47 +163,12 @@ class FfmCriterion:
         """Range hook and the report's summary fields.
 
         K and p are re-selected per origin, so the summary leaves them
-        None and each outcome carries the chosen pair.  A range of origins
-        runs FPCA per origin and then selects (K, p) for all of them in
-        one stacked kernel call (``selection._stacked_choices``); each
-        origin then fits and forecasts as ``fit_ffm`` and ``forecast``
-        do.  An origin the stack does not vouch for (a failed cell, a
-        near tie, or a grid ``fit_ffm`` would clip) is refitted by
-        ``fit_ffm`` itself, with its warnings and refusals.
+        None and each outcome carries the chosen pair.
         """
-        sample = _splined(data)
-
-        def forecast_at(full, orders, config):
-            return forecast(_fit_orders(full, *orders, config), h).matrix[h - 1], orders
-
-        def run(start, stop):
-            origins = range(start, stop)
-            results = [_attempt(fpca, _window(sample, t)) for t in origins]
-            # each origin's grid as fit_ffm clips it to the rank of its FPCA
-            configs = {t: FfmConfig(criterion=self.criterion, k_max=min(self.k_max, full.rank),
-                                    p_max=self.p_max, restricted=self.restricted)
-                       for t, full in zip(origins, results) if not isinstance(full, FfmError)}
-            stacks = {}   # by k_max, the origins whose p_max fit_ffm would not clip
-            for t, config in configs.items():
-                if self.p_max < t:
-                    stacks.setdefault(config.k_max, []).append(t)
-            chosen = {}
-            for k_max, members in stacks.items():
-                picks = _stacked_choices([results[t - start] for t in members], k_max,
-                                         self.p_max, self.criterion, self.restricted)
-                chosen.update(zip(members, picks))
-            step = _ffm_step(sample, h, configs.get)
-            outcomes = []
-            for t, full in zip(origins, results):
-                if isinstance(full, FfmError):
-                    outcomes.append(full)
-                elif chosen.get(t) is None:
-                    outcomes.append(_attempt(step, t))
-                else:
-                    outcomes.append(_attempt(forecast_at, full, chosen[t], configs[t]))
-            return outcomes
-
-        return run, {"k": None, "p": None, "dynamics": "ar" if self.restricted else "var"}
+        config = FfmConfig(criterion=self.criterion, k_max=self.k_max, p_max=self.p_max,
+                           restricted=self.restricted)
+        return (_ffm_origins(data, h, config),
+                {"k": None, "p": None, "dynamics": "ar" if self.restricted else "var"})
 
 
 @dataclass(frozen=True)

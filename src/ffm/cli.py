@@ -90,8 +90,7 @@ def _parse_criteria(text: str) -> tuple:
     names = tuple(name.strip() for name in text.split(",") if name.strip())
     if not names:
         raise ConfigError("--criteria must name at least one criterion")
-    _check_criteria(names)
-    return names
+    return _check_criteria(names)
 
 
 def _run_config(args) -> RunConfig:

@@ -227,7 +227,7 @@ def fit_var_windows(scores: np.ndarray, m: int, ends,
     R as its own design gives them for the DNS backtest's designs of 1 to
     3 columns, which the tests check.  That is an observation about the
     LAPACK in use, not a guarantee: wider designs break it (see
-    ``selection._stacked_choices``), and one 9-column design with exactly
+    ``selection._stacked_grids``), and one 9-column design with exactly
     collinear leading rows got an R that differs in the last bit once
     padded by 4 or more rows.  A stack of several windows is
     C-contiguous, so its windows match their one-window calls on

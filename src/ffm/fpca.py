@@ -149,8 +149,8 @@ class FpcaResult:
         }
 
 
-def _fix_signs(eigvecs: np.ndarray, sqrt_w: np.ndarray) -> np.ndarray:
-    """Flip eigenvector columns so each eigenfunction has positive integral.
+def _sign_flips(eigvecs: np.ndarray, sqrt_w: np.ndarray) -> np.ndarray:
+    """Signs (+1 or -1) that give each eigenvector column's eigenfunction a positive integral.
 
     The integral of psi_l = v_l / sqrt(w) against the weights reduces to
     dot(sqrt(w), v_l).  When that is negligible the first coordinate of
@@ -167,7 +167,7 @@ def _fix_signs(eigvecs: np.ndarray, sqrt_w: np.ndarray) -> np.ndarray:
         big = np.nonzero(np.abs(psi) > SIGN_TOLERANCE)[0]
         if big.size:
             flips[l] = np.sign(psi[big[0]])
-    return eigvecs * flips
+    return flips
 
 
 def fpca(sample: FunctionalSample, k_max: int | None = None) -> FpcaResult:
@@ -212,7 +212,8 @@ def fpca(sample: FunctionalSample, k_max: int | None = None) -> FpcaResult:
         )
     vals = np.clip(vals, 0.0, None)
 
-    vecs = _fix_signs(vecs[:, :rank], sqrt_w)
+    vecs = vecs[:, :rank]
+    vecs = vecs * _sign_flips(vecs, sqrt_w)
     eigenfunctions = (vecs / sqrt_w[:, None]).T
     scores = centered @ (eigenfunctions * sample.grid.weights).T
 

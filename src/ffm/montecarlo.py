@@ -8,7 +8,7 @@ import numpy as np
 
 from ._blas import one_blas_thread
 from .fpca import fpca
-from .selection import CRITERIA, _stacked_grids
+from .selection import CRITERIA, _check_criteria, _stacked_grids
 from .simulate import SimSpec, replication_rng, simulate_streams
 
 __all__ = ["McReport", "monte_carlo"]
@@ -109,7 +109,7 @@ def monte_carlo(spec: SimSpec, reps: int, k_max: int = 8, p_max: int = 8,
     """
     if reps < 1:
         raise ValueError(f"reps must be positive, got {reps}")
-    criteria = tuple(criteria)
+    criteria = _check_criteria(criteria)
     workers = min(max(jobs, 1), reps)
     ranges = [range(w * reps // workers, (w + 1) * reps // workers) for w in range(workers)]
     tasks = [(spec, span, k_max, p_max, criteria, restricted) for span in ranges]

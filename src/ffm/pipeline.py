@@ -93,42 +93,42 @@ def fit_ffm(sample: FunctionalSample, config: FfmConfig = FfmConfig()) -> FfmMod
     rank raises NumericError, and p with no more curves than lags raises
     DataError.
     """
-    full = fpca(sample)
-    selection = None
+    return _fit(fpca(sample), config)
+
+
+def _fit(full: FpcaResult, config: FfmConfig, grid: SelectionGrid | None = None) -> FfmModel:
+    """``fit_ffm`` on the FPCA ``full`` of its sample.
+
+    ``grid`` is the config's criterion grid on ``full``, over the
+    config's ``k_max`` and ``p_max``, when the caller already has it
+    (pinned orders take none); without one, a grid that exceeds the
+    sample is clipped with a warning and selected here.  Warnings point
+    at the caller of ``_fit``'s caller.
+    """
     if config.k is not None:
         k, p = config.k, config.p
         if k > full.rank:
             raise NumericError(f"k={k} exceeds the sample rank {full.rank}")
-        if p >= sample.n_curves:
-            raise DataError(f"p={p} needs more than {p} observations, got {sample.n_curves}")
+        if p >= full.n_curves:
+            raise DataError(f"p={p} needs more than {p} observations, got {full.n_curves}")
     else:
-        k_max, p_max = config.k_max, config.p_max
-        if k_max > full.rank:
-            warnings.warn(
-                f"k_max={k_max} exceeds the sample rank {full.rank}; clipped",
-                stacklevel=2,
-            )
-            k_max = full.rank
-        if p_max >= sample.n_curves:
-            warnings.warn(
-                f"p_max={p_max} is too large for {sample.n_curves} curves; "
-                f"clipped to {sample.n_curves - 1}",
-                stacklevel=2,
-            )
-            p_max = sample.n_curves - 1
-        selection = select_orders(full, k_max, p_max, (config.criterion,),
-                                  config.restricted)[config.criterion]
-        k, p = selection.chosen
-    return _fit_orders(full, k, p, config, selection)
-
-
-def _fit_orders(full: FpcaResult, k: int, p: int, config: FfmConfig,
-                selection: SelectionGrid | None = None) -> FfmModel:
-    """The model ``fit_ffm`` builds once it has the FPCA and the orders (K, p)."""
+        if grid is None:
+            k_max, p_max = config.k_max, config.p_max
+            if k_max > full.rank:
+                warnings.warn(f"k_max={k_max} exceeds the sample rank {full.rank}; clipped",
+                              stacklevel=3)
+                k_max = full.rank
+            if p_max >= full.n_curves:
+                warnings.warn(f"p_max={p_max} is too large for {full.n_curves} curves; "
+                              f"clipped to {full.n_curves - 1}", stacklevel=3)
+                p_max = full.n_curves - 1
+            grid = select_orders(full, k_max, p_max, (config.criterion,),
+                                 config.restricted)[config.criterion]
+        k, p = grid.chosen
     var = fit_var(full.scores[:, :k], p, restricted=config.restricted)
     return FfmModel(
         fpca=full,
-        selection=selection,
+        selection=grid,
         var_fit=var,
         config=config,
         degenerate_dynamics=max_abs_tstat(var) < TSTAT_FLOOR,

@@ -28,13 +28,13 @@ differently and change the number a failure reports.
 
 The kernel takes several score series at once: for each m, the [X Y]
 of a stack of series are factored by one batched QR, which LAPACK runs
-matrix by matrix.  ``_stacked_grids`` stacks series of one length, such
-as a chunk of Monte Carlo replications: no row is padded, so each R,
-and so each grid, is bit for bit what the series gets alone, and
-``select_orders`` is its one-series call.  A backtest's origins have
-different lengths: ``_stacked_choices`` pads their designs with zero
-rows to the longest, which changes R only to rounding, and it keeps a
-choice only when no near tie can hide that.
+matrix by matrix.  ``_stacked_grids`` is the one grid builder, and
+``select_orders`` is its one-series call.  Series of one length, such
+as a chunk of Monte Carlo replications, are not padded, so each R, and
+so each grid, is bit for bit what the series gets alone.  A backtest's
+origins have different lengths: their designs are padded with zero rows
+to the longest, which changes R only to rounding, so a padded series
+keeps its grids only when no failed cell or near tie can hide that.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ STACK_BYTES = 256 * 1024
 
 # A stacked series keeps its chosen orders only when the best and the
 # second best criterion values differ by more than this, relative to the
-# larger of |best| and 1 (see _stacked_choices).
+# larger of |best| and 1 (see _stacked_grids).
 TIE_RTOL = 1e-9
 
 
@@ -108,11 +108,16 @@ def penalty(criterion: str, j, m, t_obs: int):
     return 0.0
 
 
-def _check_criteria(criteria) -> None:
-    """Raise ConfigError at the first name that is not in CRITERIA."""
+def _check_criteria(criteria) -> tuple:
+    """The names as a tuple; ConfigError for a bare name or a name not in CRITERIA."""
+    if isinstance(criteria, str):
+        raise ConfigError(f"criteria must be a sequence of names such as ('bic',), "
+                          f"got {criteria!r}")
+    criteria = tuple(criteria)
     for criterion in criteria:
         if criterion not in CRITERIA:
             raise ConfigError(f"unknown criterion {criterion!r}; expected one of {CRITERIA}")
+    return criteria
 
 
 def _orders(values: np.ndarray) -> tuple[int, int]:
@@ -350,12 +355,17 @@ def select_orders(result: FpcaResult, k_max: int, p_max: int,
 
 
 def _grids(traces: np.ndarray, failures: dict[tuple[int, int], str], tails: np.ndarray,
-           t_obs: int, criteria, restricted: bool, stacklevel: int) -> dict[str, SelectionGrid]:
-    """One sample's grids from its innovation traces, warning once if cells failed.
+           t_obs: int, criteria, restricted: bool, stacklevel: int,
+           padded: bool) -> dict[str, SelectionGrid] | None:
+    """One sample's grids from its innovation traces.
 
-    The warning is issued at ``stacklevel`` as ``warnings.warn`` counts
-    it from this function.
+    Unpadded, a failed cell is warned about once, at ``stacklevel`` as
+    ``warnings.warn`` counts it from this function, and a criterion with
+    every cell failed raises.  Padded, the grids are None instead when a
+    cell failed or a criterion's two best values are within TIE_RTOL.
     """
+    if failures and padded:
+        return None
     if failures:
         cells = ", ".join(f"(J={j}, m={m})" for j, m in failures)
         warnings.warn(
@@ -370,95 +380,77 @@ def _grids(traces: np.ndarray, failures: dict[tuple[int, int], str], tails: np.n
     for criterion in criteria:
         values = _criterion_values(criterion, traces, tails, t_obs)
         values = np.where(np.isfinite(traces), values, np.inf)
-        if not np.isfinite(values).any():
+        if padded:
+            best, second = np.partition(np.append(values.ravel(), np.inf), 1)[:2]
+            if not second - best > TIE_RTOL * max(1.0, abs(best)):
+                return None
+        elif not np.isfinite(values).any():
             raise NumericError("every selection cell failed; the grid is empty")
-        grids[criterion] = SelectionGrid(
-            criterion=criterion,
-            k_max=k_max,
-            p_max=p_max,
-            mse=mse,
-            values=values,
-            chosen=_orders(values),
-            n_obs=t_obs,
-            restricted=restricted,
-        )
+        grids[criterion] = SelectionGrid(criterion=criterion, k_max=k_max, p_max=p_max, mse=mse,
+                                         values=values, chosen=_orders(values), n_obs=t_obs,
+                                         restricted=restricted)
     return grids
 
 
 def _stacked_grids(results, k_max: int, p_max: int, criteria, restricted: bool,
-                   stacklevel: int = 2) -> list[dict[str, SelectionGrid]]:
-    """``select_orders`` of several samples with the same curve count, from one kernel call.
+                   stacklevel: int = 2) -> list[dict[str, SelectionGrid] | None]:
+    """``select_orders`` of several samples, from one kernel call.
 
     ``results`` is an iterable of FpcaResults, read once: only each one's
     first ``k_max`` score columns and its eigenvalue tails are kept, so a
-    caller may pass a generator and hold no whole result.  Equal lengths
-    stack with no padding, and every design's R is the one a lone call
-    gets (see the module docstring), so each sample's grids, failed-cell
-    warning and ``NumericError`` are bit for bit those of
-    ``select_orders`` on it alone.  Returns one {criterion: SelectionGrid}
-    per sample, in order; raises at the first sample whose cells all
-    failed.  Warnings are issued at ``stacklevel`` counted from this
-    function, as in ``warnings.warn``.
+    caller may pass a generator and hold no whole result.  ``k_max`` is
+    at most each sample's rank and ``p_max`` below each one's curve
+    count.  Returns one {criterion: SelectionGrid} per sample, in order.
+
+    Samples of one length stack with no padding, and every design's R is
+    the one a lone call gets (see the module docstring), so each
+    sample's grids, failed-cell warning and ``NumericError`` are bit for
+    bit those of ``select_orders`` on it alone; the first sample whose
+    cells all failed raises.  Warnings are issued at ``stacklevel``
+    counted from this function, as in ``warnings.warn``.
+
+    Samples of different lengths are stacked with zero rows after each
+    one's own.  Zero padding is not bitwise safe for LAPACK's blocked
+    QR: a padded R can differ from the unpadded one in its last bits.
+    On the seed-7 ``backtest-bic`` panel of ``perfbench``, stacks of 32
+    origins changed R for 3 of the 1,440 (origin, m) designs (16 to 72
+    columns of [X Y] on an 8 x 8 grid): t = 177, m = 8 (525 entries, up
+    to 4.4e-13 relative), t = 291, m = 4 (180) and t = 236, m = 7 (4).
+    So padded traces agree with ``select_orders``'s only to rounding,
+    and a sample keeps its grids only when every cell was fitted, so
+    every design passed the conditioning proof, and the two best values
+    of each requested criterion differ by more than TIE_RTOL, relative
+    to the larger of |best| and 1.  That is a margin, not a bound: on
+    the seed-7 and seed-41 ``backtest-bic`` panels of ``perfbench`` the
+    stacked traces agreed within 3.9e-16 relative, and the smallest
+    relative gap between the best and the second best bic value was
+    2.2e-5.  Any other sample gets None, with no warning, and must run
+    ``select_orders`` itself, which gives its warning, failure and
+    choice.
     """
     _check_criteria(criteria)
     scores, tails = [], []
     for result in results:
         if not 1 <= k_max <= result.rank:
             raise ValueError(f"k_max must be in [1, {result.rank}], got {k_max}")
-        t_obs = result.n_curves
-        if not 1 <= p_max < t_obs:
-            raise ValueError(f"p_max must be in [1, {t_obs - 1}], got {p_max}")
+        if not 1 <= p_max < result.n_curves:
+            raise ValueError(f"p_max must be in [1, {result.n_curves - 1}], got {p_max}")
         scores.append(result.scores[:, :k_max].copy())   # a view would keep all the scores
         tails.append(_tails(result, k_max))
 
-    traces, failures = _innovation_traces(np.stack(scores), np.full(len(scores), t_obs),
-                                          p_max, restricted)
+    ends = np.array([len(s) for s in scores])
+    stacked = np.zeros((ends.size, int(ends.max()), k_max))
+    for w, series in enumerate(scores):
+        stacked[w, :ends[w]] = series
+    padded = bool(ends.min() < ends.max())
+    traces, failures = _innovation_traces(stacked, ends, p_max, restricted)
     # a loop, not a comprehension: before Python 3.12 a comprehension is a
     # frame of its own, which would move the warning's stacklevel
     stack = []
-    for surface, failed, tail in zip(traces, failures, tails):
-        stack.append(_grids(surface, failed, tail, t_obs, criteria, restricted, stacklevel + 1))
+    for surface, failed, tail, t_obs in zip(traces, failures, tails, ends.tolist()):
+        stack.append(_grids(surface, failed, tail, t_obs, criteria, restricted,
+                            stacklevel + 1, padded))
     return stack
-
-
-def _stacked_choices(results: list[FpcaResult], k_max: int, p_max: int, criterion: str,
-                     restricted: bool) -> list[tuple[int, int] | None]:
-    """The orders ``select_orders`` chooses for each of several samples, from one kernel call.
-
-    The samples' scores are stacked with zero rows after each one's own.
-    Zero padding is not bitwise safe for LAPACK's blocked QR: a padded R
-    can differ from the unpadded one in its last bits.  On the seed-7
-    ``backtest-bic`` panel of ``perfbench``, stacks of 32 origins changed
-    R for 3 of the 1,440 (origin, m) designs (16 to 72 columns of [X Y]
-    on an 8 x 8 grid): t = 177, m = 8 (525 entries, up to 4.4e-13
-    relative), t = 291, m = 4 (180) and t = 236, m = 7 (4).  So the
-    stacked traces agree with ``select_orders``'s only to rounding, and
-    a sample keeps the stacked choice only when every cell of its grid
-    was fitted, so every design passed the conditioning proof, and its
-    two best criterion values differ by more than TIE_RTOL, relative to
-    the larger of |best| and 1.  That is a margin, not a bound: on the
-    seed-7 and seed-41 ``backtest-bic`` panels of ``perfbench`` the
-    stacked traces agreed within 3.9e-16 relative, and the smallest
-    relative gap between the best and the second best bic value was
-    2.2e-5.  Any other sample gets None and must run ``select_orders``
-    itself, which gives its warning, failure and choice.  ``k_max`` is
-    at most each sample's rank and ``p_max`` below each one's curve
-    count.
-    """
-    ends = np.array([result.n_curves for result in results])
-    scores = np.zeros((len(results), int(ends.max()), k_max))
-    for w, result in enumerate(results):
-        scores[w, :ends[w]] = result.scores[:, :k_max]
-    traces, failures = _innovation_traces(scores, ends, p_max, restricted)
-    choices = []
-    for result, surface, failed in zip(results, traces, failures):
-        values = _criterion_values(criterion, surface, _tails(result, k_max), result.n_curves)
-        best, second = np.partition(np.append(values.ravel(), np.inf), 1)[:2]
-        if failed or not np.isfinite(best) or not second - best > TIE_RTOL * max(1.0, abs(best)):
-            choices.append(None)
-            continue
-        choices.append(_orders(values))
-    return choices
 
 
 def export_mse_surface(grid: SelectionGrid) -> list[dict]:

@@ -21,6 +21,7 @@ import numpy as np
 from .core import FunctionalSample, Grid, _frozen, make_grid
 from .dynamics import _companion, companion_spectral_radius
 from .errors import NumericError
+from .fpca import _sign_flips
 
 __all__ = [
     "BASIS_SIZE",
@@ -262,9 +263,9 @@ def population_structure(spec: SimSpec) -> PopulationStructure:
 
     basis = fourier_basis(spec.grid.points)[:k]
     loadings = q.T @ basis
-    # same sign convention as the estimator: positive quadrature integral
-    integrals = loadings @ spec.grid.weights
-    flips = np.where(integrals < 0, -1.0, 1.0)
+    # the estimator's sign convention, on the sqrt(w)-weighted loadings it diagonalizes
+    sqrt_w = np.sqrt(spec.grid.weights)
+    flips = _sign_flips((loadings * sqrt_w).T, sqrt_w)
     loadings = loadings * flips[:, None]
     q = q * flips[None, :]
     rotated = np.stack([q.T @ np.asarray(a) @ q for a in spec.lag_matrices])

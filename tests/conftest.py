@@ -1,6 +1,8 @@
 """Helpers shared by the test modules."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,3 +50,15 @@ def _tied_fpca(build, rng, restricted=False, t_obs=200):
 def tied_fpca():
     """Builder of FPCA results whose selection grid is exactly tied (see ``_tied_fpca``)."""
     return _tied_fpca
+
+
+@pytest.fixture(scope="session")
+def benchmark_inputs():
+    """The seeded panel generator of ``perfbench``, loaded read-only from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    if not path.exists():
+        pytest.skip("no perfbench/inputs.py in this checkout")
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

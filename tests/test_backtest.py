@@ -173,10 +173,10 @@ class TestRolling:
 
     def test_programming_errors_propagate(self, monkeypatch):
         # only the library's own refusals (FfmError) count as failed windows
-        def broken(sample, config):
+        def broken(full, config, grid=None):
             raise TypeError("bug in the fit")
 
-        monkeypatch.setattr(backtest_module, "fit_ffm", broken)
+        monkeypatch.setattr(backtest_module, "_fit", broken)
         with pytest.raises(TypeError, match="bug in the fit"):
             rolling_backtest(m1_sample(40), FfmFixed(2, 1), h=1, initial_window=30)
 
@@ -362,7 +362,13 @@ class TestChunks:
             np.random.default_rng(5), restricted, tie_at)
         values = np.sort(select_orders(tied, 2, 2, ("bic",), restricted)["bic"].values.ravel())
         assert values[0] == values[1]
-        assert selection_module._stacked_choices([tied], 2, 2, "bic", restricted) == [None]
+        # stacked with a longer window, the tie is padded and the stack gives no grid;
+        # alone, nothing is padded and the stack gives select_orders's grid
+        longer = real(FunctionalSample(sample.grid, sample.matrix[:tie_at + 5]))
+        stacked = selection_module._stacked_grids([tied, longer], 2, 2, ("bic",), restricted)
+        assert stacked[0] is None
+        alone = selection_module._stacked_grids([tied], 2, 2, ("bic",), restricted)[0]["bic"]
+        assert np.array_equal(np.sort(alone.values.ravel()), values)
 
         def fpca_with_tie(data, k_max=None):
             return tied if data.n_curves == tie_at else real(data, k_max)
@@ -370,12 +376,14 @@ class TestChunks:
         monkeypatch.setattr(backtest_module, "fpca", fpca_with_tie)
         monkeypatch.setattr(pipeline_module, "fpca", fpca_with_tie)
         rerun = []
+        fit = backtest_module._fit
 
-        def counted(data, config):
-            rerun.append(data.n_curves)
-            return fit_ffm(data, config)
+        def counted(full, config, grid=None):
+            if grid is None:
+                rerun.append(full.n_curves)
+            return fit(full, config, grid)
 
-        monkeypatch.setattr(backtest_module, "fit_ffm", counted)
+        monkeypatch.setattr(backtest_module, "_fit", counted)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             reports = self.runs(monkeypatch, sample, method, h, 3)
@@ -397,7 +405,7 @@ class TestChunks:
                     continue
                 errors[i] = forecast(model, h).matrix[h - 1] - sample.matrix[t + h - 1]
                 selected[i] = (model.k, model.p)
-        # each run sent the tied window, and other windows, but not all, to fit_ffm
+        # each run selected the tied window, and other windows, but not all, on their own
         assert rerun.count(tie_at) == len(reports)
         assert len(set(rerun)) > 1 and len(rerun) < len(reports) * first.origins.size
         assert {name for _, name, _ in first.failure_reasons} == {"NumericError"}
@@ -409,6 +417,28 @@ class TestChunks:
             assert np.array_equal(other.errors, first.errors, equal_nan=True)
             assert np.array_equal(other.selected, first.selected)
             assert other.failure_reasons == first.failure_reasons
+
+
+class TestFpcaPerOrigin:
+    def test_fallback_origins_reuse_their_fpca(self, monkeypatch, benchmark_inputs):
+        # on this short panel every origin selects on its own (p_max clipped,
+        # failed cells, or alone in its grid size), and none may run FPCA twice
+        panel = DiscretePanel(benchmark_inputs.MATURITIES, benchmark_inputs.yield_panel(12, 60))
+        real = backtest_module.fpca
+        windows = []
+
+        def counted(data, k_max=None):
+            windows.append(data.n_curves)
+            return real(data, k_max)
+
+        monkeypatch.setattr(backtest_module, "fpca", counted)
+        monkeypatch.setattr(pipeline_module, "fpca", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = rolling_backtest(panel, FfmCriterion("ffpe"), h=1, initial_window=5)
+        assert report.origins.size == 55 and report.failures == 0
+        assert windows == report.origins.tolist()
+        assert report.rmsfe == 1.1907081295356694
 
 
 class TestLabelsAndSummary:

@@ -68,7 +68,7 @@ def test_monte_carlo_replications_run_on_one_thread(monkeypatch, two_threads):
 
 def test_backtest_origins_run_on_one_thread(monkeypatch, two_threads):
     seen = []
-    spy(monkeypatch, backtest_module, "fit_ffm", seen)
+    spy(monkeypatch, backtest_module, "_fit", seen)
     sample = simulate(SimSpec(model="M1", n_obs=36, seed=2))
     report = rolling_backtest(sample, FfmFixed(2, 1), h=1, initial_window=30)
     assert np.all(np.isfinite(report.errors))
@@ -78,7 +78,7 @@ def test_backtest_origins_run_on_one_thread(monkeypatch, two_threads):
 
 def test_count_is_restored_when_a_programming_error_propagates(monkeypatch, two_threads):
     seen = []
-    spy(monkeypatch, backtest_module, "fit_ffm", seen, fail=True)
+    spy(monkeypatch, backtest_module, "_fit", seen, fail=True)
     with pytest.raises(TypeError, match="bug in the fit"):
         rolling_backtest(simulate(SimSpec(model="M1", n_obs=40, seed=2)), FfmFixed(2, 1),
                          h=1, initial_window=30)

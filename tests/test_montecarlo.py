@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ffm.montecarlo
-from ffm import SimSpec, fpca, monte_carlo, replication_rng, select_orders, simulate
+from ffm import ConfigError, SimSpec, fpca, monte_carlo, replication_rng, select_orders, simulate
 from ffm.montecarlo import CHUNK
 from ffm.selection import CRITERIA
 
@@ -96,6 +96,13 @@ class TestMonteCarlo:
         with pytest.raises(ValueError) as exc:
             monte_carlo(SPEC, reps=3, k_max=4, p_max=2, criteria=("aic",))
         assert str(exc.value) == message
+        assert calls == []
+
+    def test_bare_criterion_name_is_refused(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ffm.montecarlo, "fpca", lambda *a: calls.append(a) or fpca(*a))
+        with pytest.raises(ConfigError, match="criteria must be a sequence of names"):
+            monte_carlo(SPEC, reps=2, k_max=2, p_max=2, criteria="ffpe")
         assert calls == []
 
     def test_seed_controls_everything(self):

@@ -1,22 +1,19 @@
 """Order-selection criteria over the factor/lag grid."""
 
-import importlib.util
 import math
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffm import (CRITERIA, Curve, DiscretePanel, FpcaResult, FunctionalSample, Grid,
-                 NumericError, SimSpec, export_mse_surface, fit_var, fpca,
+from ffm import (CRITERIA, ConfigError, Curve, DiscretePanel, FpcaResult, FunctionalSample,
+                 Grid, NumericError, SimSpec, export_mse_surface, fit_var, fpca,
                  make_grid, mse_direct, mse_simplified, panel_to_sample, penalty,
                  reconstruct, replication_rng, select_orders)
 from ffm.montecarlo import CHUNK
-from ffm.selection import (STACK_BYTES, TIE_RTOL, _innovation_traces, _stacked_choices,
-                           _stacked_grids)
+from ffm.selection import STACK_BYTES, TIE_RTOL, _innovation_traces, _stacked_grids
 from ffm.simulate import simulate_streams
 
 IDENTITY_RTOL = 1e-12
@@ -206,6 +203,13 @@ class TestSelectOrders:
         with pytest.raises(ValueError, match="unknown criterion"):
             select_orders(result, 2, 2, criteria=("bic", "aic"))
 
+    def test_bare_criterion_name_is_refused(self):
+        # a string is a sequence of letters; it must not be read as ('b', 'i', 'c')
+        result = fpca(ar_sample(np.random.default_rng(52), t_obs=40))
+        with pytest.raises(ConfigError, match=r"criteria must be a sequence of names such as "
+                                              r"\('bic',\), got 'bic'"):
+            select_orders(result, 3, 2, criteria="bic")
+
     def test_failed_cell_warns_and_is_inf(self):
         # duplicated factor scores make J = 2 designs singular; those
         # cells must warn and be skipped, not crash the grid
@@ -370,17 +374,6 @@ def tied_result(tied_fpca, rng, restricted):
                      rng, restricted)
 
 
-def benchmark_inputs():
-    """The seeded panel generator of ``perfbench``, loaded from its file."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
-    if not path.exists():
-        pytest.skip("no perfbench/inputs.py in this checkout")
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestStackedChoices:
     """Samples selected in one stacked kernel call keep select_orders's choice or are rerun."""
 
@@ -399,7 +392,8 @@ class TestStackedChoices:
 
     def check(self, results, k_max, p_max, criterion, restricted):
         """Number of samples the stack accepted and of those it sent to a rerun."""
-        choices = _stacked_choices(results, k_max, p_max, criterion, restricted)
+        choices = [grids and grids[criterion].chosen for grids in
+                   _stacked_grids(results, k_max, p_max, (criterion,), restricted)]
         assert len(choices) == len(results)
         counts = [0, 0]
         for result, choice in zip(results, choices):
@@ -444,12 +438,12 @@ class TestStackedChoices:
         results = others[:2] + [tied_result(tied_fpca, rng, restricted)] + others[2:]
         assert self.check(results, 2, 2, "bic", restricted) == [3, 1]
 
-    def test_padded_benchmark_window(self):
+    def test_padded_benchmark_window(self, benchmark_inputs):
         # the 177-row window of the seed-7 backtest panel, stacked with the
         # 183-row window, is padded by six zero rows; at m = 8 LAPACK then
         # returned an R that differs from the unpadded one in 525 entries
         # (up to 4.4e-13 relative), which only moves the traces by rounding
-        inputs = benchmark_inputs()
+        inputs = benchmark_inputs
         panel = DiscretePanel(inputs.MATURITIES, inputs.yield_panel(7, inputs.BACKTEST_ROWS))
         sample = panel_to_sample(panel, Grid(panel.maturities))
         results = [fpca(FunctionalSample(sample.grid, sample.matrix[:t])) for t in (177, 183)]

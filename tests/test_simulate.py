@@ -264,6 +264,23 @@ class TestPopulationStructure:
                          pop.loadings[l])
             assert abs(dot) > 0.99
 
+    def test_negligible_integral_takes_the_estimators_sign(self):
+        # loading 2 is a sine whose quadrature integral is rounding noise,
+        # so fpca's fallback (the first coordinate of non-negligible size)
+        # sets its sign, and the population loading must follow it
+        spec = SimSpec(model="custom", lag_matrices=(np.diag([0.5, 0.3]),), n_obs=2000, seed=3)
+        pop = population_structure(spec)
+        integrals = pop.loadings @ spec.grid.weights
+        assert integrals[0] > 0.5 and abs(integrals[1]) < 1e-9
+        result = fpca(simulate(spec), k_max=2)
+        for l in range(2):
+            assert np.dot(result.eigenfunctions[l] * spec.grid.weights, pop.loadings[l]) > 0.9
+        # the rotation and the rotated lag matrices carry the same flips
+        assert np.allclose(pop.rotation.T @ fourier_basis(spec.grid.points)[:2], pop.loadings,
+                           atol=1e-12)
+        assert np.allclose(pop.lag_matrices[0],
+                           pop.rotation.T @ spec.lag_matrices[0] @ pop.rotation, atol=1e-15)
+
     @pytest.mark.parametrize("spec", [
         *(pytest.param(SimSpec(model=name), id=name) for name in sorted(MODELS)),
         *(pytest.param(scaled_custom_spec(radius, seed), id=f"k10-p8-r{radius}-seed{seed}")
