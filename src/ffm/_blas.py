@@ -1,4 +1,4 @@
-"""One OpenBLAS thread for loops of small factorizations.
+"""One OpenBLAS thread per process, and processes for the idle cores.
 
 Replications and backtest origins each factor matrices of at most a few
 hundred rows and columns.  At that size a second OpenBLAS thread only
@@ -6,6 +6,17 @@ adds synchronisation: on a 2-core machine a 500 x 72 QR took about
 0.8 ms on two threads against 0.35 ms on one.  ``one_blas_thread`` sets every OpenBLAS mapped
 into the process to one thread for the duration of a block and restores
 each library's previous count on exit, also when the block raises.
+
+The cores those threads would have used run worker processes instead.
+``map_ranges`` runs a loop's ranges (of replications or origins) in
+order, on ``jobs`` processes.  ``jobs=None`` takes the thread count
+``one_blas_thread`` saved, which follows ``OPENBLAS_NUM_THREADS`` and
+defaults to the number of cores, so ``OPENBLAS_NUM_THREADS=1`` gives a
+serial run.  It is 1 where no OpenBLAS control is found and inside a
+daemonic process (a ``multiprocessing.Pool`` worker, which may not
+start children), and never more than the number of ranges.  With one
+process the ranges run in the caller; ``multiprocessing`` is imported
+only when a pool starts.
 
 Libraries are found in ``/proc/self/maps`` and driven through their own
 ``openblas_set_num_threads`` (or the ``scipy_openblas`` build's
@@ -20,9 +31,13 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import sys
+import warnings
 from contextlib import contextmanager
 
-__all__ = ["one_blas_thread", "openblas_controls"]
+from .errors import ConfigError
+
+__all__ = ["one_blas_thread", "openblas_controls", "check_jobs", "map_ranges"]
 
 # (getter, setter) symbol names, reference and scipy-openblas builds
 _SYMBOLS = (
@@ -64,13 +79,82 @@ def openblas_controls() -> list:
 
 @contextmanager
 def one_blas_thread():
-    """Run the block with every mapped OpenBLAS on one thread."""
+    """Run the block with every mapped OpenBLAS on one thread.
+
+    Yields the largest thread count the libraries had before, or 1 where
+    none is found.
+    """
     controls = openblas_controls()
     previous = [getter() for getter, _ in controls]
     for _, setter in controls:
         setter(1)
     try:
-        yield
+        yield max(previous, default=1)
     finally:
         for (_, setter), count in zip(controls, previous):
             setter(count)
+
+
+def check_jobs(jobs) -> None:
+    """Refuse a worker count that is neither None nor a positive integer."""
+    if jobs is not None and not (isinstance(jobs, int) and jobs >= 1):
+        raise ConfigError(f"jobs must be a positive integer or None, got {jobs!r}")
+
+
+_run = None   # a pool worker's range hook, built once by _start
+
+
+def _start(setup) -> None:
+    global _run
+    _run = setup()
+
+
+def _recorded(run, task):
+    """``run(task)`` and the warnings it raised, which are not shown here."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run(task)
+    return result, [w.message for w in caught]
+
+
+def _call(task):
+    with one_blas_thread():
+        return _recorded(_run, task)
+
+
+def map_ranges(setup, tasks: list, jobs: int | None, run=None) -> list:
+    """``[run(task) for task in tasks]``, in order, with ``run = setup()``.
+
+    Every task runs on one BLAS thread.  ``jobs`` is the number of
+    processes (see the module docstring for None).  With one, the tasks
+    run here, through ``run`` when the caller has already built it.  In
+    a pool, each worker calls ``setup``, which must pickle, once to
+    build its own ``run`` (a closure does not pickle), and the workers
+    take the tasks from the pool's queue in order.  An exception a task
+    raises propagates with its type, and no worker outlives the call.
+
+    Either way each task's warnings are recorded where it runs and
+    re-issued here, in task order, at the caller of this function's
+    caller, so they do not depend on ``jobs``.
+    """
+    with one_blas_thread() as threads:
+        if jobs is None:
+            pools = sys.modules.get("multiprocessing")   # loaded in any pool worker
+            jobs = 1 if pools is not None and pools.current_process().daemon else threads
+        workers = min(jobs, len(tasks))
+        if workers <= 1:
+            run = run or setup()
+            done = [_recorded(run, task) for task in tasks]
+        else:
+            # imported here so that commands without a pool never load multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(workers, initializer=_start, initargs=(setup,))
+            try:
+                done = list(pool.map(_call, tasks))
+            finally:
+                pool.shutdown(cancel_futures=True)
+    for _, caught in done:
+        for message in caught:
+            warnings.warn(message, stacklevel=3)
+    return [result for result, _ in done]

@@ -11,10 +11,16 @@ N * (T - h - initial_window + 1) squared errors.
 
 Each method's ``backtest_origins`` does once the work no origin changes
 (splining a panel's rows, the Nelson-Siegel cross-section) and returns a
-range hook with the report's summary fields.  ``run(start, stop)`` fits
-and forecasts origins start..stop-1 and returns one outcome per origin:
+range hook with the report's summary fields.  ``run(origins)`` fits and
+forecasts a range of origins and returns one outcome per origin:
 ``(row, orders)``, or the ``FfmError`` that refused that origin.
-``rolling_backtest`` hands out the origins in chunks of ``CHUNK``.
+``rolling_backtest`` hands out the origins in ranges of ``CHUNK``.
+The factor-model ranges run on a process pool (``ffm._blas.map_ranges``):
+by default one worker per OpenBLAS thread the caller had, so one per
+core unless ``OPENBLAS_NUM_THREADS`` says otherwise; each worker builds
+its own range hook once.  ``Dns`` ranges always run in the caller: on
+2 cores its whole round of 180 origins took about 15 ms, less than the
+20-50 ms a pool of two took to start its first range.
 
 A refused origin is caught in one place, ``_attempt``.  ``FfmFixed``
 and ``FfmCriterion`` share one range hook (``_ffm_origins``): FPCA per
@@ -36,16 +42,18 @@ C-contiguous before the forecast products, as ``coefficient_matrix``
 lays them out, and the loadings product keeps ``dns_forecast``'s
 (h, 3) @ (3, N) shape per window as a (W, h, 3) @ (3, N) product; a
 flat (W, 3) @ (3, N) product differs in the last bit.  The tests
-check that reports do not depend on ``CHUNK``.
+check that reports do not depend on ``CHUNK`` or on the number of
+worker processes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from ._blas import one_blas_thread
+from ._blas import check_jobs, map_ranges
 from .core import FunctionalSample, Grid, _frozen, panel_to_sample, sample_to_panel
 from .dns import DEFAULT_DECAY, dns_betas, dns_loadings
 from .dynamics import fit_var_windows, forecast_windows
@@ -99,8 +107,8 @@ def _ffm_origins(data, h: int, config: FfmConfig):
         model = _fit(full, config, grid)
         return forecast(model, h).matrix[h - 1], (model.k, model.p)
 
-    def run(start, stop):
-        results = {t: _attempt(fpca, _window(sample, t)) for t in range(start, stop)}
+    def run(origins):
+        results = {t: _attempt(fpca, _window(sample, t)) for t in origins}
         configs, groups, grids = {}, {}, {}
         for t, full in results.items():
             if isinstance(full, FfmError) or config.k is not None:
@@ -126,6 +134,8 @@ def _ffm_origins(data, h: int, config: FfmConfig):
 class FfmFixed:
     """Factor model with pinned orders (K, p)."""
 
+    pooled = True   # origins may run in worker processes
+
     k: int
     p: int
     restricted: bool = False
@@ -145,6 +155,8 @@ class FfmFixed:
 @dataclass(frozen=True)
 class FfmCriterion:
     """Factor model whose orders are re-selected at every origin."""
+
+    pooled = True
 
     criterion: str = "bic"
     k_max: int = 8
@@ -175,6 +187,8 @@ class FfmCriterion:
 class Dns:
     """Dynamic Nelson-Siegel benchmark."""
 
+    pooled = False   # a whole round costs less than starting a pool
+
     decay: float = DEFAULT_DECAY
     diagonal: bool = False
 
@@ -196,15 +210,16 @@ class Dns:
         loadings = dns_loadings(panel.maturities, self.decay)
         first_bad = panel.n_rows if bad is None else bad[0]
 
-        def run(start, stop):
-            ends = np.arange(start, min(stop, first_bad + 1))  # windows without a bad row
+        def run(origins):
+            # windows without a bad row
+            ends = np.arange(origins.start, min(origins.stop, first_bad + 1))
             failures, lags = fit_var_windows(betas, 1, ends, restricted=self.diagonal)
             ok = np.array([why is None for why in failures], dtype=bool)
             beta_fc = forecast_windows(lags, None, betas[ends[ok] - 1, None], h)
             curves = iter(beta_fc @ loadings.T)  # dns_forecast's (h, 3) @ (3, N) per window
             outcomes = [(next(curves)[h - 1], None) if why is None else NumericError(why)
                         for why in failures]
-            return outcomes + [DataError(bad[1]) for _ in range(ends.size, stop - start)]
+            return outcomes + [DataError(bad[1]) for _ in range(ends.size, len(origins))]
 
         # the benchmark always carries 3 factors
         return run, {"k": 3, "p": 1, "dynamics": "ar" if self.diagonal else "var"}
@@ -265,8 +280,13 @@ class BacktestReport:
         return rows
 
 
-def rolling_backtest(data, method, h: int = 1,
-                     initial_window: int = DEFAULT_INITIAL_WINDOW) -> BacktestReport:
+def _range_hook(method, data, h: int):
+    """A method's range hook alone, as a pool worker builds it."""
+    return method.backtest_origins(data, h)[0]
+
+
+def rolling_backtest(data, method, h: int = 1, initial_window: int = DEFAULT_INITIAL_WINDOW,
+                     jobs: int | None = None) -> BacktestReport:
     """Expanding-window forecast evaluation of one method.
 
     Parameters
@@ -279,20 +299,29 @@ def rolling_backtest(data, method, h: int = 1,
         Forecast horizon, at least 1.
     initial_window : int
         First origin (number of observations in the first training set).
+    jobs : int or None
+        Worker processes for a factor model's origins.  None takes one per
+        OpenBLAS thread the caller had (1 under ``OPENBLAS_NUM_THREADS=1``,
+        without an OpenBLAS control, or inside a daemonic process), at most
+        one per range of ``CHUNK`` origins; ``Dns`` always runs here.
 
     An origin whose window the library refuses (an ``FfmError``: singular
     dynamics, rank below a pinned K, too few quotes) is recorded as a NaN
     row, counted in the report's ``failures`` and explained in its
     ``failure_reasons`` instead of aborting the whole exercise.  Any
-    other exception propagates.
+    other exception propagates with its type.  Warnings raised at an
+    origin are re-issued at the caller in origin order.  The report,
+    warnings included, does not depend on ``jobs``.
 
-    The origin loop runs with OpenBLAS on one thread (``ffm._blas``); the
-    previous thread count is restored when it ends.
+    Every process runs the origins with OpenBLAS on one thread
+    (``ffm._blas``); the caller's thread count is restored when the loop
+    ends.
     """
     if h < 1:
         raise ConfigError(f"horizon must be at least 1, got {h}")
     if initial_window < 3:
         raise ConfigError(f"initial_window must be at least 3, got {initial_window}")
+    check_jobs(jobs)
     panel = sample_to_panel(data)
     run, fields = method.backtest_origins(data, h)
     t_total = panel.n_rows
@@ -301,24 +330,24 @@ def rolling_backtest(data, method, h: int = 1,
             f"need at least initial_window + h = {initial_window + h} rows, got {t_total}"
         )
     realized = panel.table
-    origins = np.arange(initial_window, t_total - h + 1)
+    end = t_total - h + 1
+    origins = np.arange(initial_window, end)
+    ranges = [range(t, min(t + CHUNK, end)) for t in range(initial_window, end, CHUNK)]
+    parts = map_ranges(partial(_range_hook, method, data, h), ranges,
+                       jobs if method.pooled else 1, run)
     errors = np.full((origins.size, panel.maturities.size), np.nan)
     # orders re-selected per origin (summary K left None) are kept per origin
     selected = np.zeros((origins.size, 2), dtype=int) if fields["k"] is None else None
     reasons = []
-
-    with one_blas_thread():
-        for lo in range(0, origins.size, CHUNK):
-            chunk = origins[lo:lo + CHUNK]
-            outcomes = run(int(chunk[0]), int(chunk[-1]) + 1)
-            for i, t, outcome in zip(range(lo, lo + chunk.size), chunk, outcomes, strict=True):
-                if isinstance(outcome, FfmError):
-                    reasons.append((int(t), type(outcome).__name__, str(outcome)))
-                    continue
-                pred, orders = outcome
-                if selected is not None:
-                    selected[i] = orders
-                errors[i] = pred - realized[t + h - 1]
+    outcomes = (outcome for part in parts for outcome in part)
+    for i, (t, outcome) in enumerate(zip(origins.tolist(), outcomes, strict=True)):
+        if isinstance(outcome, FfmError):
+            reasons.append((t, type(outcome).__name__, str(outcome)))
+            continue
+        pred, orders = outcome
+        if selected is not None:
+            selected[i] = orders
+        errors[i] = pred - realized[t + h - 1]
 
     if not np.any(np.isfinite(errors)):
         raise NumericError("every backtest origin failed; nothing was evaluated")

@@ -3,17 +3,19 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from ._blas import one_blas_thread
+from ._blas import check_jobs, map_ranges
+from .errors import ConfigError
 from .fpca import fpca
 from .selection import CRITERIA, _check_criteria, _stacked_grids
 from .simulate import SimSpec, replication_rng, simulate_streams
 
 __all__ = ["McReport", "monte_carlo"]
 
-# replications simulated together through one factor recursion
+# the most replications simulated together through one factor recursion
 CHUNK = 50
 
 
@@ -78,49 +80,43 @@ class McReport:
         return rows
 
 
-def _run_replications(args) -> list[dict]:
-    """Chosen (K, p) per criterion for a contiguous range of replications.
+def _replications(spec: SimSpec, k_max: int, p_max: int, criteria, restricted: bool):
+    """Range hook: chosen (K, p) per criterion for a range of replications.
 
-    Replications are simulated ``CHUNK`` at a time through one factor
-    recursion, and their orders selected by one stacked kernel call, which
-    keeps of each FPCA result only what selection reads.  The whole range
-    runs on one BLAS thread.
+    A range, of at most ``CHUNK`` replications, is simulated through one
+    factor recursion, and its orders are selected by one stacked kernel
+    call, which keeps of each FPCA result only what selection reads.
     """
-    spec, reps, k_max, p_max, criteria, restricted = args
-    outcomes = []
-    with one_blas_thread():
-        for start in range(reps.start, reps.stop, CHUNK):
-            rngs = [replication_rng(spec.seed, rep)
-                    for rep in range(start, min(start + CHUNK, reps.stop))]
-            results = (fpca(sample) for sample in simulate_streams(spec, rngs))
-            for grids in _stacked_grids(results, k_max, p_max, criteria, restricted):
-                outcomes.append({criterion: grid.chosen for criterion, grid in grids.items()})
-    return outcomes
+    def run(reps: range) -> list[dict]:
+        rngs = [replication_rng(spec.seed, rep) for rep in reps]
+        results = (fpca(sample) for sample in simulate_streams(spec, rngs))
+        return [{criterion: grid.chosen for criterion, grid in grids.items()}
+                for grids in _stacked_grids(results, k_max, p_max, criteria, restricted)]
+
+    return run
 
 
 def monte_carlo(spec: SimSpec, reps: int, k_max: int = 8, p_max: int = 8,
-                criteria=CRITERIA, restricted: bool = False, jobs: int = 1) -> McReport:
+                criteria=CRITERIA, restricted: bool = False, jobs: int | None = 1) -> McReport:
     """Run ``reps`` independent selection replications of ``spec``.
 
     Replication r always uses the stream derived from (spec.seed, r), and
     its sample does not depend on the replications simulated beside it,
     so results are identical for any ``jobs``; workers only change the
-    schedule.  Each worker takes a contiguous range of replications.
+    schedule.  The replications are split into the fewest even
+    contiguous ranges of at most ``CHUNK`` that give each of ``jobs``
+    workers one, and run through ``ffm._blas.map_ranges`` on one
+    OpenBLAS thread per process.  ``jobs=None`` takes as many workers as
+    OpenBLAS had threads, at most one per range (see ``ffm._blas``).
     """
     if reps < 1:
-        raise ValueError(f"reps must be positive, got {reps}")
+        raise ConfigError(f"reps must be positive, got {reps}")
+    check_jobs(jobs)
     criteria = _check_criteria(criteria)
-    workers = min(max(jobs, 1), reps)
-    ranges = [range(w * reps // workers, (w + 1) * reps // workers) for w in range(workers)]
-    tasks = [(spec, span, k_max, p_max, criteria, restricted) for span in ranges]
-    if workers > 1:
-        # imported here so that commands without a pool never load multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = [chosen for part in pool.map(_run_replications, tasks) for chosen in part]
-    else:
-        outcomes = _run_replications(tasks[0])
+    count = max(-(-reps // CHUNK), min(jobs or 1, reps))
+    ranges = [range(w * reps // count, (w + 1) * reps // count) for w in range(count)]
+    setup = partial(_replications, spec, k_max, p_max, criteria, restricted)
+    outcomes = [chosen for part in map_ranges(setup, ranges, jobs) for chosen in part]
 
     selections = {
         criterion: np.array([outcome[criterion] for outcome in outcomes], dtype=int)

@@ -1,5 +1,7 @@
 """Expanding-window forecast evaluation."""
 
+import multiprocessing
+import os
 import warnings
 from dataclasses import replace
 
@@ -13,6 +15,7 @@ from ffm import (BacktestReport, ConfigError, DiscretePanel, Dns, FfmConfig, Ffm
                  FfmFixed, FfmError, FunctionalSample, NumericError, SimSpec,
                  dns_forecast, dns_loadings, fit_dns, fit_ffm, forecast, make_grid,
                  rolling_backtest, select_orders, simulate)
+from ffm._blas import openblas_controls
 
 RMSFE_AUDIT_TOL = 1e-12
 
@@ -194,7 +197,8 @@ class TestRolling:
 
     def test_argument_errors_are_config_errors(self):
         sample = m1_sample(20)
-        for kwargs in ({"h": 0}, {"h": 1, "initial_window": 2}, {"h": 5, "initial_window": 18}):
+        for kwargs in ({"h": 0}, {"h": 1, "initial_window": 2}, {"h": 5, "initial_window": 18},
+                       {"jobs": 0}, {"jobs": -3}, {"jobs": 1.5}):
             with pytest.raises(ConfigError):
                 rolling_backtest(sample, FfmFixed(2, 1), **kwargs)
         with pytest.raises(ConfigError, match="unknown criterion"):
@@ -273,7 +277,8 @@ class TestChunks:
         reports = []
         for chunk in (1, 7, backtest_module.CHUNK):
             monkeypatch.setattr(backtest_module, "CHUNK", chunk)
-            reports.append(rolling_backtest(data, method, h=h, initial_window=initial_window))
+            reports.append(rolling_backtest(data, method, h=h, initial_window=initial_window,
+                                            jobs=1))
         return reports
 
     @pytest.mark.parametrize("diagonal", [False, True])
@@ -316,7 +321,7 @@ class TestChunks:
 
         monkeypatch.setattr(backtest_module, "fit_var_windows", spy)
         monkeypatch.setattr(backtest_module, "CHUNK", 4)
-        report = rolling_backtest(panel, Dns(0.07, diagonal), h=2, initial_window=3)
+        report = rolling_backtest(panel, Dns(0.07, diagonal), h=2, initial_window=3, jobs=1)
         failures, lags = stacked[0]
         assert len(failures) == 4 and None not in failures
         assert lags.shape == (0, 1, 3, 3)
@@ -390,7 +395,8 @@ class TestChunks:
             first = reports[-1]   # CHUNK as shipped
             for budget in (1, 2**30):   # one series per stack, and one stack per chunk
                 monkeypatch.setattr(selection_module, "STACK_BYTES", budget)
-                reports.insert(0, rolling_backtest(sample, method, h=h, initial_window=3))
+                reports.insert(0, rolling_backtest(sample, method, h=h, initial_window=3,
+                                                   jobs=1))
             # one origin per call is fit_ffm and forecast on each window
             errors = np.full_like(first.errors, np.nan)
             selected = np.zeros_like(first.selected)
@@ -419,6 +425,88 @@ class TestChunks:
             assert other.failure_reasons == first.failure_reasons
 
 
+# monkeypatched functions reach pool workers only when they are forked
+needs_fork = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                                reason="pool workers here are not forked")
+
+
+def backtest_in_daemon(args):
+    """A default-jobs backtest in a ``multiprocessing.Pool`` worker, with a second BLAS thread."""
+    for _, setter in openblas_controls():
+        setter(2)
+    return rolling_backtest(*args).errors
+
+
+class TestPool:
+    """Reports and warnings do not depend on the number of worker processes."""
+
+    @pytest.mark.parametrize("method, data, initial_window", [
+        (FfmFixed(5, 1),
+         FunctionalSample(make_grid(0.0, 1.0, 6), np.random.default_rng(13).normal(size=(40, 6))),
+         4),
+        (FfmCriterion("bic", 2, 2), criterion_sample(), 3),
+        (FfmCriterion("bic", 2, 2, restricted=True), criterion_sample(), 3),
+        (Dns(0.07), mixed_dns_panel(), 3),
+    ], ids=["fixed", "criterion-var", "criterion-ar", "dns"])
+    def test_reports_do_not_depend_on_jobs_or_chunk(self, monkeypatch, method, data,
+                                                     initial_window):
+        runs = []
+        for chunk in (1, 7, 32):
+            monkeypatch.setattr(backtest_module, "CHUNK", chunk)
+            for jobs in (1, 2, 3):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    report = rolling_backtest(data, method, h=2, initial_window=initial_window,
+                                              jobs=jobs)
+                assert multiprocessing.active_children() == []
+                runs.append((report, [(w.category, str(w.message)) for w in caught]))
+        first, warned = runs[0]
+        assert first.failures > 0 and np.isfinite(first.errors).any()
+        for report, caught in runs[1:]:
+            assert report.errors.tobytes() == first.errors.tobytes()
+            if first.selected is None:
+                assert report.selected is None
+            else:
+                assert report.selected.tobytes() == first.selected.tobytes()
+            assert report.failure_reasons == first.failure_reasons
+            assert report.failures == first.failures
+            assert caught == warned
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_warnings_reach_the_caller_in_origin_order(self, monkeypatch, jobs):
+        # p_max = 12 is clipped, with a warning, at every window of 12 curves or fewer
+        monkeypatch.setattr(backtest_module, "CHUNK", 3)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rolling_backtest(m1_sample(30), FfmCriterion("bic", 2, 12), h=1,
+                             initial_window=5, jobs=jobs)
+        clipped = [str(w.message) for w in caught if str(w.message).startswith("p_max")]
+        assert clipped == [f"p_max=12 is too large for {t} curves; clipped to {t - 1}"
+                           for t in range(5, 13)]
+        assert {w.category for w in caught} == {UserWarning}
+        assert {w.filename for w in caught} == {__file__}   # at the caller
+
+    @needs_fork
+    def test_programming_error_in_a_worker_propagates(self, monkeypatch):
+        def broken(full, config, grid=None):
+            raise TypeError(f"bug in the fit in process {os.getpid()}")
+
+        monkeypatch.setattr(backtest_module, "_fit", broken)
+        monkeypatch.setattr(backtest_module, "CHUNK", 4)
+        with pytest.raises(TypeError, match="bug in the fit") as exc:
+            rolling_backtest(m1_sample(40), FfmFixed(2, 1), h=1, initial_window=30, jobs=2)
+        assert str(os.getpid()) not in str(exc.value)   # raised in a worker
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_default_jobs_in_a_daemonic_process_run_there(self, monkeypatch):
+        monkeypatch.setattr(backtest_module, "CHUNK", 4)
+        args = (m1_sample(50), FfmFixed(2, 1), 1, 30)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            errors = pool.apply_async(backtest_in_daemon, (args,)).get(timeout=120)
+        assert errors.tobytes() == rolling_backtest(*args, jobs=1).errors.tobytes()
+
+
 class TestFpcaPerOrigin:
     def test_fallback_origins_reuse_their_fpca(self, monkeypatch, benchmark_inputs):
         # on this short panel every origin selects on its own (p_max clipped,
@@ -435,7 +523,8 @@ class TestFpcaPerOrigin:
         monkeypatch.setattr(pipeline_module, "fpca", counted)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            report = rolling_backtest(panel, FfmCriterion("ffpe"), h=1, initial_window=5)
+            report = rolling_backtest(panel, FfmCriterion("ffpe"), h=1, initial_window=5,
+                                      jobs=1)
         assert report.origins.size == 55 and report.failures == 0
         assert windows == report.origins.tolist()
         assert report.rmsfe == 1.1907081295356694

@@ -308,6 +308,13 @@ class TestMc:
                         "--output-dir", out]) == 0
         assert (a / "mc.csv").read_text() == (b / "mc.csv").read_text()
 
+    @pytest.mark.parametrize("flag, value", [("--jobs", 0), ("--jobs", -3), ("--reps", 0)])
+    def test_nonpositive_jobs_or_reps_is_config_error(self, tmp_path, capsys, flag, value):
+        assert run(["mc", "--model", "M4", "--T", 60, "--reps", 2, "--kmax", 2, "--pmax", 2,
+                    flag, value, "--output-dir", tmp_path]) == 2
+        assert "must be" in capsys.readouterr().err
+        assert not (tmp_path / "mc.csv").exists()
+
     def test_bad_criteria_is_config_error(self, tmp_path, capsys):
         assert run(["mc", "--criteria", "bic,aic", "--reps", 2,
                     "--output-dir", tmp_path]) == 2
