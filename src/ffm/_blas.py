@@ -12,11 +12,14 @@ The cores those threads would have used run worker processes instead.
 order, on ``jobs`` processes.  ``jobs=None`` takes the thread count
 ``one_blas_thread`` saved, which follows ``OPENBLAS_NUM_THREADS`` and
 defaults to the number of cores, so ``OPENBLAS_NUM_THREADS=1`` gives a
-serial run.  It is 1 where no OpenBLAS control is found and inside a
-daemonic process (a ``multiprocessing.Pool`` worker, which may not
-start children), and never more than the number of ranges.  With one
-process the ranges run in the caller; ``multiprocessing`` is imported
-only when a pool starts.
+serial run, and starts the workers by ``fork``: with ``spawn`` or
+``forkserver`` a pool of two ran a 180-origin backtest slower than one
+process.  It is 1 where no OpenBLAS control is found, inside a daemonic
+process (a ``multiprocessing.Pool`` worker, which may not start
+children), and from Python 3.12 on, which warns (``DeprecationWarning``)
+when a process with OpenBLAS threads forks.  It is never more than the
+number of ranges.  With one process the ranges run in the caller;
+``multiprocessing`` is imported only when a pool starts.
 
 Libraries are found in ``/proc/self/maps`` and driven through their own
 ``openblas_set_num_threads`` (or the ``scipy_openblas`` build's
@@ -35,9 +38,7 @@ import sys
 import warnings
 from contextlib import contextmanager
 
-from .errors import ConfigError
-
-__all__ = ["one_blas_thread", "openblas_controls", "check_jobs", "map_ranges"]
+__all__ = ["one_blas_thread", "openblas_controls", "map_ranges"]
 
 # (getter, setter) symbol names, reference and scipy-openblas builds
 _SYMBOLS = (
@@ -95,10 +96,19 @@ def one_blas_thread():
             setter(count)
 
 
-def check_jobs(jobs) -> None:
-    """Refuse a worker count that is neither None nor a positive integer."""
-    if jobs is not None and not (isinstance(jobs, int) and jobs >= 1):
-        raise ConfigError(f"jobs must be a positive integer or None, got {jobs!r}")
+# a fork of a process with OpenBLAS threads warns from Python 3.12 on
+_FORK_QUIET = sys.version_info < (3, 12)
+
+
+def _default_pool(threads: int, tasks: int):
+    """Workers and start context that ``jobs=None`` gives ``tasks`` ranges."""
+    if not _FORK_QUIET or min(threads, tasks) <= 1:
+        return 1, None
+    import multiprocessing
+
+    if multiprocessing.current_process().daemon:
+        return 1, None
+    return min(threads, tasks), multiprocessing.get_context("fork")
 
 
 _run = None   # a pool worker's range hook, built once by _start
@@ -122,6 +132,17 @@ def _call(task):
         return _recorded(_run, task)
 
 
+def _replayed(done) -> list:
+    """Results of ``(result, warnings)`` pairs, re-issuing each pair's warnings as it comes."""
+    results = []
+    for result, caught in done:
+        for message in caught:
+            # at the caller of map_ranges's caller
+            warnings.warn(message, stacklevel=4)
+        results.append(result)
+    return results
+
+
 def map_ranges(setup, tasks: list, jobs: int | None, run=None) -> list:
     """``[run(task) for task in tasks]``, in order, with ``run = setup()``.
 
@@ -134,27 +155,24 @@ def map_ranges(setup, tasks: list, jobs: int | None, run=None) -> list:
     raises propagates with its type, and no worker outlives the call.
 
     Either way each task's warnings are recorded where it runs and
-    re-issued here, in task order, at the caller of this function's
-    caller, so they do not depend on ``jobs``.
+    re-issued here when the task's result arrives, in task order, at
+    the caller of this function's caller, so they do not depend on
+    ``jobs``.  The warnings of a task that raises are not re-issued.
     """
     with one_blas_thread() as threads:
         if jobs is None:
-            pools = sys.modules.get("multiprocessing")   # loaded in any pool worker
-            jobs = 1 if pools is not None and pools.current_process().daemon else threads
-        workers = min(jobs, len(tasks))
+            workers, context = _default_pool(threads, len(tasks))
+        else:
+            workers, context = min(jobs, len(tasks)), None
         if workers <= 1:
             run = run or setup()
-            done = [_recorded(run, task) for task in tasks]
-        else:
-            # imported here so that commands without a pool never load multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
+            return _replayed(_recorded(run, task) for task in tasks)
+        # imported here so that commands without a pool never load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-            pool = ProcessPoolExecutor(workers, initializer=_start, initargs=(setup,))
-            try:
-                done = list(pool.map(_call, tasks))
-            finally:
-                pool.shutdown(cancel_futures=True)
-    for _, caught in done:
-        for message in caught:
-            warnings.warn(message, stacklevel=3)
-    return [result for result, _ in done]
+        pool = ProcessPoolExecutor(workers, mp_context=context, initializer=_start,
+                                   initargs=(setup,))
+        try:
+            return _replayed(pool.map(_call, tasks))
+        finally:
+            pool.shutdown(cancel_futures=True)

@@ -15,12 +15,13 @@ range hook with the report's summary fields.  ``run(origins)`` fits and
 forecasts a range of origins and returns one outcome per origin:
 ``(row, orders)``, or the ``FfmError`` that refused that origin.
 ``rolling_backtest`` hands out the origins in ranges of ``CHUNK``.
-The factor-model ranges run on a process pool (``ffm._blas.map_ranges``):
-by default one worker per OpenBLAS thread the caller had, so one per
-core unless ``OPENBLAS_NUM_THREADS`` says otherwise; each worker builds
-its own range hook once.  ``Dns`` ranges always run in the caller: on
-2 cores its whole round of 180 origins took about 15 ms, less than the
-20-50 ms a pool of two took to start its first range.
+The factor-model ranges run on a process pool (``ffm._blas.map_ranges``)
+of one forked worker per OpenBLAS thread the caller had, so one per
+core unless ``OPENBLAS_NUM_THREADS`` says otherwise, and none from
+Python 3.12 on (see ``ffm._blas``); each worker builds its own range
+hook once.  ``Dns`` ranges always run in the caller: on 2 cores its
+whole round of 180 origins took about 15 ms, less than the 20-50 ms a
+pool of two took to start its first range.
 
 A refused origin is caught in one place, ``_attempt``.  ``FfmFixed``
 and ``FfmCriterion`` share one range hook (``_ffm_origins``): FPCA per
@@ -53,7 +54,7 @@ from functools import partial
 
 import numpy as np
 
-from ._blas import check_jobs, map_ranges
+from ._blas import map_ranges
 from .core import FunctionalSample, Grid, _frozen, panel_to_sample, sample_to_panel
 from .dns import DEFAULT_DECAY, dns_betas, dns_loadings
 from .dynamics import fit_var_windows, forecast_windows
@@ -285,8 +286,8 @@ def _range_hook(method, data, h: int):
     return method.backtest_origins(data, h)[0]
 
 
-def rolling_backtest(data, method, h: int = 1, initial_window: int = DEFAULT_INITIAL_WINDOW,
-                     jobs: int | None = None) -> BacktestReport:
+def rolling_backtest(data, method, h: int = 1,
+                     initial_window: int = DEFAULT_INITIAL_WINDOW) -> BacktestReport:
     """Expanding-window forecast evaluation of one method.
 
     Parameters
@@ -299,29 +300,27 @@ def rolling_backtest(data, method, h: int = 1, initial_window: int = DEFAULT_INI
         Forecast horizon, at least 1.
     initial_window : int
         First origin (number of observations in the first training set).
-    jobs : int or None
-        Worker processes for a factor model's origins.  None takes one per
-        OpenBLAS thread the caller had (1 under ``OPENBLAS_NUM_THREADS=1``,
-        without an OpenBLAS control, or inside a daemonic process), at most
-        one per range of ``CHUNK`` origins; ``Dns`` always runs here.
 
     An origin whose window the library refuses (an ``FfmError``: singular
     dynamics, rank below a pinned K, too few quotes) is recorded as a NaN
     row, counted in the report's ``failures`` and explained in its
     ``failure_reasons`` instead of aborting the whole exercise.  Any
     other exception propagates with its type.  Warnings raised at an
-    origin are re-issued at the caller in origin order.  The report,
-    warnings included, does not depend on ``jobs``.
+    origin are re-issued at the caller in origin order.
 
-    Every process runs the origins with OpenBLAS on one thread
-    (``ffm._blas``); the caller's thread count is restored when the loop
-    ends.
+    A factor model's origins run, in ranges of ``CHUNK``, on one worker
+    process per OpenBLAS thread the caller had, at most one per range:
+    1 under ``OPENBLAS_NUM_THREADS=1``, without an OpenBLAS control,
+    inside a daemonic process and from Python 3.12 on, where they run
+    here (``ffm._blas``); ``Dns`` always runs here.  The report,
+    warnings included, does not depend on the number of workers.  Every
+    process runs the origins with OpenBLAS on one thread; the caller's
+    thread count is restored when the loop ends.
     """
     if h < 1:
         raise ConfigError(f"horizon must be at least 1, got {h}")
     if initial_window < 3:
         raise ConfigError(f"initial_window must be at least 3, got {initial_window}")
-    check_jobs(jobs)
     panel = sample_to_panel(data)
     run, fields = method.backtest_origins(data, h)
     t_total = panel.n_rows
@@ -334,7 +333,7 @@ def rolling_backtest(data, method, h: int = 1, initial_window: int = DEFAULT_INI
     origins = np.arange(initial_window, end)
     ranges = [range(t, min(t + CHUNK, end)) for t in range(initial_window, end, CHUNK)]
     parts = map_ranges(partial(_range_hook, method, data, h), ranges,
-                       jobs if method.pooled else 1, run)
+                       None if method.pooled else 1, run)
     errors = np.full((origins.size, panel.maturities.size), np.nan)
     # orders re-selected per origin (summary K left None) are kept per origin
     selected = np.zeros((origins.size, 2), dtype=int) if fields["k"] is None else None

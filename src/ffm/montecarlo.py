@@ -7,7 +7,7 @@ from functools import partial
 
 import numpy as np
 
-from ._blas import check_jobs, map_ranges
+from ._blas import map_ranges
 from .errors import ConfigError
 from .fpca import fpca
 from .selection import CRITERIA, _check_criteria, _stacked_grids
@@ -97,7 +97,7 @@ def _replications(spec: SimSpec, k_max: int, p_max: int, criteria, restricted: b
 
 
 def monte_carlo(spec: SimSpec, reps: int, k_max: int = 8, p_max: int = 8,
-                criteria=CRITERIA, restricted: bool = False, jobs: int | None = 1) -> McReport:
+                criteria=CRITERIA, restricted: bool = False, jobs: int = 1) -> McReport:
     """Run ``reps`` independent selection replications of ``spec``.
 
     Replication r always uses the stream derived from (spec.seed, r), and
@@ -106,14 +106,16 @@ def monte_carlo(spec: SimSpec, reps: int, k_max: int = 8, p_max: int = 8,
     schedule.  The replications are split into the fewest even
     contiguous ranges of at most ``CHUNK`` that give each of ``jobs``
     workers one, and run through ``ffm._blas.map_ranges`` on one
-    OpenBLAS thread per process.  ``jobs=None`` takes as many workers as
-    OpenBLAS had threads, at most one per range (see ``ffm._blas``).
+    OpenBLAS thread per process.  Unlike the backtest's, the worker
+    count does not follow the OpenBLAS thread count: it is ``jobs``,
+    which must be a positive integer.
     """
     if reps < 1:
         raise ConfigError(f"reps must be positive, got {reps}")
-    check_jobs(jobs)
+    if not (isinstance(jobs, int) and jobs >= 1):
+        raise ConfigError(f"jobs must be a positive integer, got {jobs!r}")
     criteria = _check_criteria(criteria)
-    count = max(-(-reps // CHUNK), min(jobs or 1, reps))
+    count = max(-(-reps // CHUNK), min(jobs, reps))
     ranges = [range(w * reps // count, (w + 1) * reps // count) for w in range(count)]
     setup = partial(_replications, spec, k_max, p_max, criteria, restricted)
     outcomes = [chosen for part in map_ranges(setup, ranges, jobs) for chosen in part]

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import ffm._blas as blas_module
 import ffm.backtest as backtest_module
 import ffm.pipeline as pipeline_module
 import ffm.selection as selection_module
@@ -18,6 +19,27 @@ from ffm import (BacktestReport, ConfigError, DiscretePanel, Dns, FfmConfig, Ffm
 from ffm._blas import openblas_controls
 
 RMSFE_AUDIT_TOL = 1e-12
+
+
+@pytest.fixture
+def blas_threads():
+    """``use(n)`` sets every OpenBLAS to n threads, the backtest's default worker count."""
+    controls = openblas_controls()
+    previous = [getter() for getter, _ in controls]
+
+    def use(n):
+        for _, setter in controls:
+            setter(n)
+
+    yield use
+    for (_, setter), count in zip(controls, previous):
+        setter(count)
+
+
+@pytest.fixture
+def serial(blas_threads):
+    """Origins run in this process, where the side effects of monkeypatched spies are seen."""
+    blas_threads(1)
 
 
 def report_with_errors(errors):
@@ -197,8 +219,7 @@ class TestRolling:
 
     def test_argument_errors_are_config_errors(self):
         sample = m1_sample(20)
-        for kwargs in ({"h": 0}, {"h": 1, "initial_window": 2}, {"h": 5, "initial_window": 18},
-                       {"jobs": 0}, {"jobs": -3}, {"jobs": 1.5}):
+        for kwargs in ({"h": 0}, {"h": 1, "initial_window": 2}, {"h": 5, "initial_window": 18}):
             with pytest.raises(ConfigError):
                 rolling_backtest(sample, FfmFixed(2, 1), **kwargs)
         with pytest.raises(ConfigError, match="unknown criterion"):
@@ -269,6 +290,7 @@ def criterion_sample():
     return FunctionalSample(grid, matrix)
 
 
+@pytest.mark.usefixtures("serial")
 class TestChunks:
     """Results do not depend on how many origins a range hook takes at once."""
 
@@ -277,8 +299,7 @@ class TestChunks:
         reports = []
         for chunk in (1, 7, backtest_module.CHUNK):
             monkeypatch.setattr(backtest_module, "CHUNK", chunk)
-            reports.append(rolling_backtest(data, method, h=h, initial_window=initial_window,
-                                            jobs=1))
+            reports.append(rolling_backtest(data, method, h=h, initial_window=initial_window))
         return reports
 
     @pytest.mark.parametrize("diagonal", [False, True])
@@ -321,7 +342,7 @@ class TestChunks:
 
         monkeypatch.setattr(backtest_module, "fit_var_windows", spy)
         monkeypatch.setattr(backtest_module, "CHUNK", 4)
-        report = rolling_backtest(panel, Dns(0.07, diagonal), h=2, initial_window=3, jobs=1)
+        report = rolling_backtest(panel, Dns(0.07, diagonal), h=2, initial_window=3)
         failures, lags = stacked[0]
         assert len(failures) == 4 and None not in failures
         assert lags.shape == (0, 1, 3, 3)
@@ -395,8 +416,7 @@ class TestChunks:
             first = reports[-1]   # CHUNK as shipped
             for budget in (1, 2**30):   # one series per stack, and one stack per chunk
                 monkeypatch.setattr(selection_module, "STACK_BYTES", budget)
-                reports.insert(0, rolling_backtest(sample, method, h=h, initial_window=3,
-                                                   jobs=1))
+                reports.insert(0, rolling_backtest(sample, method, h=h, initial_window=3))
             # one origin per call is fit_ffm and forecast on each window
             errors = np.full_like(first.errors, np.nan)
             selected = np.zeros_like(first.selected)
@@ -425,20 +445,29 @@ class TestChunks:
             assert other.failure_reasons == first.failure_reasons
 
 
-# monkeypatched functions reach pool workers only when they are forked
-needs_fork = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                                reason="pool workers here are not forked")
+# where the default count starts no pool, the pool tests below run in this process
+pools = pytest.mark.skipif(not (blas_module._FORK_QUIET and openblas_controls()),
+                           reason="the default worker count here is 1")
 
 
 def backtest_in_daemon(args):
-    """A default-jobs backtest in a ``multiprocessing.Pool`` worker, with a second BLAS thread."""
+    """A backtest in a ``multiprocessing.Pool`` worker, with a second BLAS thread."""
     for _, setter in openblas_controls():
         setter(2)
     return rolling_backtest(*args).errors
 
 
+def clip_warnings(origins):
+    """``fit_ffm``'s warnings for p_max = 12 at windows of ``origins`` curves."""
+    return [f"p_max=12 is too large for {t} curves; clipped to {t - 1}" for t in origins]
+
+
 class TestPool:
-    """Reports and warnings do not depend on the number of worker processes."""
+    """Reports and warnings do not depend on the number of worker processes.
+
+    The default worker count is the OpenBLAS thread count, so the tests
+    set that to choose it.
+    """
 
     @pytest.mark.parametrize("method, data, initial_window", [
         (FfmFixed(5, 1),
@@ -448,16 +477,16 @@ class TestPool:
         (FfmCriterion("bic", 2, 2, restricted=True), criterion_sample(), 3),
         (Dns(0.07), mixed_dns_panel(), 3),
     ], ids=["fixed", "criterion-var", "criterion-ar", "dns"])
-    def test_reports_do_not_depend_on_jobs_or_chunk(self, monkeypatch, method, data,
-                                                     initial_window):
+    def test_reports_do_not_depend_on_workers_or_chunk(self, monkeypatch, blas_threads, method,
+                                                       data, initial_window):
         runs = []
         for chunk in (1, 7, 32):
             monkeypatch.setattr(backtest_module, "CHUNK", chunk)
-            for jobs in (1, 2, 3):
+            for threads in (1, 2, 3):
+                blas_threads(threads)
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
-                    report = rolling_backtest(data, method, h=2, initial_window=initial_window,
-                                              jobs=jobs)
+                    report = rolling_backtest(data, method, h=2, initial_window=initial_window)
                 assert multiprocessing.active_children() == []
                 runs.append((report, [(w.category, str(w.message)) for w in caught]))
         first, warned = runs[0]
@@ -472,43 +501,74 @@ class TestPool:
             assert report.failures == first.failures
             assert caught == warned
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_warnings_reach_the_caller_in_origin_order(self, monkeypatch, jobs):
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_warnings_reach_the_caller_in_origin_order(self, monkeypatch, blas_threads, threads):
         # p_max = 12 is clipped, with a warning, at every window of 12 curves or fewer
         monkeypatch.setattr(backtest_module, "CHUNK", 3)
+        blas_threads(threads)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            rolling_backtest(m1_sample(30), FfmCriterion("bic", 2, 12), h=1,
-                             initial_window=5, jobs=jobs)
+            rolling_backtest(m1_sample(30), FfmCriterion("bic", 2, 12), h=1, initial_window=5)
         clipped = [str(w.message) for w in caught if str(w.message).startswith("p_max")]
-        assert clipped == [f"p_max=12 is too large for {t} curves; clipped to {t - 1}"
-                           for t in range(5, 13)]
+        assert clipped == clip_warnings(range(5, 13))
         assert {w.category for w in caught} == {UserWarning}
         assert {w.filename for w in caught} == {__file__}   # at the caller
 
-    @needs_fork
-    def test_programming_error_in_a_worker_propagates(self, monkeypatch):
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_warnings_of_ranges_done_before_an_error_reach_the_caller(self, monkeypatch,
+                                                                      blas_threads, threads):
+        fit = backtest_module._fit
+
+        def broken_at_11(full, config, grid=None):
+            if full.n_curves == 11:
+                raise TypeError("bug in the fit")
+            return fit(full, config, grid)
+
+        monkeypatch.setattr(backtest_module, "_fit", broken_at_11)
+        monkeypatch.setattr(backtest_module, "CHUNK", 3)   # ranges 5-7, 8-10, 11-13, ...
+        blas_threads(threads)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(TypeError, match="bug in the fit"):
+                rolling_backtest(m1_sample(30), FfmCriterion("bic", 2, 12), h=1,
+                                 initial_window=5)
+        clipped = [str(w.message) for w in caught if str(w.message).startswith("p_max")]
+        assert clipped == clip_warnings(range(5, 11))
+        assert multiprocessing.active_children() == []
+
+    def test_default_count_forks_only_where_forking_is_quiet(self, monkeypatch):
+        monkeypatch.setattr(blas_module, "_FORK_QUIET", True)
+        workers, context = blas_module._default_pool(3, 2)
+        assert (workers, context.get_start_method()) == (2, "fork")
+        assert blas_module._default_pool(1, 5) == (1, None)
+        assert blas_module._default_pool(4, 1) == (1, None)
+        monkeypatch.setattr(blas_module, "_FORK_QUIET", False)
+        assert blas_module._default_pool(3, 2) == (1, None)
+
+    @pools
+    def test_programming_error_in_a_worker_propagates(self, monkeypatch, blas_threads):
         def broken(full, config, grid=None):
             raise TypeError(f"bug in the fit in process {os.getpid()}")
 
         monkeypatch.setattr(backtest_module, "_fit", broken)
         monkeypatch.setattr(backtest_module, "CHUNK", 4)
+        blas_threads(2)
         with pytest.raises(TypeError, match="bug in the fit") as exc:
-            rolling_backtest(m1_sample(40), FfmFixed(2, 1), h=1, initial_window=30, jobs=2)
+            rolling_backtest(m1_sample(40), FfmFixed(2, 1), h=1, initial_window=30)
         assert str(os.getpid()) not in str(exc.value)   # raised in a worker
         assert multiprocessing.active_children() == []
 
-    @needs_fork
-    def test_default_jobs_in_a_daemonic_process_run_there(self, monkeypatch):
+    @pools
+    def test_a_daemonic_process_runs_the_origins_itself(self, monkeypatch, serial):
         monkeypatch.setattr(backtest_module, "CHUNK", 4)
         args = (m1_sample(50), FfmFixed(2, 1), 1, 30)
         with multiprocessing.get_context("fork").Pool(1) as pool:
             errors = pool.apply_async(backtest_in_daemon, (args,)).get(timeout=120)
-        assert errors.tobytes() == rolling_backtest(*args, jobs=1).errors.tobytes()
+        assert errors.tobytes() == rolling_backtest(*args).errors.tobytes()
 
 
 class TestFpcaPerOrigin:
-    def test_fallback_origins_reuse_their_fpca(self, monkeypatch, benchmark_inputs):
+    def test_fallback_origins_reuse_their_fpca(self, monkeypatch, serial, benchmark_inputs):
         # on this short panel every origin selects on its own (p_max clipped,
         # failed cells, or alone in its grid size), and none may run FPCA twice
         panel = DiscretePanel(benchmark_inputs.MATURITIES, benchmark_inputs.yield_panel(12, 60))
@@ -523,8 +583,7 @@ class TestFpcaPerOrigin:
         monkeypatch.setattr(pipeline_module, "fpca", counted)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            report = rolling_backtest(panel, FfmCriterion("ffpe"), h=1, initial_window=5,
-                                      jobs=1)
+            report = rolling_backtest(panel, FfmCriterion("ffpe"), h=1, initial_window=5)
         assert report.origins.size == 55 and report.failures == 0
         assert windows == report.origins.tolist()
         assert report.rmsfe == 1.1907081295356694

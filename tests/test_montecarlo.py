@@ -49,11 +49,10 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("reps", [CHUNK - 1, CHUNK, CHUNK + 3])
     def test_chunks_and_jobs_are_invisible(self, reps):
         # replications are simulated CHUNK at a time, and each worker takes
-        # a contiguous range: neither may change a replication's (K, p);
-        # None takes one worker per OpenBLAS thread
+        # a contiguous range: neither may change a replication's (K, p)
         spec = SimSpec(model="M3", n_obs=40, seed=8, burn_in=30)
         expected = per_replication_selections(spec, reps, 3, 2)
-        for jobs in (1, 2, 3, None):
+        for jobs in (1, 2, 3):
             report = monte_carlo(spec, reps, k_max=3, p_max=2, jobs=jobs)
             for criterion in report.criteria:
                 assert np.array_equal(report.selections[criterion], expected[criterion])
@@ -90,7 +89,7 @@ class TestMonteCarlo:
         for reps in (0, -2):
             with pytest.raises(ConfigError, match="reps must be positive"):
                 monte_carlo(SPEC, reps=reps)
-        for jobs in (0, -3, 2.0):
+        for jobs in (0, -3, 2.0, None):
             with pytest.raises(ConfigError, match="jobs must be a positive integer"):
                 monte_carlo(SPEC, reps=2, jobs=jobs)
 
