@@ -143,14 +143,14 @@ def _replayed(done) -> list:
     return results
 
 
-def map_ranges(setup, tasks: list, jobs: int | None, run=None) -> list:
+def map_ranges(setup, tasks: list, jobs: int | None) -> list:
     """``[run(task) for task in tasks]``, in order, with ``run = setup()``.
 
     Every task runs on one BLAS thread.  ``jobs`` is the number of
-    processes (see the module docstring for None).  With one, the tasks
-    run here, through ``run`` when the caller has already built it.  In
-    a pool, each worker calls ``setup``, which must pickle, once to
-    build its own ``run`` (a closure does not pickle), and the workers
+    processes (see the module docstring for None).  With one, ``run`` is
+    built and the tasks run here.  In a pool, each worker calls
+    ``setup``, which must pickle, once to build its own ``run`` (a
+    closure does not pickle), the caller builds none, and the workers
     take the tasks from the pool's queue in order.  An exception a task
     raises propagates with its type, and no worker outlives the call.
 
@@ -165,7 +165,7 @@ def map_ranges(setup, tasks: list, jobs: int | None, run=None) -> list:
         else:
             workers, context = min(jobs, len(tasks)), None
         if workers <= 1:
-            run = run or setup()
+            run = setup()
             return _replayed(_recorded(run, task) for task in tasks)
         # imported here so that commands without a pool never load multiprocessing
         from concurrent.futures import ProcessPoolExecutor

@@ -9,30 +9,32 @@ observed maturities.  The headline figure is
 with origins t = initial_window..T-h, so a complete panel contributes
 N * (T - h - initial_window + 1) squared errors.
 
-Each method's ``backtest_origins`` does once the work no origin changes
-(splining a panel's rows, the Nelson-Siegel cross-section) and returns a
-range hook with the report's summary fields.  ``run(origins)`` fits and
-forecasts a range of origins and returns one outcome per origin:
-``(row, orders)``, or the ``FfmError`` that refused that origin.
-``rolling_backtest`` hands out the origins in ranges of ``CHUNK``.
-The factor-model ranges run on a process pool (``ffm._blas.map_ranges``)
-of one forked worker per OpenBLAS thread the caller had, so one per
-core unless ``OPENBLAS_NUM_THREADS`` says otherwise, and none from
-Python 3.12 on (see ``ffm._blas``); each worker builds its own range
-hook once.  ``Dns`` ranges always run in the caller: on 2 cores its
-whole round of 180 origins took about 15 ms, less than the 20-50 ms a
-pool of two took to start its first range.
+Each method's ``summary`` holds the report's summary fields, and its
+``backtest_origins`` does once the work no origin changes (splining a
+panel's rows, the Nelson-Siegel cross-section) and returns a range
+hook.  ``run(origins)`` fits and forecasts a range of origins and
+returns one outcome per origin: ``(row, orders)``, or the ``FfmError``
+that refused that origin.  ``rolling_backtest`` hands out the origins
+in ranges of ``CHUNK``.  The factor-model ranges run on a process pool
+(``ffm._blas.map_ranges``) of one forked worker per OpenBLAS thread the
+caller had, so one per core unless ``OPENBLAS_NUM_THREADS`` says
+otherwise, and none from Python 3.12 on (see ``ffm._blas``); each
+worker builds its own range hook once, and the caller builds none.
+``Dns`` ranges always run in the caller: on 2 cores its whole round of
+180 origins took about 15 ms, less than the 20-50 ms a pool of two took
+to start its first range.
 
 A refused origin is caught in one place, ``_attempt``.  ``FfmFixed``
 and ``FfmCriterion`` share one range hook (``_ffm_origins``): FPCA per
 origin, one stacked selection kernel call per grid size
 (``selection._stacked_grids``), then ``fit_ffm``'s own fit on the FPCA
-the origin already ran (``pipeline._fit``) and ``forecast``.  Padding
-the stacked designs with zero rows can change their R factors (see
-``selection._stacked_grids``), so the stack only vouches for an origin
-whose grid fitted every cell and has no near tie; any other origin
-selects on its own FPCA, which gives ``select_orders``'s warnings,
-refusal and choice.  ``Dns`` fits a chunk's windows in one stacked
+the origin already ran (``pipeline._fit``) and ``forecast``.  Only the
+chosen orders leave a range, so the stack skips the lag orders whose
+cells cannot win (``chosen_only``).  Padding the stacked designs with
+zero rows can change their R factors (see ``selection._stacked_grids``),
+so the stack only vouches for an origin whose grid fitted every cell
+and has no near tie; any other origin selects on its own FPCA, which
+gives ``select_orders``'s warnings, refusal and choice.  ``Dns`` fits a chunk's windows in one stacked
 least-squares call (``fit_var_windows``, whose docstring says why its
 designs keep their bits) and forecasts them in one stacked recursion
 (``forecast_windows``); windows that hold a row without betas fail
@@ -122,7 +124,7 @@ def _ffm_origins(data, h: int, config: FfmConfig):
         for k_max, members in groups.items():
             if len(members) > 1:
                 stack = _stacked_grids([results[t] for t in members], k_max, config.p_max,
-                                       criteria, config.restricted)
+                                       criteria, config.restricted, chosen_only=True)
                 grids.update((t, g and g[config.criterion]) for t, g in zip(members, stack))
         return [full if isinstance(full, FfmError) else
                 _attempt(step, full, configs[t], grids.get(t))
@@ -146,11 +148,14 @@ class FfmFixed:
         tag = "ar" if self.restricted else "var"
         return f"ffm-fixed({self.k},{self.p},{tag})"
 
+    @property
+    def summary(self) -> dict:
+        """The report's summary fields."""
+        return {"k": self.k, "p": self.p, "dynamics": "ar" if self.restricted else "var"}
+
     def backtest_origins(self, data, h: int):
-        """Range hook and the report's summary fields."""
-        config = FfmConfig(k=self.k, p=self.p, restricted=self.restricted)
-        return (_ffm_origins(data, h, config),
-                {"k": self.k, "p": self.p, "dynamics": "ar" if self.restricted else "var"})
+        """Range hook."""
+        return _ffm_origins(data, h, FfmConfig(k=self.k, p=self.p, restricted=self.restricted))
 
 
 @dataclass(frozen=True)
@@ -172,16 +177,19 @@ class FfmCriterion:
         tag = "ar" if self.restricted else "var"
         return f"ffm-{self.criterion}({tag})"
 
-    def backtest_origins(self, data, h: int):
-        """Range hook and the report's summary fields.
+    @property
+    def summary(self) -> dict:
+        """The report's summary fields.
 
         K and p are re-selected per origin, so the summary leaves them
         None and each outcome carries the chosen pair.
         """
-        config = FfmConfig(criterion=self.criterion, k_max=self.k_max, p_max=self.p_max,
-                           restricted=self.restricted)
-        return (_ffm_origins(data, h, config),
-                {"k": None, "p": None, "dynamics": "ar" if self.restricted else "var"})
+        return {"k": None, "p": None, "dynamics": "ar" if self.restricted else "var"}
+
+    def backtest_origins(self, data, h: int):
+        """Range hook."""
+        return _ffm_origins(data, h, FfmConfig(criterion=self.criterion, k_max=self.k_max,
+                                               p_max=self.p_max, restricted=self.restricted))
 
 
 @dataclass(frozen=True)
@@ -197,8 +205,13 @@ class Dns:
     def label(self) -> str:
         return f"dns({'ar' if self.diagonal else 'var'})"
 
+    @property
+    def summary(self) -> dict:
+        """The report's summary fields; the benchmark always carries 3 factors."""
+        return {"k": 3, "p": 1, "dynamics": "ar" if self.diagonal else "var"}
+
     def backtest_origins(self, data, h: int):
-        """Range hook and the report's summary fields.
+        """Range hook.
 
         Each row's betas depend on that row alone, so the cross-section and
         the loadings are built once for the whole panel, and a range of
@@ -222,8 +235,7 @@ class Dns:
                         for why in failures]
             return outcomes + [DataError(bad[1]) for _ in range(ends.size, len(origins))]
 
-        # the benchmark always carries 3 factors
-        return run, {"k": 3, "p": 1, "dynamics": "ar" if self.diagonal else "var"}
+        return run
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,11 +293,6 @@ class BacktestReport:
         return rows
 
 
-def _range_hook(method, data, h: int):
-    """A method's range hook alone, as a pool worker builds it."""
-    return method.backtest_origins(data, h)[0]
-
-
 def rolling_backtest(data, method, h: int = 1,
                      initial_window: int = DEFAULT_INITIAL_WINDOW) -> BacktestReport:
     """Expanding-window forecast evaluation of one method.
@@ -322,7 +329,6 @@ def rolling_backtest(data, method, h: int = 1,
     if initial_window < 3:
         raise ConfigError(f"initial_window must be at least 3, got {initial_window}")
     panel = sample_to_panel(data)
-    run, fields = method.backtest_origins(data, h)
     t_total = panel.n_rows
     if t_total < initial_window + h:
         raise ConfigError(
@@ -332,8 +338,10 @@ def rolling_backtest(data, method, h: int = 1,
     end = t_total - h + 1
     origins = np.arange(initial_window, end)
     ranges = [range(t, min(t + CHUNK, end)) for t in range(initial_window, end, CHUNK)]
-    parts = map_ranges(partial(_range_hook, method, data, h), ranges,
-                       None if method.pooled else 1, run)
+    # the range hook is built where the ranges run: in each worker, or here
+    parts = map_ranges(partial(method.backtest_origins, data, h), ranges,
+                       None if method.pooled else 1)
+    fields = method.summary
     errors = np.full((origins.size, panel.maturities.size), np.nan)
     # orders re-selected per origin (summary K left None) are kept per origin
     selected = np.zeros((origins.size, 2), dtype=int) if fields["k"] is None else None

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import io
+from ._blas import one_blas_thread
 from ._version import __version__
 from .backtest import (DEFAULT_INITIAL_WINDOW, Dns, FfmCriterion, FfmFixed,
                        rolling_backtest)
@@ -124,8 +125,15 @@ def _load_sample(path, grid_flag: str | None):
 
 # ---------------------------------------------------------------------------
 # commands
+#
+# fpca, select and forecast run on one OpenBLAS thread: a blocked
+# factorization splits its work by the thread count, so its last bits, and
+# so the output bytes, would follow the machine's cores.  backtest and mc
+# set the thread count per range themselves, and their worker count reads
+# the one the caller had.
 
 
+@one_blas_thread()
 def cmd_fpca(args) -> int:
     cfg = _run_config(args)
     panel, sample = _load_sample(args.input, args.grid)
@@ -151,6 +159,7 @@ def cmd_fpca(args) -> int:
     return EXIT_OK
 
 
+@one_blas_thread()
 def cmd_select(args) -> int:
     cfg = _run_config(args)
     _, sample = _load_sample(args.input, args.grid)
@@ -167,6 +176,7 @@ def cmd_select(args) -> int:
     return EXIT_OK
 
 
+@one_blas_thread()
 def cmd_forecast(args) -> int:
     cfg = _run_config(args)
     _, sample = _load_sample(args.input, args.grid)

@@ -91,7 +91,8 @@ def _replications(spec: SimSpec, k_max: int, p_max: int, criteria, restricted: b
         rngs = [replication_rng(spec.seed, rep) for rep in reps]
         results = (fpca(sample) for sample in simulate_streams(spec, rngs))
         return [{criterion: grid.chosen for criterion, grid in grids.items()}
-                for grids in _stacked_grids(results, k_max, p_max, criteria, restricted)]
+                for grids in _stacked_grids(results, k_max, p_max, criteria, restricted,
+                                            chosen_only=True)]
 
     return run
 

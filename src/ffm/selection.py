@@ -35,6 +35,19 @@ so each grid, is bit for bit what the series gets alone.  A backtest's
 origins have different lengths: their designs are padded with zero rows
 to the longest, which changes R only to rounding, so a padded series
 keeps its grids only when no failed cell or near tie can hide that.
+
+Lag order p_max is factored first, and its R serves the whole grid
+twice.  Every (J, m) design is a column subset of the p_max design on
+the rows [p_max, T), plus the rows [m, p_max).  So one shifted Cholesky
+factorization of the p_max Gram matrix proves every cell well
+conditioned (``_certified``), and a series that passes skips the
+per-lag-order proofs.  And since adding regressors or rows never raises
+a residual sum of squares, rss(J, p_max) bounds every shorter lag order
+from below, as in the leaps-and-bounds search of Furnival and Wilson
+(1974).  A caller that keeps only the chosen orders (the backtest and
+Monte Carlo, through ``_stacked_grids``'s ``chosen_only``) has a lag
+order factored only for the certified series whose bound does not rule
+it out (``_needed``).  ``select_orders`` evaluates every cell.
 """
 
 from __future__ import annotations
@@ -42,6 +55,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -96,15 +110,16 @@ class SelectionGrid:
 def penalty(criterion: str, j, m, t_obs: int):
     """Additive penalty of a log-MSE criterion at cell (j, m).
 
-    ``j`` and ``m`` may be integers or broadcastable integer arrays.
-    ffpe has no additive penalty (its correction is multiplicative), so
-    it returns 0.
+    ``j``, ``m`` and ``t_obs`` may be integers or broadcastable integer
+    arrays.  ffpe has no additive penalty (its correction is
+    multiplicative), so it returns 0.
     """
     _check_criteria((criterion,))
+    log = math.log if np.ndim(t_obs) == 0 else np.log
     if criterion == "bic":
-        return j * m * math.log(t_obs) / t_obs
+        return j * m * log(t_obs) / t_obs
     if criterion == "hqc":
-        return 2.0 * j * m * math.log(math.log(t_obs)) / t_obs
+        return 2.0 * j * m * log(log(t_obs)) / t_obs
     return 0.0
 
 
@@ -126,6 +141,15 @@ def _orders(values: np.ndarray) -> tuple[int, int]:
     return j + 1, m + 1
 
 
+def _has_cholesky(a: np.ndarray) -> bool:
+    """Whether every matrix of ``a`` has a Cholesky factor, so is numerically positive definite."""
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _proved(gram: np.ndarray, traces: np.ndarray, sizes) -> int:
     """Largest n in ``sizes`` (descending) whose leading Gram blocks are proved well conditioned.
 
@@ -135,36 +159,38 @@ def _proved(gram: np.ndarray, traces: np.ndarray, sizes) -> int:
     the factorization.  Returns 0 when no size is proved.
     """
     for n in sizes:
-        try:
-            np.linalg.cholesky(gram[:n, :n] - (2.0 * traces[n - 1] / CONDITION_LIMIT) * np.eye(n))
-        except np.linalg.LinAlgError:
-            continue
-        return n
+        if _has_cholesky(gram[:n, :n] - (2.0 * traces[n - 1] / CONDITION_LIMIT) * np.eye(n)):
+            return n
     return 0
 
 
-def _leading_fits(r: np.ndarray, n_max: int, rows: np.ndarray, sizes,
-                  design) -> tuple[np.ndarray, list[dict[int, str]]]:
-    """Least-squares fits of targets on every leading block of regressors, for a stack.
+def _leading_rss(r: np.ndarray, n_max: int) -> np.ndarray:
+    """Residual sums of squares of the targets on every leading block of regressors, for a stack.
 
-    ``r`` (S, ., n_max + q) holds the R factors of S regressions [X Y],
-    regression s with ``rows[s]`` observations; ``design(s)`` gives its
-    own X and is called only where a condition number is needed.  Returns
-    ``rss`` with ``rss[s, n-1, i]`` the residual sum of squares of target
-    i on the first n columns of regression s, for each n whose block can
-    be fitted, and per regression the reason each block size in ``sizes``
-    fails.  As in ``fit_var``, a block fails when it leaves no residual
-    degree of freedom, when it is exactly singular, or when the condition
-    number of its Gram matrix exceeds CONDITION_LIMIT.  That number is
-    only computed for blocks larger than the largest one a shifted
-    Cholesky factorization proves well conditioned.
+    ``r`` (S, ., n_max + q) holds the R factors of S regressions [X Y];
+    ``rss[s, n-1, i]`` is the residual sum of squares of target i on the
+    first n columns of regression s.  R of [X Y] = [[R_x, Q'Y], [0, R_y]];
+    R_x' is the Cholesky factor of G = X'X, and target i's residual on the
+    first n regressors is the part of its column below row n, so no sum
+    of squares is subtracted.
+    """
+    below = np.cumsum(r[:, :0:-1, n_max:] ** 2, axis=1)[:, ::-1]
+    return np.concatenate([below, np.zeros((r.shape[0], 1, r.shape[2] - n_max))], axis=1)
+
+
+def _leading_failures(r: np.ndarray, n_max: int, rows: np.ndarray, sizes,
+                      design) -> list[dict[int, str]]:
+    """Per regression of a stack, the reason each leading block size in ``sizes`` fails.
+
+    ``r`` is as in ``_leading_rss``, regression s with ``rows[s]``
+    observations; ``design(s)`` gives its own X and is called only where a
+    condition number is needed.  As in ``fit_var``, a block fails when it
+    leaves no residual degree of freedom, when it is exactly singular, or
+    when the condition number of its Gram matrix exceeds CONDITION_LIMIT.
+    That number is only computed for blocks larger than the largest one a
+    shifted Cholesky factorization proves well conditioned.
     """
     n_stack = r.shape[0]
-    # R of [X Y] = [[R_x, Q'Y], [0, R_y]]; R_x' is the Cholesky factor of
-    # G = X'X, and target i's residual on the first n regressors is the
-    # part of its column below row n, so no sum of squares is subtracted
-    below = np.cumsum(r[:, :0:-1, n_max:] ** 2, axis=1)[:, ::-1]
-    rss = np.concatenate([below, np.zeros((n_stack, 1, r.shape[2] - n_max))], axis=1)
     failures = [{} for _ in range(n_stack)]
     pivots = np.diagonal(r, axis1=1, axis2=2)[:, :n_max]
     own = np.minimum(rows, n_max)
@@ -180,12 +206,8 @@ def _leading_fits(r: np.ndarray, n_max: int, rows: np.ndarray, sizes,
     if fit_max.min() >= largest:
         # one factorization of the whole stack usually proves every size
         shift = (2.0 * traces[:, largest - 1] / CONDITION_LIMIT)[:, None, None] * np.eye(largest)
-        try:
-            np.linalg.cholesky(gram[:, :largest, :largest] - shift)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            return rss, failures
+        if _has_cholesky(gram[:, :largest, :largest] - shift):
+            return failures
     descending = sorted(sizes, reverse=True)
     cleared = [_proved(gram[s], traces[s], [n for n in descending if n <= f])
                for s, f in enumerate(fit_max.tolist())]
@@ -201,50 +223,95 @@ def _leading_fits(r: np.ndarray, n_max: int, rows: np.ndarray, sizes,
             why = _condition_failure(np.linalg.cond(x.T @ x))
         if why is not None:
             failures[s][n] = why
-    return rss, failures
+    return failures
 
 
-def _innovation_rss(scores: np.ndarray, ends: np.ndarray, p_max: int,
-                    design) -> tuple[np.ndarray, list[dict[tuple[int, int], str]]]:
+def _certified(r: np.ndarray, n_max: int, rows: np.ndarray, floors: np.ndarray) -> np.ndarray:
+    """Which regressions of a stack of lag-order p_max designs prove every grid cell well conditioned.
+
+    Regression s, with ``rows[s]`` observations and R factor ``r[s]``, is
+    certified when it leaves a residual degree of freedom for all n_max =
+    k_max * p_max regressors and G - floors[s] * I has a Cholesky factor,
+    G being its Gram matrix R_x'R_x.  The design of any (J, m) cell is
+    a column subset of the p_max design on the rows [p_max, T), plus the
+    rows [m, p_max), so its Gram matrix dominates a principal block of G
+    and, by interlacing, its least eigenvalue exceeds floors[s].  Each of
+    its J*m columns is a stretch of one score column, so its trace is at
+    most p_max times the series' sum of squares S.  With floors[s] =
+    2 p_max S / CONDITION_LIMIT every cell's condition number is then
+    below CONDITION_LIMIT / 2; the 2 covers rounding, as in ``_proved``.
+    """
+    certified = rows > n_max
+    if certified.any():
+        lead = r[certified, :n_max, :n_max]
+        shifted = lead.swapaxes(1, 2) @ lead - floors[certified, None, None] * np.eye(n_max)
+        if not _has_cholesky(shifted):
+            certified[certified] = [_has_cholesky(g) for g in shifted]
+    return certified
+
+
+def _innovation_rss(scores: np.ndarray, ends: np.ndarray, p_max: int, design,
+                    needed=None) -> tuple[np.ndarray, list[dict[tuple[int, int], str]]]:
     """Residual sums of squares of the full VAR on every grid cell of W score series.
 
     As ``_innovation_traces``, but unnormalized and with unsorted
     reasons; ``design(w, m)`` gives the X whose Gram matrix is checked
     when series w's lag order m needs a condition number.
+
+    Lag order p_max is factored first, and its R certifies the whole grid
+    of most series at once (``_certified``): a certified series has no
+    failed cell and skips the per-lag-order conditioning proofs, and any
+    other series takes them.  ``needed(rss, m)``, when given, is called
+    before each lag order m < p_max, in increasing order, with the sums
+    found so far (+inf elsewhere), and says which series need it; only
+    those and the uncertified series are factored, and the other
+    series' cells at m stay +inf.
     """
     n_win, _, k_max = scores.shape
-    rss = np.empty((n_win, k_max, p_max))
+    rss = np.full((n_win, k_max, p_max), np.inf)
     failures = [{} for _ in range(n_win)]
     js = np.arange(1, k_max + 1)
-    for m in range(1, p_max + 1):
+    floors = 2.0 * p_max * np.einsum("wtk,wtk->w", scores, scores) / CONDITION_LIMIT
+    certified = np.zeros(n_win, dtype=bool)
+    for m in (p_max, *range(1, p_max)):
+        if m < p_max and needed is not None and certified.any():
+            todo = np.flatnonzero(~certified | needed(rss, m))
+        else:
+            todo = np.arange(n_win)
         all_rows = ends - m
         n_max = k_max * m
+        sizes = range(m, n_max + 1, m)
         # lags 1..m of target row i + m; column l*m + k - 1 of a design is
         # factor l at lag k (factor major)
         lagged = sliding_window_view(scores, m, axis=1)[:, :, :, ::-1]
         per_stack = max(1, STACK_BYTES // (8 * int(all_rows.max()) * k_max * (m + 1)))
-        for lo in range(0, n_win, per_stack):
-            rows = all_rows[lo:lo + per_stack]
+        for lo in range(0, todo.size, per_stack):
+            members = todo[lo:lo + per_stack]
+            rows = all_rows[members]
             n_stack, length = rows.size, int(rows.max())
             xy = np.empty((n_stack, length, n_max + k_max))
-            xy[..., :n_max].reshape(n_stack, length, k_max, m)[...] = lagged[lo:lo + n_stack,
-                                                                              :length]
-            xy[..., n_max:] = scores[lo:lo + n_stack, m:length + m]
+            xy[..., :n_max].reshape(n_stack, length, k_max, m)[...] = lagged[members, :length]
+            xy[..., n_max:] = scores[members, m:length + m]
             xy[np.arange(length) >= rows[:, None]] = 0.0
-            fits, why = _leading_fits(np.linalg.qr(xy, mode="r"), n_max, rows,
-                                      range(m, n_max + 1, m), lambda s, lo=lo: design(lo + s, m))
-            cum = np.cumsum(fits, axis=2)
+            r = np.linalg.qr(xy, mode="r")
+            cum = np.cumsum(_leading_rss(r, n_max), axis=2)
             cells = cum[:, np.minimum(js * m, cum.shape[1]) - 1, js - 1]
-            for w, reasons in enumerate(why):
-                for n, reason in reasons.items():
-                    cells[w, n // m - 1] = np.inf
-                    failures[lo + w][(n // m, m)] = reason
-            rss[lo:lo + n_stack, :, m - 1] = cells
+            if m == p_max:
+                certified[members] = _certified(r, n_max, rows, floors[members])
+            checked = np.flatnonzero(~certified[members])
+            if checked.size:
+                why = _leading_failures(r[checked], n_max, rows[checked], sizes,
+                                        lambda s, w=members[checked]: design(w[s], m))
+                for s, reasons in zip(checked.tolist(), why):
+                    for n, reason in reasons.items():
+                        cells[s, n // m - 1] = np.inf
+                        failures[members[s]][(n // m, m)] = reason
+            rss[members, :, m - 1] = cells
     return rss, failures
 
 
-def _innovation_traces(scores: np.ndarray, ends: np.ndarray, p_max: int,
-                       restricted: bool) -> tuple[np.ndarray, list[dict[tuple[int, int], str]]]:
+def _innovation_traces(scores: np.ndarray, ends: np.ndarray, p_max: int, restricted: bool,
+                       needed=None) -> tuple[np.ndarray, list[dict[tuple[int, int], str]]]:
     """tr(Sigma_eta(J, m)) on every grid cell of W score series, and why failed cells failed.
 
     ``scores`` is (W, L, k_max): series w is its first ``ends[w]`` rows,
@@ -254,7 +321,9 @@ def _innovation_traces(scores: np.ndarray, ends: np.ndarray, p_max: int,
     most STACK_BYTES of [X Y], each with one design build and one QR; a
     stack pads every design with zero rows to its longest.  A stack of
     equal ``ends`` pads nothing, and each series' traces and failures are
-    then bit for bit those of its one-series call.
+    then bit for bit those of its one-series call.  ``needed`` is
+    ``_innovation_rss``'s, for the full fit only: cells it leaves out are
+    +inf with no reason.
 
     The restricted fit is the full one run on the W * k_max one-factor
     series, summed over factors by one cumulative sum, which carries the
@@ -287,7 +356,7 @@ def _innovation_traces(scores: np.ndarray, ends: np.ndarray, p_max: int,
             for (_, m), reason in why[s].items():
                 failures[w].update(((j, m), reason) for j in range(l + 1, k_max + 1))
     else:
-        rss, failures = _innovation_rss(scores, ends, p_max, design)
+        rss, failures = _innovation_rss(scores, ends, p_max, design, needed)
     rows = ends[:, None, None] - np.arange(1, p_max + 1)
     return rss / rows, [dict(sorted(f.items())) for f in failures]
 
@@ -334,15 +403,45 @@ def _tails(result: FpcaResult, k_max: int) -> np.ndarray:
 
 
 def _criterion_values(criterion: str, traces: np.ndarray, tails: np.ndarray,
-                      t_obs: int) -> np.ndarray:
-    k_max, p_max = traces.shape
+                      t_obs) -> np.ndarray:
+    """A criterion on a (k_max, p_max) grid of traces, or on a stack of grids, one t_obs each."""
+    k_max, p_max = traces.shape[-2:]
     js = np.arange(1, k_max + 1)[:, None]
     ms = np.arange(1, p_max + 1)[None, :]
+    if np.ndim(t_obs):
+        t_obs = np.asarray(t_obs)[:, None, None]
     if criterion == "ffpe":
-        return (t_obs + js * ms) / t_obs * traces + tails[:, None]
+        return (t_obs + js * ms) / t_obs * traces + tails[..., None]
     with np.errstate(divide="ignore"):
-        logs = np.log(traces + tails[:, None])
+        logs = np.log(traces + tails[..., None])
     return logs + penalty(criterion, js, ms, t_obs)
+
+
+def _needed(criteria, tails: np.ndarray, t_obs: np.ndarray, rss: np.ndarray,
+            m: int) -> np.ndarray:
+    """Which series may have a cell at lag order m within TIE_RTOL of their best so far.
+
+    ``rss`` (W, k_max, p_max) holds the residual sums of squares found
+    so far and +inf elsewhere, its lag order p_max column complete.
+    Extra regressors and fewer rows never raise a residual sum of
+    squares, so rss(J, p_max) / (T - m) bounds the trace of cell (J, m)
+    from below, and every criterion value increases with the trace.  A
+    series needs lag order m when, for some criterion, some J has that
+    bound at most best + TIE_RTOL * max(1, |best|), ``best`` being its
+    lowest value so far.  Its cells that are left out then cannot be
+    chosen, nor come within TIE_RTOL of the choice (see ``_grids``).
+    """
+    rows = t_obs[:, None, None] - np.arange(1, rss.shape[2] + 1)
+    floor = rss[:, :, -1:] / rows
+    needed = np.zeros(t_obs.size, dtype=bool)
+    for criterion in criteria:
+        best = _criterion_values(criterion, rss / rows, tails, t_obs).min(axis=(1, 2))
+        bound = _criterion_values(criterion, floor, tails, t_obs)[:, :, m - 1]
+        with np.errstate(invalid="ignore"):
+            margin = best + TIE_RTOL * np.maximum(1.0, np.abs(best))
+        # a NaN margin (best = -inf) needs every lag order
+        needed |= ~np.all(bound > margin[:, None], axis=1)
+    return needed
 
 
 def select_orders(result: FpcaResult, k_max: int, p_max: int,
@@ -393,7 +492,8 @@ def _grids(traces: np.ndarray, failures: dict[tuple[int, int], str], tails: np.n
 
 
 def _stacked_grids(results, k_max: int, p_max: int, criteria, restricted: bool,
-                   stacklevel: int = 2) -> list[dict[str, SelectionGrid] | None]:
+                   stacklevel: int = 2,
+                   chosen_only: bool = False) -> list[dict[str, SelectionGrid] | None]:
     """``select_orders`` of several samples, from one kernel call.
 
     ``results`` is an iterable of FpcaResults, read once: only each one's
@@ -427,6 +527,17 @@ def _stacked_grids(results, k_max: int, p_max: int, criteria, restricted: bool,
     2.2e-5.  Any other sample gets None, with no warning, and must run
     ``select_orders`` itself, which gives its warning, failure and
     choice.
+
+    ``chosen_only`` is for a caller that keeps only each grid's chosen
+    orders.  The full-VAR kernel then factors a lag order m < p_max only
+    for the samples whose p_max fit does not prove that no cell at m can
+    come within TIE_RTOL of their best value (``_needed``), and the cells
+    it leaves out hold +inf.  A sample whose p_max fit does not certify
+    its whole grid (``_certified``) is evaluated in full.  So the chosen
+    orders, warnings and ``NumericError`` are those of the full grid,
+    and so are the evaluated cells, bit for bit where nothing is padded;
+    the near-tie test of a padded sample also sees every cell it needs.
+    The own-lags grid is always evaluated in full.
     """
     _check_criteria(criteria)
     scores, tails = [], []
@@ -443,7 +554,10 @@ def _stacked_grids(results, k_max: int, p_max: int, criteria, restricted: bool,
     for w, series in enumerate(scores):
         stacked[w, :ends[w]] = series
     padded = bool(ends.min() < ends.max())
-    traces, failures = _innovation_traces(stacked, ends, p_max, restricted)
+    needed = None
+    if chosen_only and not restricted:
+        needed = partial(_needed, criteria, np.array(tails), ends)
+    traces, failures = _innovation_traces(stacked, ends, p_max, restricted, needed)
     # a loop, not a comprehension: before Python 3.12 a comprehension is a
     # frame of its own, which would move the warning's stacklevel
     stack = []

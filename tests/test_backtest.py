@@ -589,6 +589,94 @@ class TestFpcaPerOrigin:
         assert report.rmsfe == 1.1907081295356694
 
 
+class TestBoundedSelection:
+    """Origins select on grids that skip the lag orders which cannot win, with no visible change."""
+
+    @staticmethod
+    def outcome(data, method, initial_window):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = rolling_backtest(data, method, h=1, initial_window=initial_window)
+        return (report.errors.tobytes(), report.selected.tobytes(), report.failure_reasons,
+                [(w.category, str(w.message), w.filename) for w in caught])
+
+    @pytest.mark.parametrize("criterion", ["bic", "hqc", "ffpe"])
+    @pytest.mark.parametrize("seed, rows, initial_window", [(12, 60, 5), (11, 160, 40)],
+                             ids=["p60", "p160"])
+    def test_reports_match_full_grids(self, monkeypatch, serial, benchmark_inputs, criterion,
+                                      seed, rows, initial_window):
+        panel = DiscretePanel(benchmark_inputs.MATURITIES, benchmark_inputs.yield_panel(seed, rows))
+        method = FfmCriterion(criterion)
+        bounded = self.outcome(panel, method, initial_window)
+        real = backtest_module._stacked_grids
+
+        def full_grids(*args, chosen_only):
+            return real(*args)
+
+        monkeypatch.setattr(backtest_module, "_stacked_grids", full_grids)
+        assert self.outcome(panel, method, initial_window) == bounded
+        assert bounded[3]   # these panels warn about failed cells and clipped grids
+
+    def test_most_lag_orders_are_skipped(self, monkeypatch, serial, benchmark_inputs):
+        inputs = benchmark_inputs
+        panel = DiscretePanel(inputs.MATURITIES, inputs.yield_panel(7, inputs.BACKTEST_ROWS))
+        real = selection_module._leading_rss
+        factored = []
+
+        def counted(r, n_max):
+            factored.append(r.shape[0])
+            return real(r, n_max)
+
+        monkeypatch.setattr(selection_module, "_leading_rss", counted)
+        report = rolling_backtest(panel, FfmCriterion("bic"), h=1, initial_window=120)
+        assert report.origins.size == 180 and report.failures == 0
+        # 558 of the 180 x 8 (origin, lag order) designs when this was written
+        assert sum(factored) <= 180 * 8 // 2
+
+
+class TestRangeHooks:
+    """The caller builds a range hook only for ranges it runs itself."""
+
+    @staticmethod
+    def spied(monkeypatch, module, name):
+        calls = []
+        real = getattr(module, name)
+
+        def spy(*args, **kwargs):
+            calls.append(os.getpid())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+        return calls
+
+    @pools
+    def test_pooled_origins_spline_only_in_workers(self, monkeypatch, blas_threads,
+                                                   benchmark_inputs):
+        panel = DiscretePanel(benchmark_inputs.MATURITIES, benchmark_inputs.yield_panel(11, 160))
+        splines = self.spied(monkeypatch, backtest_module, "panel_to_sample")
+        monkeypatch.setattr(backtest_module, "CHUNK", 8)
+        blas_threads(2)
+        report = rolling_backtest(panel, FfmCriterion("bic", 3, 2), h=1, initial_window=140)
+        assert report.origins.size == 20 and np.isfinite(report.errors).any()
+        assert splines == []
+
+    def test_dns_builds_its_hook_here_once(self, monkeypatch, blas_threads):
+        betas = self.spied(monkeypatch, backtest_module, "dns_betas")
+        monkeypatch.setattr(backtest_module, "CHUNK", 4)
+        blas_threads(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rolling_backtest(mixed_dns_panel(), Dns(0.07), h=1, initial_window=3)
+        assert betas == [os.getpid()]
+
+    def test_short_data_is_refused_before_any_spline(self, monkeypatch, benchmark_inputs):
+        panel = DiscretePanel(benchmark_inputs.MATURITIES, benchmark_inputs.yield_panel(11, 160))
+        splines = self.spied(monkeypatch, backtest_module, "panel_to_sample")
+        with pytest.raises(ConfigError, match="need at least initial_window"):
+            rolling_backtest(panel, FfmCriterion(), h=2, initial_window=159)
+        assert splines == []
+
+
 class TestLabelsAndSummary:
     def test_method_labels(self):
         assert FfmFixed(3, 1).label == "ffm-fixed(3,1,var)"

@@ -14,6 +14,7 @@ import pytest
 import ffm
 from ffm import (DiscretePanel, FpcaResult, Grid, dns_loadings, fpca, make_grid,
                  panel_to_sample, select_orders)
+from ffm._blas import openblas_controls
 from ffm.cli import EXIT_DATA, EXIT_NUMERIC, build_parser, main
 from ffm.io import H15_URL, from_json, model_from_json, panel_rows, read_panel_csv, write_panel_csv
 
@@ -134,6 +135,33 @@ class TestSelect:
                         "--output-dir", tmp_path])
         assert code == 4
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not openblas_controls(), reason="no OpenBLAS thread control here")
+@pytest.mark.parametrize("command", [
+    ["fpca"],
+    ["select", "--kmax", 5, "--pmax", 3],
+    ["forecast", "--horizon", 3, "--kmax", 4, "--pmax", 2],
+], ids=["fpca", "select", "forecast"])
+def test_outputs_do_not_depend_on_blas_threads(tmp_path, benchmark_inputs, command):
+    # blocked factorizations round by their thread count; these commands pin one
+    path = tmp_path / "p160.csv"
+    benchmark_inputs.write_wide_csv(benchmark_inputs.yield_panel(11, 160), path)
+    controls = openblas_controls()
+    previous = [getter() for getter, _ in controls]
+    outputs = []
+    try:
+        for threads in (2, 1):
+            for _, setter in controls:
+                setter(threads)
+            out = tmp_path / f"threads-{threads}"
+            assert run([*command, "--input", path, "--output-dir", out]) == 0
+            assert [getter() for getter, _ in controls] == [threads] * len(controls)
+            outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    finally:
+        for (_, setter), count in zip(controls, previous):
+            setter(count)
+    assert outputs[0] == outputs[1]
 
 
 class TestForecast:

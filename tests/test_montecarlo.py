@@ -1,5 +1,7 @@
 """Replicated selection experiments."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -114,3 +116,36 @@ class TestMonteCarlo:
         b = monte_carlo(SimSpec(model="M1", n_obs=100, seed=42),
                         reps=3, k_max=4, p_max=2, criteria=("bic",))
         assert np.array_equal(a.selections["bic"], b.selections["bic"])
+
+
+def selections_and_warnings(spec, reps, criteria):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = monte_carlo(spec, reps, criteria=criteria)
+    return ({criterion: report.selections[criterion].tolist() for criterion in criteria},
+            [(w.category, str(w.message)) for w in caught])
+
+
+@pytest.mark.parametrize("t_obs", [60, 100, 500])
+@pytest.mark.parametrize("model", ["M1", "M2", "M3", "M4"])
+def test_bounded_selection_matches_full_grids(monkeypatch, model, t_obs):
+    # replications keep only their chosen orders, so their grids skip the
+    # lag orders that cannot win; nothing of that may show
+    spec = SimSpec(model=model, n_obs=t_obs, seed=31)
+    reps = 5
+    bounded = [selections_and_warnings(spec, reps, criteria)
+               for criteria in (("bic",), ("hqc",), CRITERIA)]
+    real = ffm.montecarlo._stacked_grids
+
+    def full_grids(*args, chosen_only):
+        return real(*args)
+
+    monkeypatch.setattr(ffm.montecarlo, "_stacked_grids", full_grids)
+    full = [selections_and_warnings(spec, reps, criteria)
+            for criteria in (("bic",), ("hqc",), CRITERIA)]
+    assert bounded == full
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        alone = per_replication_selections(spec, reps, 8, 8)
+    for criterion in CRITERIA:
+        assert bounded[2][0][criterion] == alone[criterion].tolist()

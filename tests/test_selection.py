@@ -13,7 +13,10 @@ from ffm import (CRITERIA, ConfigError, Curve, DiscretePanel, FpcaResult, Functi
                  make_grid, mse_direct, mse_simplified, panel_to_sample, penalty,
                  reconstruct, replication_rng, select_orders)
 from ffm.montecarlo import CHUNK
-from ffm.selection import STACK_BYTES, TIE_RTOL, _innovation_traces, _stacked_grids
+import ffm.selection as selection_module
+from ffm.dynamics import _condition_failure
+from ffm.selection import (STACK_BYTES, TIE_RTOL, _criterion_values, _innovation_traces,
+                           _needed, _stacked_grids)
 from ffm.simulate import simulate_streams
 
 IDENTITY_RTOL = 1e-12
@@ -554,3 +557,134 @@ class TestRestrictedKernel:
             for (j, m), why in failures[w].items():
                 assert why == (f"lagged design of {t_obs - m} observations has rank below "
                                f"{m} regressors")
+
+
+def factor_major_design(scores, m):
+    """The kernel's lagged design of a series: column l*m + k - 1 is factor l at lag k."""
+    t_obs = scores.shape[0]
+    return np.column_stack([scores[m - k:t_obs - k, l] for l in range(scores.shape[1])
+                            for k in range(1, m + 1)])
+
+
+class TestBoundedGrids:
+    """``chosen_only`` grids skip lag orders that cannot win, and change no choice."""
+
+    @staticmethod
+    def compare(results, k_max, p_max, criteria, padded):
+        """Bounded against full stacked grids; returns the bounded grids and the cells skipped."""
+        bounded = _stacked_grids(results, k_max, p_max, criteria, False, chosen_only=True)
+        full = _stacked_grids(results, k_max, p_max, criteria, False)
+        skipped = 0
+        for b, f in zip(bounded, full, strict=True):
+            assert (b is None) == (f is None)
+            if b is None:
+                continue
+            for criterion in criteria:
+                got, want = b[criterion], f[criterion]
+                assert got.chosen == want.chosen
+                done = np.isfinite(got.values)
+                assert np.array_equal(done, np.isfinite(got.mse))
+                if padded:
+                    assert np.allclose(got.values[done], want.values[done], rtol=1e-12, atol=0.0)
+                else:
+                    assert np.array_equal(got.values[done], want.values[done])
+                    assert np.array_equal(got.mse[done], want.mse[done])
+                # a skipped cell lies beyond the tie margin of the choice
+                best = want.values.min()
+                assert np.all(want.values[~done] > best + TIE_RTOL * max(1.0, abs(best)))
+                skipped += int((~done).sum())
+        return bounded, skipped
+
+    @pytest.mark.parametrize("seed", [7, 41])
+    def test_backtest_origins_match_select_orders(self, benchmark_inputs, seed):
+        inputs = benchmark_inputs
+        panel = DiscretePanel(inputs.MATURITIES, inputs.yield_panel(seed, inputs.BACKTEST_ROWS))
+        sample = panel_to_sample(panel, Grid(panel.maturities))
+        results = [fpca(FunctionalSample(sample.grid, sample.matrix[:t]))
+                   for t in range(120, panel.n_rows)]
+        alone = [select_orders(result, 8, 8) for result in results]
+        for criterion in CRITERIA:
+            skipped = 0
+            for lo in range(0, len(results), CHUNK):
+                stack, count = self.compare(results[lo:lo + CHUNK], 8, 8, (criterion,), True)
+                skipped += count
+                for grids, expected in zip(stack, alone[lo:lo + CHUNK]):
+                    if grids is not None:
+                        assert grids[criterion].chosen == expected[criterion].chosen
+            if criterion != "ffpe":   # its multiplicative penalty rarely prunes
+                assert skipped > 8 * 8 * len(results) // 4
+
+    @pytest.mark.parametrize("t_obs", [60, 100, 500])
+    @pytest.mark.parametrize("model", ["M1", "M2", "M3", "M4"])
+    def test_replications_keep_their_evaluated_cells(self, model, t_obs):
+        spec = SimSpec(model=model, n_obs=t_obs, seed=23)
+        rngs = [replication_rng(spec.seed, rep) for rep in range(12)]
+        results = [fpca(sample) for sample in simulate_streams(spec, rngs)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for criteria in (("bic",), ("hqc",), CRITERIA):
+                self.compare(results, 8, 8, criteria, False)
+
+    def test_near_collinear_series_keeps_the_conditioning_path(self, monkeypatch):
+        # the third factor copies the first up to 1e-7: every cell holding
+        # both is refused, as fit_var refuses it, and with its own condition number
+        rng = np.random.default_rng(95)
+        scores = rng.normal(size=(150, 3))
+        scores[:, 2] = scores[:, 0] * (1.0 + 1e-7 * rng.normal(size=150))
+        results = [scores_result(scores, 0.1), scores_result(rng.normal(size=(150, 3)), 0.1)]
+        verdicts = []
+        real = selection_module._certified
+
+        def spy(*args):
+            verdict = real(*args)
+            verdicts.append(verdict.tolist())
+            return verdict
+
+        monkeypatch.setattr(selection_module, "_certified", spy)
+        traces, failures = _innovation_traces(scores[None], np.array([150]), 4, False)
+        assert verdicts == [[False]]
+        refused = set()
+        for j in range(1, 4):
+            for m in range(1, 5):
+                try:
+                    fit_var(scores[:, :j], m)
+                except NumericError:
+                    refused.add((j, m))
+        assert refused == {(3, m) for m in range(1, 5)}
+        assert set(failures[0]) == refused
+        for (j, m), why in failures[0].items():
+            x = factor_major_design(scores, m)[:, :j * m]
+            assert why == _condition_failure(np.linalg.cond(x.T @ x))
+        assert np.all(np.isinf(traces[0, 2])) and np.all(np.isfinite(traces[0, :2]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            bounded = _stacked_grids(results, 3, 4, ("bic",), False, chosen_only=True)
+        with warnings.catch_warnings(record=True) as full_caught:
+            warnings.simplefilter("always")
+            full = _stacked_grids(results, 3, 4, ("bic",), False)
+        assert [str(w.message) for w in caught] == [str(w.message) for w in full_caught]
+        assert len(caught) == 1
+        # the refused series is evaluated in full, the certified one need not be
+        assert np.array_equal(bounded[0]["bic"].values, full[0]["bic"].values)
+        assert bounded[1]["bic"].chosen == full[1]["bic"].chosen
+
+    def test_lag_order_within_the_tie_margin_is_factored(self):
+        # one factor, p_max = 3: lag orders 3 and 1 are known, and lag order
+        # 2's bound lies just above or just beyond the best value, at m = 1
+        t_obs, tails = np.array([100]), np.zeros((1, 1))
+        rss = np.full((1, 1, 3), np.inf)
+        rss[0, 0, 2] = 4.0
+        bound = _criterion_values("bic", np.full((1, 1, 3), 4.0 / 98.0), tails, t_obs)[0, 0, 1]
+        for gap, needed in ((0.5, True), (0.99, True), (1.01, False), (2.0, False)):
+            best = bound - gap * TIE_RTOL * max(1.0, abs(bound))
+            # the rss at m = 1 that puts cell (1, 1) at ``best``
+            rss[0, 0, 0] = 99.0 * math.exp(best - penalty("bic", 1, 1, 100))
+            values = _criterion_values("bic", rss / (100 - np.arange(1, 4)), tails, t_obs)
+            assert values[0, 0, 0] == pytest.approx(best, rel=1e-15, abs=0.0)
+            assert _needed(("bic",), tails, t_obs, rss, 2).tolist() == [needed]
+            # a criterion that still needs the lag order keeps it
+            assert _needed(("bic", "ffpe"), tails, t_obs, rss, 2).tolist() == [True]
+
+    def test_best_of_minus_infinity_needs_every_lag_order(self):
+        rss = np.array([[[0.0, np.inf, 1.0]]])
+        assert _needed(("bic",), np.zeros((1, 1)), np.array([50]), rss, 2).tolist() == [True]
