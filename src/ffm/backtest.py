@@ -34,9 +34,10 @@ cells cannot win (``chosen_only``).  Padding the stacked designs with
 zero rows can change their R factors (see ``selection._stacked_grids``),
 so the stack only vouches for an origin whose grid fitted every cell
 and has no near tie; any other origin selects on its own FPCA, which
-gives ``select_orders``'s warnings, refusal and choice.  ``Dns`` fits a chunk's windows in one stacked
-least-squares call (``fit_var_windows``, whose docstring says why its
-designs keep their bits) and forecasts them in one stacked recursion
+gives ``select_orders``'s warnings, refusal and choice.  ``Dns`` fits a
+chunk's windows in one stacked least-squares call
+(``fit_var_windows``, whose docstring says why its designs keep their
+bits) and forecasts them in one stacked recursion
 (``forecast_windows``); windows that hold a row without betas fail
 before stacking, since one NaN would poison the stacked
 factorizations.  Two layout rules keep every origin bit for bit equal

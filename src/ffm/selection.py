@@ -227,7 +227,7 @@ def _leading_failures(r: np.ndarray, n_max: int, rows: np.ndarray, sizes,
 
 
 def _certified(r: np.ndarray, n_max: int, rows: np.ndarray, floors: np.ndarray) -> np.ndarray:
-    """Which regressions of a stack of lag-order p_max designs prove every grid cell well conditioned.
+    """Which regressions of a stack of p_max designs prove every grid cell well conditioned.
 
     Regression s, with ``rows[s]`` observations and R factor ``r[s]``, is
     certified when it leaves a residual degree of freedom for all n_max =

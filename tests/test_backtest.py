@@ -590,7 +590,7 @@ class TestFpcaPerOrigin:
 
 
 class TestBoundedSelection:
-    """Origins select on grids that skip the lag orders which cannot win, with no visible change."""
+    """Origins select on grids that skip lag orders which cannot win, with no visible change."""
 
     @staticmethod
     def outcome(data, method, initial_window):
@@ -605,7 +605,8 @@ class TestBoundedSelection:
                              ids=["p60", "p160"])
     def test_reports_match_full_grids(self, monkeypatch, serial, benchmark_inputs, criterion,
                                       seed, rows, initial_window):
-        panel = DiscretePanel(benchmark_inputs.MATURITIES, benchmark_inputs.yield_panel(seed, rows))
+        inputs = benchmark_inputs
+        panel = DiscretePanel(inputs.MATURITIES, inputs.yield_panel(seed, rows))
         method = FfmCriterion(criterion)
         bounded = self.outcome(panel, method, initial_window)
         real = backtest_module._stacked_grids
