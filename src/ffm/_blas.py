@@ -111,12 +111,16 @@ def _default_pool(threads: int, tasks: int):
     return min(threads, tasks), multiprocessing.get_context("fork")
 
 
-_run = None   # a pool worker's range hook, built once by _start
+_run = None   # a pool worker's range hook, or the exception setup raised, set once by _start
 
 
 def _start(setup) -> None:
     global _run
-    _run = setup()
+    try:
+        _run = setup()
+    except Exception as exc:
+        # raised again by every task, so that it reaches the caller with its type
+        _run = exc
 
 
 def _recorded(run, task):
@@ -128,6 +132,8 @@ def _recorded(run, task):
 
 
 def _call(task):
+    if isinstance(_run, Exception):
+        raise _run
     with one_blas_thread():
         return _recorded(_run, task)
 
@@ -151,8 +157,9 @@ def map_ranges(setup, tasks: list, jobs: int | None) -> list:
     built and the tasks run here.  In a pool, each worker calls
     ``setup``, which must pickle, once to build its own ``run`` (a
     closure does not pickle), the caller builds none, and the workers
-    take the tasks from the pool's queue in order.  An exception a task
-    raises propagates with its type, and no worker outlives the call.
+    take the tasks from the pool's queue in order.  An exception that a
+    task or ``setup`` raises propagates with its type, as it would with
+    one process, and no worker outlives the call.
 
     Either way each task's warnings are recorded where it runs and
     re-issued here when the task's result arrives, in task order, at

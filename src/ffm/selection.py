@@ -188,7 +188,8 @@ def _leading_failures(r: np.ndarray, n_max: int, rows: np.ndarray, sizes,
     leaves no residual degree of freedom, when it is exactly singular, or
     when the condition number of its Gram matrix exceeds CONDITION_LIMIT.
     That number is only computed for blocks larger than the largest one a
-    shifted Cholesky factorization proves well conditioned.
+    shifted Cholesky factorization of the regression's own Gram matrix
+    proves well conditioned (``_proved``).
     """
     n_stack = r.shape[0]
     failures = [{} for _ in range(n_stack)]
@@ -202,12 +203,6 @@ def _leading_failures(r: np.ndarray, n_max: int, rows: np.ndarray, sizes,
     lead = r[:, :top, :top]
     gram = lead.swapaxes(1, 2) @ lead
     traces = np.cumsum(np.diagonal(gram, axis1=1, axis2=2), axis=1)
-    largest = max(sizes)
-    if fit_max.min() >= largest:
-        # one factorization of the whole stack usually proves every size
-        shift = (2.0 * traces[:, largest - 1] / CONDITION_LIMIT)[:, None, None] * np.eye(largest)
-        if _has_cholesky(gram[:, :largest, :largest] - shift):
-            return failures
     descending = sorted(sizes, reverse=True)
     cleared = [_proved(gram[s], traces[s], [n for n in descending if n <= f])
                for s, f in enumerate(fit_max.tolist())]

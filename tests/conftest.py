@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ffm import select_orders
+from ffm._blas import openblas_controls
 
 
 def _tied_fpca(build, rng, restricted=False, t_obs=200):
@@ -62,3 +63,18 @@ def benchmark_inputs():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def blas_threads():
+    """``use(n)`` sets every OpenBLAS to n threads, the backtest's default worker count."""
+    controls = openblas_controls()
+    previous = [getter() for getter, _ in controls]
+
+    def use(n):
+        for _, setter in controls:
+            setter(n)
+
+    yield use
+    for (_, setter), count in zip(controls, previous):
+        setter(count)

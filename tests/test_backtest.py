@@ -12,28 +12,13 @@ import ffm._blas as blas_module
 import ffm.backtest as backtest_module
 import ffm.pipeline as pipeline_module
 import ffm.selection as selection_module
-from ffm import (BacktestReport, ConfigError, DiscretePanel, Dns, FfmConfig, FfmCriterion,
+from ffm import (BacktestReport, ConfigError, DataError, DiscretePanel, Dns, FfmConfig, FfmCriterion,
                  FfmFixed, FfmError, FunctionalSample, NumericError, SimSpec,
                  dns_forecast, dns_loadings, fit_dns, fit_ffm, forecast, make_grid,
                  rolling_backtest, select_orders, simulate)
 from ffm._blas import openblas_controls
 
 RMSFE_AUDIT_TOL = 1e-12
-
-
-@pytest.fixture
-def blas_threads():
-    """``use(n)`` sets every OpenBLAS to n threads, the backtest's default worker count."""
-    controls = openblas_controls()
-    previous = [getter() for getter, _ in controls]
-
-    def use(n):
-        for _, setter in controls:
-            setter(n)
-
-    yield use
-    for (_, setter), count in zip(controls, previous):
-        setter(count)
 
 
 @pytest.fixture
@@ -669,6 +654,18 @@ class TestRangeHooks:
             warnings.simplefilter("ignore")
             rolling_backtest(mixed_dns_panel(), Dns(0.07), h=1, initial_window=3)
         assert betas == [os.getpid()]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_errors_building_the_hook_keep_their_type(self, blas_threads, benchmark_inputs,
+                                                      threads):
+        # the shortest maturity missing in one row: the whole panel cannot be splined;
+        # 60 origins make two ranges, so two threads start a pool
+        table = benchmark_inputs.yield_panel(11, 160)
+        table[150, 0] = np.nan
+        panel = DiscretePanel(benchmark_inputs.MATURITIES, table)
+        blas_threads(threads)
+        with pytest.raises(DataError, match="row 150: grid .* exceeds the observed span"):
+            rolling_backtest(panel, FfmCriterion("bic", 3, 2), h=1, initial_window=100)
 
     def test_short_data_is_refused_before_any_spline(self, monkeypatch, benchmark_inputs):
         panel = DiscretePanel(benchmark_inputs.MATURITIES, benchmark_inputs.yield_panel(11, 160))

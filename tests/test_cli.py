@@ -382,6 +382,19 @@ class TestBacktest:
         assert results["first_failure"] == [4, "NumericError",
                                              "k=5 exceeds the sample rank 3"]
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_unsplinable_panel_is_data_error(self, tmp_path, capsys, blas_threads,
+                                             benchmark_inputs, threads):
+        table = benchmark_inputs.yield_panel(11, 160)
+        table[150, 0] = np.nan
+        path = tmp_path / "p160.csv"
+        benchmark_inputs.write_wide_csv(table, path)
+        blas_threads(threads)
+        assert run(["backtest", "--input", path, "--method", "ffm-criterion", "--kmax", 3,
+                    "--pmax", 2, "--window", 100, "--output-dir", tmp_path / "bt"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "row 150: grid" in err and "Traceback" not in err
+
     def test_fixed_method_requires_orders(self, tmp_path, capsys):
         csv_path = write_sim_csv(tmp_path, "M4", 30, 2)
         assert run(["backtest", "--input", csv_path, "--method", "ffm-fixed",
