@@ -9,17 +9,18 @@ each library's previous count on exit, also when the block raises.
 
 The cores those threads would have used run worker processes instead.
 ``map_ranges`` runs a loop's ranges (of replications or origins) in
-order, on ``jobs`` processes.  ``jobs=None`` takes the thread count
-``one_blas_thread`` saved, which follows ``OPENBLAS_NUM_THREADS`` and
-defaults to the number of cores, so ``OPENBLAS_NUM_THREADS=1`` gives a
-serial run, and starts the workers by ``fork``: with ``spawn`` or
-``forkserver`` a pool of two ran a 180-origin backtest slower than one
-process.  It is 1 where no OpenBLAS control is found, inside a daemonic
-process (a ``multiprocessing.Pool`` worker, which may not start
-children), and from Python 3.12 on, which warns (``DeprecationWarning``)
-when a process with OpenBLAS threads forks.  It is never more than the
-number of ranges.  With one process the ranges run in the caller;
-``multiprocessing`` is imported only when a pool starts.
+order, on ``jobs`` processes, never more than there are ranges.
+``jobs=None`` takes the thread count ``one_blas_thread`` saved, which
+follows ``OPENBLAS_NUM_THREADS`` and defaults to the number of cores,
+so ``OPENBLAS_NUM_THREADS=1`` gives a serial run, and so does a process
+without an OpenBLAS control.  Any ``jobs`` gives one process inside a
+daemonic process (a ``multiprocessing.Pool`` worker, which may not
+start children) and from Python 3.12 on, which warns
+(``DeprecationWarning``) when a process with OpenBLAS threads forks.
+Workers are started by ``fork``: with ``spawn`` or ``forkserver`` a
+pool of two ran a 180-origin backtest slower than one process.  With
+one process the ranges run in the caller; ``multiprocessing`` is
+imported only when a pool starts.
 
 Libraries are found in ``/proc/self/maps`` and driven through their own
 ``openblas_set_num_threads`` (or the ``scipy_openblas`` build's
@@ -100,15 +101,15 @@ def one_blas_thread():
 _FORK_QUIET = sys.version_info < (3, 12)
 
 
-def _default_pool(threads: int, tasks: int):
-    """Workers and start context that ``jobs=None`` gives ``tasks`` ranges."""
-    if not _FORK_QUIET or min(threads, tasks) <= 1:
-        return 1, None
+def _workers(jobs: int, tasks: int) -> int:
+    """Processes that ``jobs`` gives ``tasks`` ranges: 1 where forking would warn or fail."""
+    if not _FORK_QUIET or min(jobs, tasks) <= 1:
+        return 1
     import multiprocessing
 
     if multiprocessing.current_process().daemon:
-        return 1, None
-    return min(threads, tasks), multiprocessing.get_context("fork")
+        return 1
+    return min(jobs, tasks)
 
 
 _run = None   # a pool worker's range hook, or the exception setup raised, set once by _start
@@ -167,18 +168,16 @@ def map_ranges(setup, tasks: list, jobs: int | None) -> list:
     ``jobs``.  The warnings of a task that raises are not re-issued.
     """
     with one_blas_thread() as threads:
-        if jobs is None:
-            workers, context = _default_pool(threads, len(tasks))
-        else:
-            workers, context = min(jobs, len(tasks)), None
+        workers = _workers(threads if jobs is None else jobs, len(tasks))
         if workers <= 1:
             run = setup()
             return _replayed(_recorded(run, task) for task in tasks)
         # imported here so that commands without a pool never load multiprocessing
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(workers, mp_context=context, initializer=_start,
-                                   initargs=(setup,))
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                   initializer=_start, initargs=(setup,))
         try:
             return _replayed(pool.map(_call, tasks))
         finally:

@@ -28,26 +28,23 @@ A refused origin is caught in one place, ``_attempt``.  ``FfmFixed``
 and ``FfmCriterion`` share one range hook (``_ffm_origins``): FPCA per
 origin, one stacked selection kernel call per grid size
 (``selection._stacked_grids``), then ``fit_ffm``'s own fit on the FPCA
-the origin already ran (``pipeline._fit``) and ``forecast``.  Only the
+the origin already ran (``pipeline._fit``) and ``forecast``.  The stack
+factors each origin's designs on its own rows, so every origin gets
+``select_orders``'s grid, warning and refusal bit for bit.  Only the
 chosen orders leave a range, so the stack skips the lag orders whose
-cells cannot win (``chosen_only``).  Padding the stacked designs with
-zero rows can change their R factors (see ``selection._stacked_grids``),
-so the stack only vouches for an origin whose grid fitted every cell
-and has no near tie; any other origin selects on its own FPCA, which
-gives ``select_orders``'s warnings, refusal and choice.  ``Dns`` fits a
-chunk's windows in one stacked least-squares call
-(``fit_var_windows``, whose docstring says why its designs keep their
-bits) and forecasts them in one stacked recursion
-(``forecast_windows``); windows that hold a row without betas fail
-before stacking, since one NaN would poison the stacked
+cells cannot win (``chosen_only``).  ``Dns`` fits a chunk's windows in
+one stacked least-squares call (``fit_var_windows``, whose docstring
+says why its designs keep their bits) and forecasts them in one stacked
+recursion (``forecast_windows``); windows that hold a row without betas
+fail before stacking, since one NaN would poison the stacked
 factorizations.  Two layout rules keep every origin bit for bit equal
 to refitting ``fit_dns`` on its window: the lag matrices are made
 C-contiguous before the forecast products, as ``coefficient_matrix``
 lays them out, and the loadings product keeps ``dns_forecast``'s
 (h, 3) @ (3, N) shape per window as a (W, h, 3) @ (3, N) product; a
-flat (W, 3) @ (3, N) product differs in the last bit.  The tests
-check that reports do not depend on ``CHUNK`` or on the number of
-worker processes.
+flat (W, 3) @ (3, N) product differs in the last bit.  The tests check
+that reports do not depend on ``CHUNK`` or on the number of worker
+processes.
 """
 
 from __future__ import annotations
@@ -98,22 +95,23 @@ def _window(sample: FunctionalSample, t: int) -> FunctionalSample:
 def _ffm_origins(data, h: int, config: FfmConfig):
     """Range hook of a factor-model method: ``fit_ffm`` and ``forecast`` per origin.
 
-    Selected orders are stacked only for origins that share a grid size
-    with another origin of the range and whose p_max fits their window:
-    a lone origin is not padded, so the stack would warn and raise for
-    it as ``select_orders`` does, and ``_fit`` must clip a p_max that
-    does not fit, with its warning.
+    A range's orders are selected by one stacked kernel call per grid
+    size, for every origin whose p_max fits its window; ``_fit`` clips
+    any other origin's p_max, with its warning, and selects alone.  Each
+    origin builds its grid in ``step``, so its warning or refusal comes
+    in origin order.
     """
     sample = _splined(data)
     criteria = (config.criterion,)
 
-    def step(full, config, grid):
+    def step(full, config, grids):
+        grid = None if grids is None else grids()[config.criterion]
         model = _fit(full, config, grid)
         return forecast(model, h).matrix[h - 1], (model.k, model.p)
 
     def run(origins):
         results = {t: _attempt(fpca, _window(sample, t)) for t in origins}
-        configs, groups, grids = {}, {}, {}
+        configs, groups, builders = {}, {}, {}
         for t, full in results.items():
             if isinstance(full, FfmError) or config.k is not None:
                 configs[t] = config
@@ -123,12 +121,11 @@ def _ffm_origins(data, h: int, config: FfmConfig):
             if config.p_max < t:
                 groups.setdefault(configs[t].k_max, []).append(t)
         for k_max, members in groups.items():
-            if len(members) > 1:
-                stack = _stacked_grids([results[t] for t in members], k_max, config.p_max,
-                                       criteria, config.restricted, chosen_only=True)
-                grids.update((t, g and g[config.criterion]) for t, g in zip(members, stack))
+            stack = _stacked_grids([results[t] for t in members], k_max, config.p_max, criteria,
+                                   config.restricted, chosen_only=True)
+            builders.update(zip(members, stack))
         return [full if isinstance(full, FfmError) else
-                _attempt(step, full, configs[t], grids.get(t))
+                _attempt(step, full, configs[t], builders.get(t))
                 for t, full in results.items()]
 
     return run

@@ -226,10 +226,12 @@ def fit_var_windows(scores: np.ndarray, m: int, ends,
     Only LAPACK's QR sees the padding, and it leaves each window's Q and
     R as its own design gives them for the DNS backtest's designs of 1 to
     3 columns, which the tests check.  That is an observation about the
-    LAPACK in use, not a guarantee: wider designs break it (see
-    ``selection._stacked_grids``), and one 9-column design with exactly
-    collinear leading rows got an R that differs in the last bit once
-    padded by 4 or more rows.  A stack of several windows is
+    LAPACK in use, not a guarantee: wider designs break it (padded by six
+    rows, the 72-column lag-8 selection design of the 177-row window of
+    the seed-7 ``perfbench`` backtest panel gets an R that differs in 525
+    entries, so the selection kernel factors each series on its own
+    rows), and one 9-column design with exactly collinear leading rows
+    got an R that differs in the last bit once padded by 4 or more rows.  A stack of several windows is
     C-contiguous, so its windows match their one-window calls on
     C-contiguous ``scores``.  Every window needs more than m finite rows:
     a NaN row would poison the stack.

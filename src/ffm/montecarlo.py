@@ -90,7 +90,7 @@ def _replications(spec: SimSpec, k_max: int, p_max: int, criteria, restricted: b
     def run(reps: range) -> list[dict]:
         rngs = [replication_rng(spec.seed, rep) for rep in reps]
         results = (fpca(sample) for sample in simulate_streams(spec, rngs))
-        return [{criterion: grid.chosen for criterion, grid in grids.items()}
+        return [{criterion: grid.chosen for criterion, grid in grids().items()}
                 for grids in _stacked_grids(results, k_max, p_max, criteria, restricted,
                                             chosen_only=True)]
 
@@ -108,8 +108,9 @@ def monte_carlo(spec: SimSpec, reps: int, k_max: int = 8, p_max: int = 8,
     contiguous ranges of at most ``CHUNK`` that give each of ``jobs``
     workers one, and run through ``ffm._blas.map_ranges`` on one
     OpenBLAS thread per process.  Unlike the backtest's, the worker
-    count does not follow the OpenBLAS thread count: it is ``jobs``,
-    which must be a positive integer.
+    count does not follow the OpenBLAS thread count: it is ``jobs``, a
+    positive integer, but 1 inside a daemonic process and from Python
+    3.12 on, as for the backtest.
     """
     if reps < 1:
         raise ConfigError(f"reps must be positive, got {reps}")

@@ -27,14 +27,11 @@ took it, because ``x.T @ x`` on a contiguous one-factor copy can round
 differently and change the number a failure reports.
 
 The kernel takes several score series at once: for each m, the [X Y]
-of a stack of series are factored by one batched QR, which LAPACK runs
-matrix by matrix.  ``_stacked_grids`` is the one grid builder, and
-``select_orders`` is its one-series call.  Series of one length, such
-as a chunk of Monte Carlo replications, are not padded, so each R, and
-so each grid, is bit for bit what the series gets alone.  A backtest's
-origins have different lengths: their designs are padded with zero rows
-to the longest, which changes R only to rounding, so a padded series
-keeps its grids only when no failed cell or near tie can hide that.
+of a stack of series are built together, and each series is factored
+by a QR of its own rows.  Nothing is padded, so each R, and so each
+grid, is bit for bit what the series gets alone, whatever the lengths
+beside it.  ``_stacked_grids`` is the one grid builder, and
+``select_orders`` is its one-series call.
 
 Lag order p_max is factored first, and its R serves the whole grid
 twice.  Every (J, m) design is a column subset of the p_max design on
@@ -81,9 +78,9 @@ CRITERIA = ("bic", "hqc", "ffpe")
 # a stack up to this size, which bounds the kernel's working memory.
 STACK_BYTES = 256 * 1024
 
-# A stacked series keeps its chosen orders only when the best and the
-# second best criterion values differ by more than this, relative to the
-# larger of |best| and 1 (see _stacked_grids).
+# _needed factors a lag order whose lower bound comes within this margin
+# of a series' best value, relative to the larger of |best| and 1, so
+# that rounding in the bound cannot hide a cell that ties or wins.
 TIE_RTOL = 1e-9
 
 
@@ -150,14 +147,17 @@ def _has_cholesky(a: np.ndarray) -> bool:
     return True
 
 
-def _proved(gram: np.ndarray, traces: np.ndarray, sizes) -> int:
+def _proved(lead: np.ndarray, sizes) -> int:
     """Largest n in ``sizes`` (descending) whose leading Gram blocks are proved well conditioned.
 
-    A Cholesky factor of G_n - 2 tr(G_n) / CONDITION_LIMIT * I proves, by
+    ``lead`` is the leading block of an R factor, so G = lead' lead.  A
+    Cholesky factor of G_n - 2 tr(G_n) / CONDITION_LIMIT * I proves, by
     interlacing, lambda_min(G_k) > tr(G_n) / CONDITION_LIMIT >= lambda_max(G_k)
     / CONDITION_LIMIT for every k <= n; the 2 covers rounding in G and in
     the factorization.  Returns 0 when no size is proved.
     """
+    gram = lead.T @ lead
+    traces = np.cumsum(np.diagonal(gram))
     for n in sizes:
         if _has_cholesky(gram[:n, :n] - (2.0 * traces[n - 1] / CONDITION_LIMIT) * np.eye(n)):
             return n
@@ -199,12 +199,8 @@ def _leading_failures(r: np.ndarray, n_max: int, rows: np.ndarray, sizes,
     zero = (pivots == 0.0) | (np.arange(pivots.shape[1]) >= own[:, None])
     valid = np.where(zero.any(axis=1), zero.argmax(axis=1), pivots.shape[1])
     fit_max = np.minimum(valid, rows - 1)  # largest full-rank block that leaves a residual
-    top = max(int(fit_max.max()), 0)
-    lead = r[:, :top, :top]
-    gram = lead.swapaxes(1, 2) @ lead
-    traces = np.cumsum(np.diagonal(gram, axis1=1, axis2=2), axis=1)
     descending = sorted(sizes, reverse=True)
-    cleared = [_proved(gram[s], traces[s], [n for n in descending if n <= f])
+    cleared = [_proved(r[s, :f, :f], [n for n in descending if n <= f])
                for s, f in enumerate(fit_max.tolist())]
     sizes = list(sizes)
     rows_list = rows.tolist()
@@ -275,20 +271,23 @@ def _innovation_rss(scores: np.ndarray, ends: np.ndarray, p_max: int, design,
             todo = np.arange(n_win)
         all_rows = ends - m
         n_max = k_max * m
+        width = n_max + k_max   # columns of [X Y]
         sizes = range(m, n_max + 1, m)
         # lags 1..m of target row i + m; column l*m + k - 1 of a design is
         # factor l at lag k (factor major)
         lagged = sliding_window_view(scores, m, axis=1)[:, :, :, ::-1]
-        per_stack = max(1, STACK_BYTES // (8 * int(all_rows.max()) * k_max * (m + 1)))
+        per_stack = max(1, STACK_BYTES // (8 * int(all_rows.max()) * width))
         for lo in range(0, todo.size, per_stack):
             members = todo[lo:lo + per_stack]
             rows = all_rows[members]
             n_stack, length = rows.size, int(rows.max())
-            xy = np.empty((n_stack, length, n_max + k_max))
+            xy = np.empty((n_stack, length, width))
             xy[..., :n_max].reshape(n_stack, length, k_max, m)[...] = lagged[members, :length]
             xy[..., n_max:] = scores[members, m:length + m]
-            xy[np.arange(length) >= rows[:, None]] = 0.0
-            r = np.linalg.qr(xy, mode="r")
+            # each series on its own rows, with zero rows below a short R
+            r = np.zeros((n_stack, min(length, width), width))
+            for s, n in enumerate(rows.tolist()):
+                r[s, :min(n, width)] = np.linalg.qr(xy[s, :n], mode="r")
             cum = np.cumsum(_leading_rss(r, n_max), axis=2)
             cells = cum[:, np.minimum(js * m, cum.shape[1]) - 1, js - 1]
             if m == p_max:
@@ -313,12 +312,11 @@ def _innovation_traces(scores: np.ndarray, ends: np.ndarray, p_max: int, restric
     and later rows are ignored.  Returns the (W, k_max, p_max)
     traces, +inf where a cell failed, and one sorted {(J, m): reason} per
     series.  For each lag order the series are factored in stacks of at
-    most STACK_BYTES of [X Y], each with one design build and one QR; a
-    stack pads every design with zero rows to its longest.  A stack of
-    equal ``ends`` pads nothing, and each series' traces and failures are
-    then bit for bit those of its one-series call.  ``needed`` is
-    ``_innovation_rss``'s, for the full fit only: cells it leaves out are
-    +inf with no reason.
+    most STACK_BYTES of [X Y], each with one design build and a QR of
+    each series' own rows.  So each series' traces and failures are bit
+    for bit those of its one-series call, whatever the ``ends`` beside
+    it.  ``needed`` is ``_innovation_rss``'s, for the full fit only:
+    cells it leaves out are +inf with no reason.
 
     The restricted fit is the full one run on the W * k_max one-factor
     series, summed over factors by one cumulative sum, which carries the
@@ -424,7 +422,7 @@ def _needed(criteria, tails: np.ndarray, t_obs: np.ndarray, rss: np.ndarray,
     series needs lag order m when, for some criterion, some J has that
     bound at most best + TIE_RTOL * max(1, |best|), ``best`` being its
     lowest value so far.  Its cells that are left out then cannot be
-    chosen, nor come within TIE_RTOL of the choice (see ``_grids``).
+    chosen, nor come within TIE_RTOL of the choice.
     """
     rows = t_obs[:, None, None] - np.arange(1, rss.shape[2] + 1)
     floor = rss[:, :, -1:] / rows
@@ -445,21 +443,17 @@ def select_orders(result: FpcaResult, k_max: int, p_max: int,
 
     The VAR fits are done once; each criterion only re-penalizes them.
     """
-    return _stacked_grids([result], k_max, p_max, criteria, restricted, stacklevel=3)[0]
+    return _stacked_grids([result], k_max, p_max, criteria, restricted)[0](stacklevel=3)
 
 
 def _grids(traces: np.ndarray, failures: dict[tuple[int, int], str], tails: np.ndarray,
-           t_obs: int, criteria, restricted: bool, stacklevel: int,
-           padded: bool) -> dict[str, SelectionGrid] | None:
+           t_obs: int, criteria, restricted: bool, stacklevel: int = 2) -> dict[str, SelectionGrid]:
     """One sample's grids from its innovation traces.
 
-    Unpadded, a failed cell is warned about once, at ``stacklevel`` as
+    A failed cell is warned about once, at ``stacklevel`` as
     ``warnings.warn`` counts it from this function, and a criterion with
-    every cell failed raises.  Padded, the grids are None instead when a
-    cell failed or a criterion's two best values are within TIE_RTOL.
+    every cell failed raises.
     """
-    if failures and padded:
-        return None
     if failures:
         cells = ", ".join(f"(J={j}, m={m})" for j, m in failures)
         warnings.warn(
@@ -474,11 +468,7 @@ def _grids(traces: np.ndarray, failures: dict[tuple[int, int], str], tails: np.n
     for criterion in criteria:
         values = _criterion_values(criterion, traces, tails, t_obs)
         values = np.where(np.isfinite(traces), values, np.inf)
-        if padded:
-            best, second = np.partition(np.append(values.ravel(), np.inf), 1)[:2]
-            if not second - best > TIE_RTOL * max(1.0, abs(best)):
-                return None
-        elif not np.isfinite(values).any():
+        if not np.isfinite(values).any():
             raise NumericError("every selection cell failed; the grid is empty")
         grids[criterion] = SelectionGrid(criterion=criterion, k_max=k_max, p_max=p_max, mse=mse,
                                          values=values, chosen=_orders(values), n_obs=t_obs,
@@ -487,41 +477,21 @@ def _grids(traces: np.ndarray, failures: dict[tuple[int, int], str], tails: np.n
 
 
 def _stacked_grids(results, k_max: int, p_max: int, criteria, restricted: bool,
-                   stacklevel: int = 2,
-                   chosen_only: bool = False) -> list[dict[str, SelectionGrid] | None]:
+                   chosen_only: bool = False) -> list[partial]:
     """``select_orders`` of several samples, from one kernel call.
 
     ``results`` is an iterable of FpcaResults, read once: only each one's
     first ``k_max`` score columns and its eigenvalue tails are kept, so a
     caller may pass a generator and hold no whole result.  ``k_max`` is
     at most each sample's rank and ``p_max`` below each one's curve
-    count.  Returns one {criterion: SelectionGrid} per sample, in order.
-
-    Samples of one length stack with no padding, and every design's R is
-    the one a lone call gets (see the module docstring), so each
-    sample's grids, failed-cell warning and ``NumericError`` are bit for
-    bit those of ``select_orders`` on it alone; the first sample whose
-    cells all failed raises.  Warnings are issued at ``stacklevel``
-    counted from this function, as in ``warnings.warn``.
-
-    Samples of different lengths are stacked with zero rows after each
-    one's own.  Zero padding is not bitwise safe for LAPACK's blocked
-    QR: a padded R can differ from the unpadded one in its last bits.
-    On the seed-7 ``backtest-bic`` panel of ``perfbench``, stacks of 32
-    origins changed R for 3 of the 1,440 (origin, m) designs (16 to 72
-    columns of [X Y] on an 8 x 8 grid): t = 177, m = 8 (525 entries, up
-    to 4.4e-13 relative), t = 291, m = 4 (180) and t = 236, m = 7 (4).
-    So padded traces agree with ``select_orders``'s only to rounding,
-    and a sample keeps its grids only when every cell was fitted, so
-    every design passed the conditioning proof, and the two best values
-    of each requested criterion differ by more than TIE_RTOL, relative
-    to the larger of |best| and 1.  That is a margin, not a bound: on
-    the seed-7 and seed-41 ``backtest-bic`` panels of ``perfbench`` the
-    stacked traces agreed within 3.9e-16 relative, and the smallest
-    relative gap between the best and the second best bic value was
-    2.2e-5.  Any other sample gets None, with no warning, and must run
-    ``select_orders`` itself, which gives its warning, failure and
-    choice.
+    count.  Returns one grid builder per sample, in order: calling it
+    returns the sample's {criterion: SelectionGrid}, after warning about
+    its failed cells (at the builder's caller unless a ``stacklevel`` is
+    given, counted as in ``_grids``), or raises the ``NumericError`` of
+    a criterion whose cells all failed.  Every design is factored on its
+    own rows (see the module docstring), so each builder's grids,
+    warning and error are bit for bit those of ``select_orders`` on its
+    sample alone.
 
     ``chosen_only`` is for a caller that keeps only each grid's chosen
     orders.  The full-VAR kernel then factors a lag order m < p_max only
@@ -530,9 +500,8 @@ def _stacked_grids(results, k_max: int, p_max: int, criteria, restricted: bool,
     it leaves out hold +inf.  A sample whose p_max fit does not certify
     its whole grid (``_certified``) is evaluated in full.  So the chosen
     orders, warnings and ``NumericError`` are those of the full grid,
-    and so are the evaluated cells, bit for bit where nothing is padded;
-    the near-tie test of a padded sample also sees every cell it needs.
-    The own-lags grid is always evaluated in full.
+    and so are the evaluated cells, bit for bit.  The own-lags grid is
+    always evaluated in full.
     """
     _check_criteria(criteria)
     scores, tails = [], []
@@ -548,18 +517,12 @@ def _stacked_grids(results, k_max: int, p_max: int, criteria, restricted: bool,
     stacked = np.zeros((ends.size, int(ends.max()), k_max))
     for w, series in enumerate(scores):
         stacked[w, :ends[w]] = series
-    padded = bool(ends.min() < ends.max())
     needed = None
     if chosen_only and not restricted:
         needed = partial(_needed, criteria, np.array(tails), ends)
     traces, failures = _innovation_traces(stacked, ends, p_max, restricted, needed)
-    # a loop, not a comprehension: before Python 3.12 a comprehension is a
-    # frame of its own, which would move the warning's stacklevel
-    stack = []
-    for surface, failed, tail, t_obs in zip(traces, failures, tails, ends.tolist()):
-        stack.append(_grids(surface, failed, tail, t_obs, criteria, restricted,
-                            stacklevel + 1, padded))
-    return stack
+    return [partial(_grids, surface, failed, tail, t_obs, criteria, restricted)
+            for surface, failed, tail, t_obs in zip(traces, failures, tails, ends.tolist())]
 
 
 def export_mse_surface(grid: SelectionGrid) -> list[dict]:

@@ -256,12 +256,12 @@ def mixed_dns_panel():
 
 
 def criterion_sample():
-    """A sample whose expanding windows fail, select one by one, and stack.
+    """A sample whose expanding windows fail, lose selection cells, and fit every cell.
 
     Rows 0-5 are zero, so a window of them has zero scores and every
     selection cell fails.  The windows just past them lose cells to
-    singular designs or to the degrees-of-freedom limit, which sends them
-    to ``select_orders`` one by one; later windows fit every cell.
+    singular designs or to the degrees-of-freedom limit, with a warning;
+    later windows fit every cell.
     """
     grid = make_grid(0.0, 1.0, 7)
     rng = np.random.default_rng(17)
@@ -362,7 +362,7 @@ class TestChunks:
         sample = criterion_sample()
         method = FfmCriterion("bic", 2, 2, restricted)
         # the 30-curve window gets an FPCA whose grid ties exactly at its
-        # two best cells, so the stack must hand it to select_orders
+        # two best cells, where a grid off in its last bit could choose otherwise
         tie_at = 30
         real = backtest_module.fpca
         window = real(FunctionalSample(sample.grid, sample.matrix[:tie_at]))
@@ -373,25 +373,22 @@ class TestChunks:
             np.random.default_rng(5), restricted, tie_at)
         values = np.sort(select_orders(tied, 2, 2, ("bic",), restricted)["bic"].values.ravel())
         assert values[0] == values[1]
-        # stacked with a longer window, the tie is padded and the stack gives no grid;
-        # alone, nothing is padded and the stack gives select_orders's grid
+        # stacked with a longer window, the tie keeps select_orders's grid
         longer = real(FunctionalSample(sample.grid, sample.matrix[:tie_at + 5]))
         stacked = selection_module._stacked_grids([tied, longer], 2, 2, ("bic",), restricted)
-        assert stacked[0] is None
-        alone = selection_module._stacked_grids([tied], 2, 2, ("bic",), restricted)[0]["bic"]
-        assert np.array_equal(np.sort(alone.values.ravel()), values)
+        assert np.array_equal(np.sort(stacked[0]()["bic"].values.ravel()), values)
 
         def fpca_with_tie(data, k_max=None):
             return tied if data.n_curves == tie_at else real(data, k_max)
 
         monkeypatch.setattr(backtest_module, "fpca", fpca_with_tie)
         monkeypatch.setattr(pipeline_module, "fpca", fpca_with_tie)
-        rerun = []
+        alone = []
         fit = backtest_module._fit
 
         def counted(full, config, grid=None):
             if grid is None:
-                rerun.append(full.n_curves)
+                alone.append(full.n_curves)
             return fit(full, config, grid)
 
         monkeypatch.setattr(backtest_module, "_fit", counted)
@@ -416,9 +413,8 @@ class TestChunks:
                     continue
                 errors[i] = forecast(model, h).matrix[h - 1] - sample.matrix[t + h - 1]
                 selected[i] = (model.k, model.p)
-        # each run selected the tied window, and other windows, but not all, on their own
-        assert rerun.count(tie_at) == len(reports)
-        assert len(set(rerun)) > 1 and len(rerun) < len(reports) * first.origins.size
+        # every window fits p_max, so every origin reached _fit with its stacked grid
+        assert alone == []
         assert {name for _, name, _ in first.failure_reasons} == {"NumericError"}
         assert np.isfinite(first.errors).any()
         assert np.array_equal(first.errors, errors, equal_nan=True)
@@ -523,12 +519,11 @@ class TestPool:
 
     def test_default_count_forks_only_where_forking_is_quiet(self, monkeypatch):
         monkeypatch.setattr(blas_module, "_FORK_QUIET", True)
-        workers, context = blas_module._default_pool(3, 2)
-        assert (workers, context.get_start_method()) == (2, "fork")
-        assert blas_module._default_pool(1, 5) == (1, None)
-        assert blas_module._default_pool(4, 1) == (1, None)
+        assert blas_module._workers(3, 2) == 2
+        assert blas_module._workers(1, 5) == 1
+        assert blas_module._workers(4, 1) == 1
         monkeypatch.setattr(blas_module, "_FORK_QUIET", False)
-        assert blas_module._default_pool(3, 2) == (1, None)
+        assert blas_module._workers(3, 2) == 1
 
     @pools
     def test_programming_error_in_a_worker_propagates(self, monkeypatch, blas_threads):
@@ -554,8 +549,8 @@ class TestPool:
 
 class TestFpcaPerOrigin:
     def test_fallback_origins_reuse_their_fpca(self, monkeypatch, serial, benchmark_inputs):
-        # on this short panel every origin selects on its own (p_max clipped,
-        # failed cells, or alone in its grid size), and none may run FPCA twice
+        # on this short panel origins clip p_max, lose cells or stand alone in
+        # their grid size, and none may run FPCA twice
         panel = DiscretePanel(benchmark_inputs.MATURITIES, benchmark_inputs.yield_panel(12, 60))
         real = backtest_module.fpca
         windows = []

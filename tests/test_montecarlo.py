@@ -1,5 +1,6 @@
 """Replicated selection experiments."""
 
+import multiprocessing
 import warnings
 
 import numpy as np
@@ -21,6 +22,11 @@ def per_replication_selections(spec, reps, k_max, p_max):
         for criterion, grid in select_orders(fpca(sample), k_max, p_max).items():
             chosen[criterion].append(grid.chosen)
     return {criterion: np.array(pairs, dtype=int) for criterion, pairs in chosen.items()}
+
+
+def selections_in_daemon(args):
+    """``monte_carlo``'s selections with two jobs, in a ``multiprocessing.Pool`` worker."""
+    return monte_carlo(*args, jobs=2).selections
 
 
 class TestMonteCarlo:
@@ -47,6 +53,16 @@ class TestMonteCarlo:
         for criterion in seq.criteria:
             assert np.array_equal(seq.selections[criterion],
                                   par.selections[criterion])
+
+    def test_jobs_in_a_daemonic_process_run_here(self):
+        # a pool worker may not start children, so its replications run in it
+        args = (SPEC, 6, 4, 2)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            selections = pool.apply_async(selections_in_daemon, (args,)).get(timeout=120)
+        expected = monte_carlo(*args).selections
+        assert list(selections) == list(expected)
+        for criterion, chosen in expected.items():
+            assert np.array_equal(selections[criterion], chosen)
 
     @pytest.mark.parametrize("reps", [CHUNK - 1, CHUNK, CHUNK + 3])
     def test_chunks_and_jobs_are_invisible(self, reps):

@@ -377,41 +377,55 @@ def tied_result(tied_fpca, rng, restricted):
                      rng, restricted)
 
 
+def outcome(build):
+    """``build()``, or the NumericError it raised, and its warnings' messages and files."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            grids = build()
+        except NumericError as exc:
+            grids = exc
+    return grids, [(str(w.message), w.filename) for w in caught]
+
+
+def assert_same_grids(got, want):
+    """Two {criterion: SelectionGrid} are bit for bit equal."""
+    assert list(got) == list(want)
+    for criterion, grid in want.items():
+        assert got[criterion].mse.tobytes() == grid.mse.tobytes()
+        assert got[criterion].values.tobytes() == grid.values.tobytes()
+        assert (got[criterion].chosen, got[criterion].k_max, got[criterion].p_max,
+                got[criterion].n_obs, got[criterion].restricted) == \
+            (grid.chosen, grid.k_max, grid.p_max, grid.n_obs, grid.restricted)
+
+
 class TestStackedChoices:
-    """Samples selected in one stacked kernel call keep select_orders's choice or are rerun."""
+    """Samples of any lengths stacked in one kernel call get select_orders's outcome bit for bit."""
 
     @staticmethod
-    def reference(result, k_max, p_max, criterion, restricted):
-        """select_orders's choice, and whether it has a failed cell or a near tie."""
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                grid = select_orders(result, k_max, p_max, (criterion,), restricted)[criterion]
-            except NumericError:
-                return None, True
-        best = np.sort(grid.values.ravel())[:2]
-        near_tie = best.size > 1 and not best[1] - best[0] > TIE_RTOL * max(1.0, abs(best[0]))
-        return grid.chosen, bool(caught) or near_tie
-
-    def check(self, results, k_max, p_max, criterion, restricted):
-        """Number of samples the stack accepted and of those it sent to a rerun."""
-        choices = [grids and grids[criterion].chosen for grids in
-                   _stacked_grids(results, k_max, p_max, (criterion,), restricted)]
-        assert len(choices) == len(results)
-        counts = [0, 0]
-        for result, choice in zip(results, choices):
-            chosen, rerun = self.reference(result, k_max, p_max, criterion, restricted)
-            if rerun:
-                assert choice is None
-            if choice is not None:
-                assert choice == chosen
-            counts[choice is None] += 1
+    def check(results, k_max, p_max, criteria, restricted):
+        """Asserts each builder gives select_orders's outcome; counts those that warned, raised."""
+        builders = _stacked_grids(results, k_max, p_max, criteria, restricted)
+        assert len(builders) == len(results)
+        counts = np.zeros(2, dtype=int)
+        for result, build in zip(results, builders):
+            want, alone = outcome(lambda: select_orders(result, k_max, p_max, criteria,
+                                                        restricted))
+            got, caught = outcome(build)
+            assert caught == alone
+            assert all(filename == __file__ for _, filename in caught)
+            if isinstance(want, NumericError):
+                assert isinstance(got, NumericError) and str(got) == str(want)
+            else:
+                assert_same_grids(got, want)
+            counts += [bool(caught), isinstance(want, NumericError)]
         return counts
 
     def test_random_stacks_of_unequal_lengths(self, tied_fpca):
         # short samples leave cells without residual degrees of freedom,
         # a copied column makes every cell that holds both copies singular,
-        # and a nearly copied one puts them near the condition limit
+        # a nearly copied one puts them near the condition limit, and a
+        # zero sample fails every cell
         rng = np.random.default_rng(90)
         totals = np.zeros(2, dtype=int)
         for _ in range(120):
@@ -427,25 +441,30 @@ class TestStackedChoices:
                 if k_max > 1 and rng.random() < 0.3:
                     gap = 0.0 if rng.random() < 0.5 else 10.0 ** rng.uniform(-9, -4)
                     scores[:, -1] = scores[:, 0] * (1.0 + gap * rng.normal(size=t_obs))
+                if rng.random() < 0.05:
+                    scores[:] = 0.0
                 results.append(scores_result(scores, rng.uniform(1e-3, 1.0)))
             if k_max == 2 and p_max == 2 and criterion == "bic":
                 at = int(rng.integers(len(results) + 1))
                 results.insert(at, tied_result(tied_fpca, rng, restricted))
-            totals += self.check(results, k_max, p_max, criterion, restricted)
-        assert totals.min() > 50
+            totals += self.check(results, k_max, p_max, (criterion,), restricted)
+        assert totals[0] > 50 and totals[1] > 10   # 107 warned and 34 raised when written
 
     @pytest.mark.parametrize("restricted", [False, True])
-    def test_exact_tie_is_rerun(self, tied_fpca, restricted):
+    def test_exact_tie_keeps_select_orders_grid(self, tied_fpca, restricted):
         rng = np.random.default_rng(91)
         others = [scores_result(rng.normal(size=(60 + 9 * s, 2)), 0.1) for s in range(3)]
-        results = others[:2] + [tied_result(tied_fpca, rng, restricted)] + others[2:]
-        assert self.check(results, 2, 2, "bic", restricted) == [3, 1]
+        tied = tied_result(tied_fpca, rng, restricted)
+        assert self.check(others[:2] + [tied] + others[2:], 2, 2, ("bic",),
+                          restricted).tolist() == [0, 0]
+        values = np.sort(_stacked_grids([tied, others[2]], 2, 2, ("bic",),
+                                        restricted)[0]()["bic"].values.ravel())
+        assert values[0] == values[1]
 
     def test_padded_benchmark_window(self, benchmark_inputs):
-        # the 177-row window of the seed-7 backtest panel, stacked with the
-        # 183-row window, is padded by six zero rows; at m = 8 LAPACK then
-        # returned an R that differs from the unpadded one in 525 entries
-        # (up to 4.4e-13 relative), which only moves the traces by rounding
+        # the 177-row window of the seed-7 backtest panel beside the 183-row
+        # one: padded with six zero rows, its m = 8 design gets an R that
+        # differs from its own in 525 entries (up to 4.4e-13 relative)
         inputs = benchmark_inputs
         panel = DiscretePanel(inputs.MATURITIES, inputs.yield_panel(7, inputs.BACKTEST_ROWS))
         sample = panel_to_sample(panel, Grid(panel.maturities))
@@ -458,8 +477,8 @@ class TestStackedChoices:
         for result, surface in zip(results, traces):
             grid = select_orders(result, 8, 8, ("bic",))["bic"]
             tails = np.array([result.tail_sum(j) for j in range(1, 9)])
-            assert np.allclose(surface + tails[:, None], grid.mse, rtol=1e-12, atol=0.0)
-        assert self.check(results, 8, 8, "bic", False) == [2, 0]
+            assert np.array_equal(surface + tails[:, None], grid.mse)
+        assert self.check(results, 8, 8, ("bic",), False).tolist() == [0, 0]
 
 
 class TestStackedGrids:
@@ -478,7 +497,7 @@ class TestStackedGrids:
         for size in (1, 7, CHUNK):
             stack = _stacked_grids(results[:size], k_max, p_max, CRITERIA, restricted)
             assert len(stack) == size
-            for grids, expected in zip(stack, alone):
+            for grids, expected in zip([build() for build in stack], alone):
                 for criterion in CRITERIA:
                     got, want = grids[criterion], expected[criterion]
                     assert np.array_equal(got.mse, want.mse)
@@ -500,7 +519,7 @@ class TestStackedGrids:
         assert len(alone) == 1 and alone[0].filename == __file__
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            stack = _stacked_grids(results, 2, 2, ("bic",), restricted)
+            stack = [build() for build in _stacked_grids(results, 2, 2, ("bic",), restricted)]
         assert [str(w.message) for w in caught] == [str(alone[0].message)]
         assert caught[0].filename == __file__
         assert np.all(np.isinf(stack[2]["bic"].values[1]))
@@ -517,8 +536,10 @@ class TestStackedGrids:
             warnings.simplefilter("ignore")
             with pytest.raises(NumericError, match="every selection cell failed"):
                 select_orders(results[1], 2, 2, ("bic",), restricted)
+            stack = _stacked_grids(results, 2, 2, ("bic",), restricted)
+            stack[0]()
             with pytest.raises(NumericError, match="every selection cell failed"):
-                _stacked_grids(results, 2, 2, ("bic",), restricted)
+                stack[1]()
 
 
 class TestRestrictedKernel:
@@ -570,25 +591,20 @@ class TestBoundedGrids:
     """``chosen_only`` grids skip lag orders that cannot win, and change no choice."""
 
     @staticmethod
-    def compare(results, k_max, p_max, criteria, padded):
+    def compare(results, k_max, p_max, criteria):
         """Bounded against full stacked grids; returns the bounded grids and the cells skipped."""
-        bounded = _stacked_grids(results, k_max, p_max, criteria, False, chosen_only=True)
-        full = _stacked_grids(results, k_max, p_max, criteria, False)
+        bounded = [build() for build in
+                   _stacked_grids(results, k_max, p_max, criteria, False, chosen_only=True)]
+        full = [build() for build in _stacked_grids(results, k_max, p_max, criteria, False)]
         skipped = 0
         for b, f in zip(bounded, full, strict=True):
-            assert (b is None) == (f is None)
-            if b is None:
-                continue
             for criterion in criteria:
                 got, want = b[criterion], f[criterion]
                 assert got.chosen == want.chosen
                 done = np.isfinite(got.values)
                 assert np.array_equal(done, np.isfinite(got.mse))
-                if padded:
-                    assert np.allclose(got.values[done], want.values[done], rtol=1e-12, atol=0.0)
-                else:
-                    assert np.array_equal(got.values[done], want.values[done])
-                    assert np.array_equal(got.mse[done], want.mse[done])
+                assert np.array_equal(got.values[done], want.values[done])
+                assert np.array_equal(got.mse[done], want.mse[done])
                 # a skipped cell lies beyond the tie margin of the choice
                 best = want.values.min()
                 assert np.all(want.values[~done] > best + TIE_RTOL * max(1.0, abs(best)))
@@ -606,11 +622,10 @@ class TestBoundedGrids:
         for criterion in CRITERIA:
             skipped = 0
             for lo in range(0, len(results), CHUNK):
-                stack, count = self.compare(results[lo:lo + CHUNK], 8, 8, (criterion,), True)
+                stack, count = self.compare(results[lo:lo + CHUNK], 8, 8, (criterion,))
                 skipped += count
                 for grids, expected in zip(stack, alone[lo:lo + CHUNK]):
-                    if grids is not None:
-                        assert grids[criterion].chosen == expected[criterion].chosen
+                    assert grids[criterion].chosen == expected[criterion].chosen
             if criterion != "ffpe":   # its multiplicative penalty rarely prunes
                 assert skipped > 8 * 8 * len(results) // 4
 
@@ -623,7 +638,7 @@ class TestBoundedGrids:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             for criteria in (("bic",), ("hqc",), CRITERIA):
-                self.compare(results, 8, 8, criteria, False)
+                self.compare(results, 8, 8, criteria)
 
     def test_near_collinear_series_keeps_the_conditioning_path(self, monkeypatch):
         # the third factor copies the first up to 1e-7: every cell holding
@@ -658,10 +673,11 @@ class TestBoundedGrids:
         assert np.all(np.isinf(traces[0, 2])) and np.all(np.isfinite(traces[0, :2]))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            bounded = _stacked_grids(results, 3, 4, ("bic",), False, chosen_only=True)
+            bounded = [build() for build in
+                       _stacked_grids(results, 3, 4, ("bic",), False, chosen_only=True)]
         with warnings.catch_warnings(record=True) as full_caught:
             warnings.simplefilter("always")
-            full = _stacked_grids(results, 3, 4, ("bic",), False)
+            full = [build() for build in _stacked_grids(results, 3, 4, ("bic",), False)]
         assert [str(w.message) for w in caught] == [str(w.message) for w in full_caught]
         assert len(caught) == 1
         # the refused series is evaluated in full, the certified one need not be
