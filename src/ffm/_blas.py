@@ -3,9 +3,11 @@
 Replications and backtest origins each factor matrices of at most a few
 hundred rows and columns.  At that size a second OpenBLAS thread only
 adds synchronisation: on a 2-core machine a 500 x 72 QR took about
-0.8 ms on two threads against 0.35 ms on one.  ``one_blas_thread`` sets every OpenBLAS mapped
-into the process to one thread for the duration of a block and restores
-each library's previous count on exit, also when the block raises.
+0.8 ms on two threads against 0.35 ms on one, and 50 QRs of a 200 x 72
+matrix 521 ms against 25-34 ms.  ``one_blas_thread`` sets each OpenBLAS
+mapped into the process that is not on one thread to one for the
+duration of a block, and on exit restores the count of each library it
+changed, also when the block raises.
 
 The cores those threads would have used run worker processes instead.
 ``map_ranges`` runs a loop's ranges (of replications or origins) in
@@ -21,6 +23,16 @@ Workers are started by ``fork``: with ``spawn`` or ``forkserver`` a
 pool of two ran a 180-origin backtest slower than one process.  With
 one process the ranges run in the caller; ``multiprocessing`` is
 imported only when a pool starts.
+
+Workers inherit the one-thread setting: ``map_ranges`` forks them
+inside its ``one_blas_thread`` block, so every library in a worker
+already reads 1, and a worker calls no setter.  OpenBLAS's setter,
+even with 1, starts a thread in a forked child, and that thread
+busy-waits on a core the other worker needs: on 2 cores, 50 QRs of a
+200 x 72 matrix took 27-38 ms in a child that entered the block (2 OS
+threads) against 15.5-17.1 ms in one that kept the inherited setting
+(1 OS thread).  A worker checks its libraries once, when it starts,
+and sets only one that is not on one thread.
 
 Libraries are found in ``/proc/self/maps`` and driven through their own
 ``openblas_set_num_threads`` (or the ``scipy_openblas`` build's
@@ -79,21 +91,27 @@ def openblas_controls() -> list:
     return [pair for pair in controls if pair is not None]
 
 
+def _one_thread() -> list:
+    """Set each mapped OpenBLAS not on one thread to one; (setter, count) of those."""
+    counts = ((setter, getter()) for getter, setter in openblas_controls())
+    changed = [(setter, count) for setter, count in counts if count != 1]
+    for setter, _ in changed:
+        setter(1)
+    return changed
+
+
 @contextmanager
 def one_blas_thread():
     """Run the block with every mapped OpenBLAS on one thread.
 
     Yields the largest thread count the libraries had before, or 1 where
-    none is found.
+    none is found.  Only the libraries it changed are set back on exit.
     """
-    controls = openblas_controls()
-    previous = [getter() for getter, _ in controls]
-    for _, setter in controls:
-        setter(1)
+    changed = _one_thread()
     try:
-        yield max(previous, default=1)
+        yield max((count for _, count in changed), default=1)
     finally:
-        for (_, setter), count in zip(controls, previous):
+        for setter, count in changed:
             setter(count)
 
 
@@ -117,6 +135,7 @@ _run = None   # a pool worker's range hook, or the exception setup raised, set o
 
 def _start(setup) -> None:
     global _run
+    _one_thread()   # a no-op in a worker forked inside one_blas_thread
     try:
         _run = setup()
     except Exception as exc:
@@ -135,8 +154,7 @@ def _recorded(run, task):
 def _call(task):
     if isinstance(_run, Exception):
         raise _run
-    with one_blas_thread():
-        return _recorded(_run, task)
+    return _recorded(_run, task)
 
 
 def _replayed(done) -> list:
@@ -155,7 +173,10 @@ def map_ranges(setup, tasks: list, jobs: int | None) -> list:
 
     Every task runs on one BLAS thread.  ``jobs`` is the number of
     processes (see the module docstring for None).  With one, ``run`` is
-    built and the tasks run here.  In a pool, each worker calls
+    built and the tasks run here.  A pool is forked inside this call's
+    ``one_blas_thread`` block, which is what keeps its workers on the
+    one thread they inherit without a setter call (see the module
+    docstring for why a worker must not call one).  Each worker calls
     ``setup``, which must pickle, once to build its own ``run`` (a
     closure does not pickle), the caller builds none, and the workers
     take the tasks from the pool's queue in order.  An exception that a

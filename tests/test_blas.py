@@ -1,15 +1,18 @@
 """One-thread OpenBLAS policy of the replication and backtest loops."""
 
+import os
+
 import numpy as np
 import pytest
 
+import ffm._blas as blas_module
 import ffm.backtest as backtest_module
 import ffm.montecarlo as montecarlo_module
 from ffm import FfmFixed, SimSpec, monte_carlo, rolling_backtest, simulate
 from ffm._blas import one_blas_thread, openblas_controls
 
-pytestmark = pytest.mark.skipif(not openblas_controls(),
-                                reason="no OpenBLAS thread setter in this process")
+openblas = pytest.mark.skipif(not openblas_controls(),
+                              reason="no OpenBLAS thread setter in this process")
 
 SPEC = SimSpec(model="M1", n_obs=40, seed=3)
 
@@ -48,6 +51,7 @@ def spy(monkeypatch, module, name, seen, fail=False):
     monkeypatch.setattr(module, name, observed)
 
 
+@openblas
 def test_context_sets_one_thread_and_restores(two_threads):
     with one_blas_thread():
         assert thread_counts() == [1] * len(two_threads)
@@ -58,6 +62,7 @@ def test_context_sets_one_thread_and_restores(two_threads):
     assert thread_counts() == two_threads
 
 
+@openblas
 def test_monte_carlo_replications_run_on_one_thread(monkeypatch, two_threads):
     seen = []
     spy(monkeypatch, montecarlo_module, "_stacked_grids", seen)
@@ -66,6 +71,7 @@ def test_monte_carlo_replications_run_on_one_thread(monkeypatch, two_threads):
     assert thread_counts() == two_threads
 
 
+@openblas
 def test_backtest_origins_run_on_one_thread(monkeypatch, two_threads):
     seen = []
     spy(monkeypatch, backtest_module, "_fit", seen)
@@ -76,6 +82,7 @@ def test_backtest_origins_run_on_one_thread(monkeypatch, two_threads):
     assert thread_counts() == two_threads
 
 
+@openblas
 def test_count_is_restored_when_a_programming_error_propagates(monkeypatch, two_threads):
     seen = []
     spy(monkeypatch, backtest_module, "_fit", seen, fail=True)
@@ -86,4 +93,64 @@ def test_count_is_restored_when_a_programming_error_propagates(monkeypatch, two_
     with pytest.raises(TypeError, match="bug in the fit"):
         monte_carlo(SPEC, reps=2, k_max=2, p_max=1)
     assert seen == [[1] * len(two_threads)] * 2
+    assert thread_counts() == two_threads
+
+
+class FakeOpenblas:
+    """A library's thread count, and the counts its setter was called with."""
+
+    def __init__(self, count):
+        self.count, self.calls = count, []
+
+    def get(self):
+        return self.count
+
+    def set(self, count):
+        self.calls.append(count)
+        self.count = count
+
+
+def test_setters_run_only_for_libraries_not_on_one_thread(monkeypatch):
+    one, four = FakeOpenblas(1), FakeOpenblas(4)
+    monkeypatch.setattr(blas_module, "openblas_controls",
+                        lambda: [(lib.get, lib.set) for lib in (one, four)])
+    with one_blas_thread() as threads:
+        assert (threads, one.count, four.count) == (4, 1, 1)
+    with pytest.raises(KeyError):
+        with one_blas_thread():
+            raise KeyError("raised inside the block")
+    assert (one.calls, four.calls) == ([], [1, 4, 1, 4])
+    # a pool worker sets what does not read 1 when it starts, and keeps it
+    monkeypatch.setattr(blas_module, "_run", None)
+    blas_module._start(lambda: None)
+    assert (one.calls, four.calls, four.count) == ([], [1, 4, 1, 4, 1], 1)
+
+
+def log_os_threads(monkeypatch, module, name, log):
+    """Append the pid and OS thread count of each call of ``module.name`` to ``log``."""
+    real = getattr(module, name)
+
+    def observed(*args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {len(os.listdir('/proc/self/task'))}\n")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, observed)
+
+
+@openblas
+@pytest.mark.skipif(not blas_module._FORK_QUIET, reason="no pool from Python 3.12 on")
+def test_pool_workers_keep_one_os_thread(monkeypatch, tmp_path, two_threads):
+    # a setter called in a forked worker starts an OpenBLAS thread there
+    log = tmp_path / "calls"
+    log_os_threads(monkeypatch, backtest_module, "_fit", log)
+    log_os_threads(monkeypatch, montecarlo_module, "_stacked_grids", log)
+    monkeypatch.setattr(backtest_module, "CHUNK", 3)   # two ranges, so two workers
+    report = rolling_backtest(simulate(SimSpec(model="M1", n_obs=36, seed=2)), FfmFixed(2, 1),
+                              h=1, initial_window=30)
+    monte_carlo(SPEC, reps=4, k_max=2, p_max=1, criteria=("bic",), jobs=2)
+    calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+    assert len(calls) == report.origins.size + 2   # one stacked call per replication range
+    assert all(pid != os.getpid() for pid, _ in calls)
+    assert [threads for _, threads in calls] == [1] * len(calls)
     assert thread_counts() == two_threads
