@@ -26,13 +26,12 @@ imported only when a pool starts.
 
 Workers inherit the one-thread setting: ``map_ranges`` forks them
 inside its ``one_blas_thread`` block, so every library in a worker
-already reads 1, and a worker calls no setter.  OpenBLAS's setter,
-even with 1, starts a thread in a forked child, and that thread
-busy-waits on a core the other worker needs: on 2 cores, 50 QRs of a
-200 x 72 matrix took 27-38 ms in a child that entered the block (2 OS
-threads) against 15.5-17.1 ms in one that kept the inherited setting
-(1 OS thread).  A worker checks its libraries once, when it starts,
-and sets only one that is not on one thread.
+already reads 1, and a worker calls no getter or setter.  OpenBLAS's
+setter, even with 1, starts a thread in a forked child, and that
+thread busy-waits on a core the other worker needs: on 2 cores, 50 QRs
+of a 200 x 72 matrix took 27-38 ms in a child that entered the block
+(2 OS threads) against 15.5-17.1 ms in one that kept the inherited
+setting (1 OS thread).
 
 Libraries are found in ``/proc/self/maps`` and driven through their own
 ``openblas_set_num_threads`` (or the ``scipy_openblas`` build's
@@ -91,15 +90,6 @@ def openblas_controls() -> list:
     return [pair for pair in controls if pair is not None]
 
 
-def _one_thread() -> list:
-    """Set each mapped OpenBLAS not on one thread to one; (setter, count) of those."""
-    counts = ((setter, getter()) for getter, setter in openblas_controls())
-    changed = [(setter, count) for setter, count in counts if count != 1]
-    for setter, _ in changed:
-        setter(1)
-    return changed
-
-
 @contextmanager
 def one_blas_thread():
     """Run the block with every mapped OpenBLAS on one thread.
@@ -107,7 +97,10 @@ def one_blas_thread():
     Yields the largest thread count the libraries had before, or 1 where
     none is found.  Only the libraries it changed are set back on exit.
     """
-    changed = _one_thread()
+    counts = ((setter, getter()) for getter, setter in openblas_controls())
+    changed = [(setter, count) for setter, count in counts if count != 1]
+    for setter, _ in changed:
+        setter(1)
     try:
         yield max((count for _, count in changed), default=1)
     finally:
@@ -130,17 +123,12 @@ def _workers(jobs: int, tasks: int) -> int:
     return min(jobs, tasks)
 
 
-_run = None   # a pool worker's range hook, or the exception setup raised, set once by _start
+_run = None   # a pool worker's range hook, the caller's copy, set once by _start
 
 
-def _start(setup) -> None:
+def _start(run) -> None:
     global _run
-    _one_thread()   # a no-op in a worker forked inside one_blas_thread
-    try:
-        _run = setup()
-    except Exception as exc:
-        # raised again by every task, so that it reaches the caller with its type
-        _run = exc
+    _run = run
 
 
 def _recorded(run, task):
@@ -152,8 +140,6 @@ def _recorded(run, task):
 
 
 def _call(task):
-    if isinstance(_run, Exception):
-        raise _run
     return _recorded(_run, task)
 
 
@@ -171,17 +157,18 @@ def _replayed(done) -> list:
 def map_ranges(setup, tasks: list, jobs: int | None) -> list:
     """``[run(task) for task in tasks]``, in order, with ``run = setup()``.
 
-    Every task runs on one BLAS thread.  ``jobs`` is the number of
-    processes (see the module docstring for None).  With one, ``run`` is
-    built and the tasks run here.  A pool is forked inside this call's
-    ``one_blas_thread`` block, which is what keeps its workers on the
-    one thread they inherit without a setter call (see the module
-    docstring for why a worker must not call one).  Each worker calls
-    ``setup``, which must pickle, once to build its own ``run`` (a
-    closure does not pickle), the caller builds none, and the workers
-    take the tasks from the pool's queue in order.  An exception that a
-    task or ``setup`` raises propagates with its type, as it would with
-    one process, and no worker outlives the call.
+    Every task runs on one BLAS thread.  ``setup`` is called once, here,
+    inside this call's ``one_blas_thread`` block, so an exception it
+    raises propagates before any worker starts.  ``jobs`` is the number
+    of processes (see the module docstring for None).  With one, the
+    tasks run here.  A pool is forked inside the same block, which is
+    what keeps its workers on the one thread they inherit without a
+    setter call (see the module docstring for why a worker must not
+    call one); each worker gets its copy of ``run`` by the fork, so
+    nothing is pickled, and the workers take the tasks from the pool's
+    queue in order.  An exception that a task raises propagates with
+    its type, as it would with one process, and no worker outlives the
+    call.
 
     Either way each task's warnings are recorded where it runs and
     re-issued here when the task's result arrives, in task order, at
@@ -189,16 +176,16 @@ def map_ranges(setup, tasks: list, jobs: int | None) -> list:
     ``jobs``.  The warnings of a task that raises are not re-issued.
     """
     with one_blas_thread() as threads:
+        run = setup()
         workers = _workers(threads if jobs is None else jobs, len(tasks))
         if workers <= 1:
-            run = setup()
             return _replayed(_recorded(run, task) for task in tasks)
         # imported here so that commands without a pool never load multiprocessing
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                   initializer=_start, initargs=(setup,))
+                                   initializer=_start, initargs=(run,))
         try:
             return _replayed(pool.map(_call, tasks))
         finally:

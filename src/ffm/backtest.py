@@ -18,8 +18,8 @@ that refused that origin.  ``rolling_backtest`` hands out the origins
 in ranges of ``CHUNK``.  The factor-model ranges run on a process pool
 (``ffm._blas.map_ranges``) of one forked worker per OpenBLAS thread the
 caller had, so one per core unless ``OPENBLAS_NUM_THREADS`` says
-otherwise, and none from Python 3.12 on (see ``ffm._blas``); each
-worker builds its own range hook once, and the caller builds none.
+otherwise, and none from Python 3.12 on (see ``ffm._blas``).  The
+range hook is built once, in the caller, and the workers fork with it.
 ``Dns`` ranges always run in the caller: on 2 cores its whole round of
 180 origins took about 15 ms, less than the 20-50 ms a pool of two took
 to start its first range.
@@ -336,7 +336,6 @@ def rolling_backtest(data, method, h: int = 1,
     end = t_total - h + 1
     origins = np.arange(initial_window, end)
     ranges = [range(t, min(t + CHUNK, end)) for t in range(initial_window, end, CHUNK)]
-    # the range hook is built where the ranges run: in each worker, or here
     parts = map_ranges(partial(method.backtest_origins, data, h), ranges,
                        None if method.pooled else 1)
     fields = method.summary

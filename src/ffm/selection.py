@@ -37,14 +37,16 @@ Lag order p_max is factored first, and its R serves the whole grid
 twice.  Every (J, m) design is a column subset of the p_max design on
 the rows [p_max, T), plus the rows [m, p_max).  So one shifted Cholesky
 factorization of the p_max Gram matrix proves every cell well
-conditioned (``_certified``), and a series that passes skips the
-per-lag-order proofs.  And since adding regressors or rows never raises
-a residual sum of squares, rss(J, p_max) bounds every shorter lag order
-from below, as in the leaps-and-bounds search of Furnival and Wilson
-(1974).  A caller that keeps only the chosen orders (the backtest and
-Monte Carlo, through ``_stacked_grids``'s ``chosen_only``) has a lag
-order factored only for the certified series whose bound does not rule
-it out (``_needed``).  ``select_orders`` evaluates every cell.
+conditioned (``_certified``), and a series that passes needs no
+condition number; any other series takes one for every cell that
+``fit_var`` would check.  And since adding regressors or rows never
+raises a residual sum of squares, rss(J, p_max) bounds every shorter
+lag order from below, as in the leaps-and-bounds search of Furnival
+and Wilson (1974).  A caller that keeps only the chosen orders (the
+backtest and Monte Carlo, through ``_stacked_grids``'s ``chosen_only``)
+has a lag order factored only for the certified series whose bound
+does not rule it out (``_needed``).  ``select_orders`` evaluates every
+cell.
 """
 
 from __future__ import annotations
@@ -147,23 +149,6 @@ def _has_cholesky(a: np.ndarray) -> bool:
     return True
 
 
-def _proved(lead: np.ndarray, sizes) -> int:
-    """Largest n in ``sizes`` (descending) whose leading Gram blocks are proved well conditioned.
-
-    ``lead`` is the leading block of an R factor, so G = lead' lead.  A
-    Cholesky factor of G_n - 2 tr(G_n) / CONDITION_LIMIT * I proves, by
-    interlacing, lambda_min(G_k) > tr(G_n) / CONDITION_LIMIT >= lambda_max(G_k)
-    / CONDITION_LIMIT for every k <= n; the 2 covers rounding in G and in
-    the factorization.  Returns 0 when no size is proved.
-    """
-    gram = lead.T @ lead
-    traces = np.cumsum(np.diagonal(gram))
-    for n in sizes:
-        if _has_cholesky(gram[:n, :n] - (2.0 * traces[n - 1] / CONDITION_LIMIT) * np.eye(n)):
-            return n
-    return 0
-
-
 def _leading_rss(r: np.ndarray, n_max: int) -> np.ndarray:
     """Residual sums of squares of the targets on every leading block of regressors, for a stack.
 
@@ -186,34 +171,25 @@ def _leading_failures(r: np.ndarray, n_max: int, rows: np.ndarray, sizes,
     observations; ``design(s)`` gives its own X and is called only where a
     condition number is needed.  As in ``fit_var``, a block fails when it
     leaves no residual degree of freedom, when it is exactly singular, or
-    when the condition number of its Gram matrix exceeds CONDITION_LIMIT.
-    That number is only computed for blocks larger than the largest one a
-    shifted Cholesky factorization of the regression's own Gram matrix
-    proves well conditioned (``_proved``).
+    when the condition number of its Gram matrix exceeds CONDITION_LIMIT,
+    which is computed for every block that passes the first two checks.
     """
-    n_stack = r.shape[0]
-    failures = [{} for _ in range(n_stack)]
+    failures = [{} for _ in range(r.shape[0])]
     pivots = np.diagonal(r, axis1=1, axis2=2)[:, :n_max]
     own = np.minimum(rows, n_max)
     # leading blocks of full rank: up to the first zero pivot of the own rows
     zero = (pivots == 0.0) | (np.arange(pivots.shape[1]) >= own[:, None])
     valid = np.where(zero.any(axis=1), zero.argmax(axis=1), pivots.shape[1])
-    fit_max = np.minimum(valid, rows - 1)  # largest full-rank block that leaves a residual
-    descending = sorted(sizes, reverse=True)
-    cleared = [_proved(r[s, :f, :f], [n for n in descending if n <= f])
-               for s, f in enumerate(fit_max.tolist())]
-    sizes = list(sizes)
-    rows_list = rows.tolist()
-    for s, i in np.argwhere(np.array(sizes) > np.array(cleared)[:, None]).tolist():
-        n = sizes[i]
-        why = _dof_failure(rows_list[s], n)
-        if why is None and n > valid[s]:
-            why = f"lagged design of {rows_list[s]} observations has rank below {n} regressors"
-        if why is None:
-            x = design(s)[:, :n]
-            why = _condition_failure(np.linalg.cond(x.T @ x))
-        if why is not None:
-            failures[s][n] = why
+    for s, n_rows in enumerate(rows.tolist()):
+        for n in sizes:
+            why = _dof_failure(n_rows, n)
+            if why is None and n > valid[s]:
+                why = f"lagged design of {n_rows} observations has rank below {n} regressors"
+            if why is None:
+                x = design(s)[:, :n]
+                why = _condition_failure(np.linalg.cond(x.T @ x))
+            if why is not None:
+                failures[s][n] = why
     return failures
 
 
@@ -230,7 +206,8 @@ def _certified(r: np.ndarray, n_max: int, rows: np.ndarray, floors: np.ndarray) 
     its J*m columns is a stretch of one score column, so its trace is at
     most p_max times the series' sum of squares S.  With floors[s] =
     2 p_max S / CONDITION_LIMIT every cell's condition number is then
-    below CONDITION_LIMIT / 2; the 2 covers rounding, as in ``_proved``.
+    below CONDITION_LIMIT / 2; the 2 covers rounding in G and in the
+    factorization.
     """
     certified = rows > n_max
     if certified.any():
@@ -251,12 +228,12 @@ def _innovation_rss(scores: np.ndarray, ends: np.ndarray, p_max: int, design,
 
     Lag order p_max is factored first, and its R certifies the whole grid
     of most series at once (``_certified``): a certified series has no
-    failed cell and skips the per-lag-order conditioning proofs, and any
-    other series takes them.  ``needed(rss, m)``, when given, is called
-    before each lag order m < p_max, in increasing order, with the sums
-    found so far (+inf elsewhere), and says which series need it; only
-    those and the uncertified series are factored, and the other
-    series' cells at m stay +inf.
+    failed cell and needs no condition number, and any other series
+    has every cell checked (``_leading_failures``).  ``needed(rss, m)``,
+    when given, is called before each lag order m < p_max, in increasing
+    order, with the sums found so far (+inf elsewhere), and says which
+    series need it; only those and the uncertified series are factored,
+    and the other series' cells at m stay +inf.
     """
     n_win, _, k_max = scores.shape
     rss = np.full((n_win, k_max, p_max), np.inf)

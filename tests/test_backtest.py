@@ -1,5 +1,6 @@
 """Expanding-window forecast evaluation."""
 
+import concurrent.futures
 import multiprocessing
 import os
 import warnings
@@ -616,58 +617,80 @@ class TestBoundedSelection:
 
 
 class TestRangeHooks:
-    """The caller builds a range hook only for ranges it runs itself."""
+    """The caller builds each range hook once, and pool workers fork with it."""
 
     @staticmethod
-    def spied(monkeypatch, module, name):
-        calls = []
+    def spied(monkeypatch, tmp_path, module, name):
+        """Reads the pids of the calls of ``module.name``, in every process, in call order."""
+        log = tmp_path / name
+        log.touch()
         real = getattr(module, name)
 
         def spy(*args, **kwargs):
-            calls.append(os.getpid())
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
             return real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, spy)
-        return calls
+        return lambda: [int(pid) for pid in log.read_text().split()]
+
+    @staticmethod
+    def unsplinable(benchmark_inputs):
+        """A panel whose shortest maturity is missing in row 150; 60 origins from 100."""
+        table = benchmark_inputs.yield_panel(11, 160)
+        table[150, 0] = np.nan
+        return DiscretePanel(benchmark_inputs.MATURITIES, table)
 
     @pools
-    def test_pooled_origins_spline_only_in_workers(self, monkeypatch, blas_threads,
-                                                   benchmark_inputs):
+    def test_pooled_origins_spline_once_here(self, monkeypatch, tmp_path, blas_threads,
+                                             benchmark_inputs):
         panel = DiscretePanel(benchmark_inputs.MATURITIES, benchmark_inputs.yield_panel(11, 160))
-        splines = self.spied(monkeypatch, backtest_module, "panel_to_sample")
+        splines = self.spied(monkeypatch, tmp_path, backtest_module, "panel_to_sample")
+        fits = self.spied(monkeypatch, tmp_path, backtest_module, "_fit")
         monkeypatch.setattr(backtest_module, "CHUNK", 8)
         blas_threads(2)
         report = rolling_backtest(panel, FfmCriterion("bic", 3, 2), h=1, initial_window=140)
         assert report.origins.size == 20 and np.isfinite(report.errors).any()
-        assert splines == []
+        assert fits() and os.getpid() not in fits()   # the origins ran in the pool
+        assert splines() == [os.getpid()]
 
-    def test_dns_builds_its_hook_here_once(self, monkeypatch, blas_threads):
-        betas = self.spied(monkeypatch, backtest_module, "dns_betas")
+    def test_dns_builds_its_hook_here_once(self, monkeypatch, tmp_path, blas_threads):
+        betas = self.spied(monkeypatch, tmp_path, backtest_module, "dns_betas")
         monkeypatch.setattr(backtest_module, "CHUNK", 4)
         blas_threads(2)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             rolling_backtest(mixed_dns_panel(), Dns(0.07), h=1, initial_window=3)
-        assert betas == [os.getpid()]
+        assert betas() == [os.getpid()]
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_errors_building_the_hook_keep_their_type(self, blas_threads, benchmark_inputs,
                                                       threads):
-        # the shortest maturity missing in one row: the whole panel cannot be splined;
-        # 60 origins make two ranges, so two threads start a pool
-        table = benchmark_inputs.yield_panel(11, 160)
-        table[150, 0] = np.nan
-        panel = DiscretePanel(benchmark_inputs.MATURITIES, table)
+        # the whole panel cannot be splined; two ranges, so two threads would start a pool
         blas_threads(threads)
         with pytest.raises(DataError, match="row 150: grid .* exceeds the observed span"):
-            rolling_backtest(panel, FfmCriterion("bic", 3, 2), h=1, initial_window=100)
+            rolling_backtest(self.unsplinable(benchmark_inputs), FfmCriterion("bic", 3, 2),
+                             h=1, initial_window=100)
 
-    def test_short_data_is_refused_before_any_spline(self, monkeypatch, benchmark_inputs):
+    @pools
+    def test_a_hook_that_cannot_be_built_starts_no_pool(self, monkeypatch, blas_threads,
+                                                        benchmark_inputs):
+        def no_pool(*args, **kwargs):
+            pytest.fail("a pool was started for a range hook that cannot be built")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        blas_threads(2)
+        with pytest.raises(DataError, match="row 150: grid .* exceeds the observed span"):
+            rolling_backtest(self.unsplinable(benchmark_inputs), FfmCriterion("bic", 3, 2),
+                             h=1, initial_window=100)
+
+    def test_short_data_is_refused_before_any_spline(self, monkeypatch, tmp_path,
+                                                     benchmark_inputs):
         panel = DiscretePanel(benchmark_inputs.MATURITIES, benchmark_inputs.yield_panel(11, 160))
-        splines = self.spied(monkeypatch, backtest_module, "panel_to_sample")
+        splines = self.spied(monkeypatch, tmp_path, backtest_module, "panel_to_sample")
         with pytest.raises(ConfigError, match="need at least initial_window"):
             rolling_backtest(panel, FfmCriterion(), h=2, initial_window=159)
-        assert splines == []
+        assert splines() == []
 
 
 class TestLabelsAndSummary:

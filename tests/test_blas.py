@@ -120,37 +120,51 @@ def test_setters_run_only_for_libraries_not_on_one_thread(monkeypatch):
         with one_blas_thread():
             raise KeyError("raised inside the block")
     assert (one.calls, four.calls) == ([], [1, 4, 1, 4])
-    # a pool worker sets what does not read 1 when it starts, and keeps it
-    monkeypatch.setattr(blas_module, "_run", None)
-    blas_module._start(lambda: None)
-    assert (one.calls, four.calls, four.count) == ([], [1, 4, 1, 4, 1], 1)
 
 
 def log_os_threads(monkeypatch, module, name, log):
-    """Append the pid and OS thread count of each call of ``module.name`` to ``log``."""
+    """Append the pid, OS thread count and OpenBLAS thread counts at each call of ``module.name``."""
     real = getattr(module, name)
 
     def observed(*args, **kwargs):
+        threads = len(os.listdir("/proc/self/task"))
         with open(log, "a") as fh:
-            fh.write(f"{os.getpid()} {len(os.listdir('/proc/self/task'))}\n")
+            fh.write(f"{os.getpid()} {threads} {' '.join(map(str, thread_counts()))}\n")
         return real(*args, **kwargs)
 
     monkeypatch.setattr(module, name, observed)
+
+
+def log_controls(monkeypatch, log):
+    """Append the pid of each call of an OpenBLAS getter or setter that ``ffm._blas`` finds."""
+    def logged(fn):
+        def call(*args):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(blas_module, "openblas_controls",
+                        lambda: [(logged(get), logged(set_)) for get, set_ in openblas_controls()])
 
 
 @openblas
 @pytest.mark.skipif(not blas_module._FORK_QUIET, reason="no pool from Python 3.12 on")
 def test_pool_workers_keep_one_os_thread(monkeypatch, tmp_path, two_threads):
     # a setter called in a forked worker starts an OpenBLAS thread there
-    log = tmp_path / "calls"
+    log, controls = tmp_path / "calls", tmp_path / "controls"
     log_os_threads(monkeypatch, backtest_module, "_fit", log)
     log_os_threads(monkeypatch, montecarlo_module, "_stacked_grids", log)
+    log_controls(monkeypatch, controls)
     monkeypatch.setattr(backtest_module, "CHUNK", 3)   # two ranges, so two workers
     report = rolling_backtest(simulate(SimSpec(model="M1", n_obs=36, seed=2)), FfmFixed(2, 1),
                               h=1, initial_window=30)
     monte_carlo(SPEC, reps=4, k_max=2, p_max=1, criteria=("bic",), jobs=2)
-    calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+    calls = [list(map(int, line.split())) for line in log.read_text().splitlines()]
     assert len(calls) == report.origins.size + 2   # one stacked call per replication range
-    assert all(pid != os.getpid() for pid, _ in calls)
-    assert [threads for _, threads in calls] == [1] * len(calls)
+    assert all(pid != os.getpid() for pid, *_ in calls)
+    # one OS thread, and every OpenBLAS the worker maps reads 1
+    assert [counts for _, *counts in calls] == [[1] * (1 + len(two_threads))] * len(calls)
+    # the workers call no getter or setter of their own
+    assert set(map(int, controls.read_text().split())) == {os.getpid()}
     assert thread_counts() == two_threads
