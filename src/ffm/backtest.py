@@ -33,11 +33,11 @@ factors each origin's designs on its own rows, so every origin gets
 ``select_orders``'s grid, warning and refusal bit for bit.  Only the
 chosen orders leave a range, so the stack skips the lag orders whose
 cells cannot win (``chosen_only``).  ``Dns`` fits a chunk's windows in
-one stacked least-squares call (``fit_var_windows``, whose docstring
-says why its designs keep their bits) and forecasts them in one stacked
-recursion (``forecast_windows``); windows that hold a row without betas
-fail before stacking, since one NaN would poison the stacked
-factorizations.  Two layout rules keep every origin bit for bit equal
+one least-squares call (``fit_var_windows``, which factors each window
+on its own rows, so each gets ``fit_var``'s lag matrices) and forecasts
+them in one stacked recursion (``forecast_windows``); windows that hold
+a row without betas fail with ``fit_dns``'s DataError before the call,
+and a NaN row would make its condition check raise.  Two layout rules keep every origin bit for bit equal
 to refitting ``fit_dns`` on its window: the lag matrices are made
 C-contiguous before the forecast products, as ``coefficient_matrix``
 lays them out, and the loadings product keeps ``dns_forecast``'s

@@ -17,9 +17,10 @@ step is ``fit_var`` on the betas.
 
 An expanding-window backtest (``backtest.Dns``) therefore solves the
 cross-section once and fits the VAR(1) of every origin's leading rows
-in chunks of stacked windows (``dynamics.fit_var_windows``), with one
-QR per chunk; ``backtest`` says why its forecasts equal ``dns_forecast``
-of ``fit_dns`` on each truncated panel bit for bit.
+in chunks of windows (``dynamics.fit_var_windows``): a QR of each
+window's own rows, then one batched check and solve per chunk;
+``backtest`` says why its forecasts equal ``dns_forecast`` of
+``fit_dns`` on each truncated panel bit for bit.
 """
 
 from __future__ import annotations

@@ -5,13 +5,14 @@ has no intercept.  The restricted variant fits each coordinate as an
 independent univariate autoregression on its own lags, which makes every
 lag matrix diagonal.
 
-``fit_var_windows`` gives the lag matrices of the row-prefix windows
-``scores[:t]`` of one series at once, for the DNS backtest: one stacked
-condition screen, one stacked QR and one stacked inverse for all
-windows, with each window's design padded by zero rows (its docstring
-says when that keeps ``fit_var``'s bits).  ``forecast_windows`` runs
-their forecast recursions as one.  ``fit_var`` shares the window kernel,
-and ``forecast_scores`` is the one-window call of ``forecast_windows``.
+Every fit is one least-squares routine (``_solve``): a QR of [X Y] on
+the fit's own rows, with X laid out factor major as the selection
+kernel lays it out (``_lagged_xy``), then one batched condition check,
+inverse and product on the R factors.  ``fit_var_windows`` gives the
+lag matrices of the row-prefix windows ``scores[:t]`` of one series at
+once, for the DNS backtest, and ``fit_var`` is its one-window call.
+``forecast_windows`` runs the windows' forecast recursions as one, and
+``forecast_scores`` is its one-window call.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _frozen
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, DataError, NumericError
 
 __all__ = [
     "VarFit",
@@ -79,11 +80,31 @@ class VarFit:
         return self.coefficients.shape[1]
 
 
-def _lagged_design(scores: np.ndarray, m: int) -> np.ndarray:
-    """Rows x_{t-1} = (F_{t-1}', ..., F_{t-m}')' for t = m+1..T."""
-    t_obs = scores.shape[0]
-    blocks = [scores[m - k : t_obs - k] for k in range(1, m + 1)]
-    return np.hstack(blocks)
+def _lagged_xy(scores: np.ndarray, m: int, rows: int, intercept: bool = False) -> np.ndarray:
+    """[X Y] of the VAR(m) of a (..., L, J) score series, for target rows m..m+rows-1.
+
+    X is factor major: column l*m + k - 1 holds factor l at lag k, so the
+    design of the leading J' factors is the leading J'*m columns.  An
+    intercept adds a column of ones after X.  Leading axes are a stack of
+    series.
+    """
+    j_dim = scores.shape[-1]
+    n_x = j_dim * m
+    xy = np.empty(scores.shape[:-2] + (rows, n_x + intercept + j_dim))
+    for k in range(1, m + 1):
+        xy[..., k - 1:n_x:m] = scores[..., m - k:m - k + rows, :]
+    xy[..., n_x:n_x + intercept] = 1.0
+    xy[..., n_x + intercept:] = scores[..., m:rows + m, :]
+    return xy
+
+
+def _gram_conditions(r_x: np.ndarray) -> np.ndarray:
+    """cond(X'X) of the designs whose QR gives the triangular factors ``r_x`` (stackable).
+
+    X'X = R_x'R_x, so its 2-norm condition number is that of R_x squared:
+    one singular value decomposition of R_x, and no X'X is formed.
+    """
+    return np.linalg.cond(r_x) ** 2
 
 
 def _condition_failure(cond) -> str | None:
@@ -102,74 +123,41 @@ def _dof_failure(rows: int, regressors: int) -> str | None:
     return None
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a'b for each item of two stacks."""
-    return a.swapaxes(-1, -2) @ b
-
-
-def _over_rows(fn, rows: np.ndarray, *stacks: np.ndarray) -> np.ndarray:
-    """``fn(*stacks)`` for stacked windows, on each window's own ``rows`` (axis -2).
-
-    A BLAS kernel's partial sums may depend on the row count, so a stack
-    of several windows, padded with zero rows, is summed window by window;
-    a stack of one window has no padding.
-    """
-    if rows.size == 1:
-        return fn(*stacks)
-    return np.stack([fn(*(s[w, ..., :n, :] for s in stacks)) for w, n in enumerate(rows)])
-
-
-def _window_stacks(scores: np.ndarray, m: int, rows: np.ndarray,
-                   intercept: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Lagged designs (W, L, n) and targets (W, L, J) of the windows, zero past ``rows``.
-
-    A single window keeps the layouts ``fit_var`` has always used (its
-    targets keep the caller's strides), so each product below takes the
-    same BLAS path as before.
-    """
-    length = max(rows.tolist())
-    design = _lagged_design(scores[: length + m], m)
-    if intercept:
-        design = np.hstack([design, np.ones((length, 1))])
-    targets = scores[m : length + m]
-    if rows.size == 1:
-        return design[None], targets[None]
-    designs = np.zeros((rows.size,) + design.shape)
-    stacked = np.zeros((rows.size,) + targets.shape)
-    for w, n in enumerate(rows.tolist()):
-        designs[w, :n] = design[:n]
-        stacked[w, :n] = targets[:n]
-    return designs, stacked
-
-
-def _own_lags(design: np.ndarray, targets: np.ndarray,
-              m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Views (W, J, L, m) and (W, J, L, 1) of each coordinate's own-lag regression."""
-    n_win, length, _ = design.shape
-    j_dim = targets.shape[-1]
-    own = design.reshape(n_win, length, m, j_dim).transpose(0, 3, 1, 2)
-    return own, targets.swapaxes(1, 2)[..., None]
-
-
 def _solve(scores: np.ndarray, m: int, ends: np.ndarray, restricted: bool,
            intercept: bool) -> tuple:
-    """Checks and QR solve of the windows ``scores[:t]``, t in ``ends``.
+    """Checks and least-squares solve of the VAR(m) of the windows ``scores[:t]``, t in ``ends``.
 
-    Returns ``(failures, design, targets, coef, gram_inv_diag)``:
-    ``failures[i]`` is the NumericError message that refuses window i
-    (too few rows, or a Gram matrix past the condition limit), or None,
-    and the stacks hold the windows that pass, in order (all None when
-    none does).
+    Returns ``(failures, xy, coef, gram_inv_diag)``.  ``failures[i]`` is
+    the NumericError message that refuses window i (too few rows, or a
+    Gram matrix past the condition limit), or None.  ``xy`` is the [X Y]
+    of the longest window, whose leading rows are every shorter window's;
+    a restricted fit has one (L, m + 1) regression per coordinate, its
+    own lags and itself, stacked first.  ``coef`` and ``gram_inv_diag``
+    hold the windows that pass, in order (None when none does).
+
+    Each window's [X Y] is factored by a QR of its own rows, into
+    [[R_x, R_xy], [0, R_y]].  The rest is batched over the windows' R_x
+    and R_xy, which share one shape: a window is refused when
+    cond(R_x)^2 exceeds CONDITION_LIMIT, and the coefficients are
+    inv(R_x) @ R_xy.  With X = QR, (X'X)^{-1} = R_x^{-1} R_x^{-T}, so its
+    diagonal, for standard errors, holds the squared row norms of
+    inv(R_x).  No X'X enters, so near-collinear designs lose only about
+    cond(X) * eps.
     """
     n_reg = m if restricted else scores.shape[1] * m + intercept
     failures = [_dof_failure(t - m, n_reg) for t in ends.tolist()]
     live = [i for i, why in enumerate(failures) if why is None]
     if not live:
-        return failures, None, None, None, None
-    rows = ends[live] - m
-    design, targets = _window_stacks(scores, m, rows, intercept)
-    x = _own_lags(design, targets, m)[0] if restricted else design
-    conds = np.linalg.cond(_over_rows(_cross, rows, x, x)).reshape(rows.size, -1)
+        return failures, None, None, None
+    rows = (ends[live] - m).tolist()
+    # a restricted fit regresses each coordinate, as a one-factor series, on its own lags
+    xy = _lagged_xy(scores.T[..., None] if restricted else scores, m, max(rows), intercept)
+    # "raw" returns R' with the Householder vectors below its diagonal,
+    # which one triu of the stack clears; it skips "r"'s per-call triu
+    r = np.triu(np.stack([np.linalg.qr(xy[..., :n, :], mode="raw")[0][..., :n_reg].swapaxes(-1, -2)
+                          for n in rows]))
+    r_x, r_xy = r[..., :n_reg], r[..., n_reg:]
+    conds = _gram_conditions(r_x).reshape(len(live), -1)
     bad = ~(conds <= CONDITION_LIMIT)
     failed = bad.any(axis=1)
     # the restricted fit names its first coordinate that fails
@@ -177,21 +165,10 @@ def _solve(scores: np.ndarray, m: int, ends: np.ndarray, restricted: bool,
     for k in np.flatnonzero(failed).tolist():
         failures[live[k]] = _condition_failure(conds[k, first[k]])
     if failed.all():
-        return failures, None, None, None, None
-    if failed.any():
-        rows = rows[~failed]
-        length = max(rows.tolist())
-        design, targets = design[~failed, :length], targets[~failed, :length]
-    x, y = _own_lags(design, targets, m) if restricted else (design, targets)
-    q, r = np.linalg.qr(x)
-    r_inv = np.linalg.inv(r)
-    # with X = QR, G^{-1} = R^{-1} R^{-T}, so its diagonal (for standard
-    # errors) holds the squared row norms of R^{-1}; unlike the normal
-    # equations, no X'X enters the solve, so near-collinear designs lose
-    # only about cond(X) * eps
-    coef = r_inv @ _over_rows(_cross, rows, q, y)
-    gram_inv_diag = np.einsum("...ij,...ij->...i", r_inv, r_inv)
-    return failures, design, targets, coef, gram_inv_diag
+        return failures, xy, None, None
+    r_inv = np.linalg.inv(r_x[~failed])
+    coef = r_inv @ r_xy[~failed]
+    return failures, xy, coef, np.einsum("...ij,...ij->...i", r_inv, r_inv)
 
 
 def _lag_matrices(coef: np.ndarray, m: int, j_dim: int, restricted: bool) -> np.ndarray:
@@ -201,8 +178,9 @@ def _lag_matrices(coef: np.ndarray, m: int, j_dim: int, restricted: bool) -> np.
         diag = np.arange(j_dim)
         lags[:, :, diag, diag] = coef[..., 0].swapaxes(1, 2)
         return lags
-    jm = j_dim * m
-    return np.ascontiguousarray(coef[:, :jm].reshape(-1, m, j_dim, j_dim).swapaxes(-1, -2))
+    # row l*m + k - 1 of a window's coefficients holds A_k[:, l]
+    return np.ascontiguousarray(
+        coef[:, :j_dim * m].reshape(-1, j_dim, m, j_dim).transpose(0, 2, 3, 1))
 
 
 def fit_var_windows(scores: np.ndarray, m: int, ends,
@@ -214,32 +192,15 @@ def fit_var_windows(scores: np.ndarray, m: int, ends,
     None; ``lags`` (F, m, J, J) holds that call's lag matrices bit for bit
     for the F windows that fit, in window order.
 
-    Windows that fail the degrees-of-freedom check are dropped first; the
-    others go through one stacked condition screen of their Gram
-    matrices, and those that pass through one QR of their lagged designs,
-    stacked with zero rows after each window's own, and one inverse of R.
-    A restricted fit stacks the J own-lag regressions of every window the
-    same way.  Products that sum over rows (X'X and Q'Y) are taken on each
-    window's own rows, because BLAS partial sums can depend on the row
-    count.
-
-    Only LAPACK's QR sees the padding, and it leaves each window's Q and
-    R as its own design gives them for the DNS backtest's designs of 1 to
-    3 columns, which the tests check.  That is an observation about the
-    LAPACK in use, not a guarantee: wider designs break it (padded by six
-    rows, the 72-column lag-8 selection design of the 177-row window of
-    the seed-7 ``perfbench`` backtest panel gets an R that differs in 525
-    entries, so the selection kernel factors each series on its own
-    rows), and one 9-column design with exactly collinear leading rows
-    got an R that differs in the last bit once padded by 4 or more rows.  A stack of several windows is
-    C-contiguous, so its windows match their one-window calls on
-    C-contiguous ``scores``.  Every window needs more than m finite rows:
-    a NaN row would poison the stack.
+    ``fit_var`` is the one-window call of the same solve: each window is
+    factored on its own rows, and every later step works on each
+    window's R factor alone, so no window's numbers depend on the
+    windows beside it.  Every window needs more than m finite rows.
     """
     scores = np.atleast_2d(np.asarray(scores, dtype=float))
     j_dim = scores.shape[1]
-    failures, _, _, coef, _ = _solve(scores, m, np.asarray(ends, dtype=int).reshape(-1),
-                                     restricted, False)
+    failures, _, coef, _ = _solve(scores, m, np.asarray(ends, dtype=int).reshape(-1),
+                                  restricted, False)
     if coef is None:
         return failures, np.empty((0, m, j_dim, j_dim))
     return failures, _lag_matrices(coef, m, j_dim, restricted)
@@ -262,44 +223,40 @@ def fit_var(scores: np.ndarray, m: int, restricted: bool = False,
         Include a constant term (off by default; scores are centered).
 
     The checks and the solve are those of ``fit_var_windows`` for one
-    window, which keeps the caller's layout.
+    window.  A bad lag order or option is a ConfigError, a score matrix
+    of the wrong shape or length a DataError, and a design that leaves no
+    residual degree of freedom or is too badly conditioned a NumericError.
     """
     scores = np.atleast_2d(np.asarray(scores, dtype=float))
     if scores.ndim != 2:
-        raise ValueError("scores must be a (T, J) matrix")
+        raise DataError("scores must be a (T, J) matrix")
     t_obs, j_dim = scores.shape
     if m < 1:
-        raise ValueError(f"lag order must be at least 1, got {m}")
+        raise ConfigError(f"lag order must be at least 1, got {m}")
     if t_obs <= m:
-        raise ValueError(f"need more than m={m} observations, got {t_obs}")
+        raise DataError(f"need more than m={m} observations, got {t_obs}")
     if restricted and intercept:
-        raise ValueError("intercept is not supported for the restricted fit")
-    failures, design, targets, coef, gram_inv_diag = _solve(
-        scores, m, np.array([t_obs]), restricted, intercept)
+        raise ConfigError("intercept is not supported for the restricted fit")
+    failures, xy, coef, gram_inv_diag = _solve(scores, m, np.array([t_obs]),
+                                               restricted, intercept)
     if failures[0] is not None:
         raise NumericError(failures[0])
-    lags = _lag_matrices(coef, m, j_dim, restricted)[0]
-    x, y, coef, gram_inv_diag = design[0], targets[0], coef[0], gram_inv_diag[0]
     n = t_obs - m
+    n_reg = coef.shape[-2]
+    resid = xy[..., n_reg:] - xy[..., :n_reg] @ coef[0]
+    # a restricted fit has one (n, 1) residual column per coordinate
+    residuals = resid[..., 0].T if restricted else resid
+    sigma_diag = np.einsum("ti,ti->i", residuals, residuals) / n
     stderr = np.zeros((m, j_dim, j_dim))
     if restricted:
-        x_own, y_own = _own_lags(x[None], y[None], m)
-        resid = y_own[0] - x_own[0] @ coef
-        residuals = np.empty_like(y)   # laid out like the targets
-        residuals[...] = resid[..., 0].T
-        own = residuals.T[..., None]
-        s2 = _cross(own, own)[:, 0] / n
         diag = np.arange(j_dim)
-        stderr[:, diag, diag] = np.sqrt(s2 * gram_inv_diag).T
+        stderr[:, diag, diag] = np.sqrt(sigma_diag[:, None] * gram_inv_diag[0]).T
     else:
-        residuals = y - x @ coef
-        sigma_diag = np.einsum("ti,ti->i", residuals, residuals) / n
-        se_stack = np.sqrt(np.outer(sigma_diag, gram_inv_diag[: j_dim * m]))
-        for lag in range(m):
-            stderr[lag] = se_stack[:, lag * j_dim : (lag + 1) * j_dim]
+        se = np.sqrt(np.outer(sigma_diag, gram_inv_diag[0, :j_dim * m]))
+        stderr[...] = se.reshape(j_dim, j_dim, m).transpose(2, 0, 1)
     return VarFit(
-        coefficients=_frozen(lags),
-        intercept=_frozen(coef[-1]) if intercept else None,
+        coefficients=_frozen(_lag_matrices(coef, m, j_dim, restricted)[0]),
+        intercept=_frozen(coef[0, -1]) if intercept else None,
         residuals=_frozen(residuals),
         sigma_eta=_frozen(residuals.T @ residuals / n),
         stderr=_frozen(stderr),
@@ -334,7 +291,7 @@ def forecast_scores(fit: VarFit, history: np.ndarray, h: int) -> np.ndarray:
     history = np.atleast_2d(np.asarray(history, dtype=float))
     m, j_dim = fit.order, fit.dim
     if history.shape[0] < m or history.shape[1] != j_dim:
-        raise ValueError(
+        raise DataError(
             f"history must provide at least {m} rows of dimension {j_dim}, "
             f"got shape {history.shape}"
         )

@@ -20,11 +20,10 @@ squares of its column below row n.  Sums from the bottom up then give
 every J at once, and no two large sums of squares are subtracted, which
 keeps near-exact fits accurate.  The restricted (own-lags) fit is
 additive over factors, so it is the same full-VAR kernel run on each
-factor as a one-factor series, summed over factors.  Only its condition
-numbers keep the multi-factor layout: each is taken on the factor's
-column block of the series' design, as ``fit_var`` and earlier releases
-took it, because ``x.T @ x`` on a contiguous one-factor copy can round
-differently and change the number a failure reports.
+factor as a one-factor series, summed over factors.  The kernel and
+``fit_var`` build [X Y] with one function (``dynamics._lagged_xy``) and
+refuse a design by one rule: cond(X'X), read from R, above
+CONDITION_LIMIT.
 
 The kernel takes several score series at once: for each m, the [X Y]
 of a stack of series are built together, and each series is factored
@@ -38,11 +37,11 @@ twice.  Every (J, m) design is a column subset of the p_max design on
 the rows [p_max, T), plus the rows [m, p_max).  So one shifted Cholesky
 factorization of the p_max Gram matrix proves every cell well
 conditioned (``_certified``), and a series that passes needs no
-condition number; any other series takes one for every cell that
-``fit_var`` would check.  And since adding regressors or rows never
-raises a residual sum of squares, rss(J, p_max) bounds every shorter
-lag order from below, as in the leaps-and-bounds search of Furnival
-and Wilson (1974).  A caller that keeps only the chosen orders (the
+condition number; any other series takes one for every cell, from the
+leading block of the R it already holds (``_leading_failures``).  And
+since adding regressors or rows never raises a residual sum of
+squares, rss(J, p_max) bounds every shorter lag order from below, as in
+the leaps-and-bounds search of Furnival and Wilson (1974).  A caller that keeps only the chosen orders (the
 backtest and Monte Carlo, through ``_stacked_grids``'s ``chosen_only``)
 has a lag order factored only for the certified series whose bound
 does not rule it out (``_needed``).  ``select_orders`` evaluates every
@@ -57,10 +56,9 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-
 from .core import FunctionalSample
-from .dynamics import CONDITION_LIMIT, _condition_failure, _dof_failure, fit_var
+from .dynamics import (CONDITION_LIMIT, _condition_failure, _dof_failure, _gram_conditions,
+                       _lagged_xy, fit_var)
 from .errors import ConfigError, NumericError
 from .fpca import FpcaResult
 
@@ -163,16 +161,16 @@ def _leading_rss(r: np.ndarray, n_max: int) -> np.ndarray:
     return np.concatenate([below, np.zeros((r.shape[0], 1, r.shape[2] - n_max))], axis=1)
 
 
-def _leading_failures(r: np.ndarray, n_max: int, rows: np.ndarray, sizes,
-                      design) -> list[dict[int, str]]:
+def _leading_failures(r: np.ndarray, n_max: int, rows: np.ndarray,
+                      sizes) -> list[dict[int, str]]:
     """Per regression of a stack, the reason each leading block size in ``sizes`` fails.
 
     ``r`` is as in ``_leading_rss``, regression s with ``rows[s]``
-    observations; ``design(s)`` gives its own X and is called only where a
-    condition number is needed.  As in ``fit_var``, a block fails when it
-    leaves no residual degree of freedom, when it is exactly singular, or
-    when the condition number of its Gram matrix exceeds CONDITION_LIMIT,
-    which is computed for every block that passes the first two checks.
+    observations.  As in ``fit_var``, a block fails when it leaves no
+    residual degree of freedom, when it is exactly singular, or when the
+    condition number of its Gram matrix, that of the leading n x n block
+    of R squared, exceeds CONDITION_LIMIT; it is computed for every block
+    that passes the first two checks.
     """
     failures = [{} for _ in range(r.shape[0])]
     pivots = np.diagonal(r, axis1=1, axis2=2)[:, :n_max]
@@ -186,8 +184,7 @@ def _leading_failures(r: np.ndarray, n_max: int, rows: np.ndarray, sizes,
             if why is None and n > valid[s]:
                 why = f"lagged design of {n_rows} observations has rank below {n} regressors"
             if why is None:
-                x = design(s)[:, :n]
-                why = _condition_failure(np.linalg.cond(x.T @ x))
+                why = _condition_failure(_gram_conditions(r[s, :n, :n]))
             if why is not None:
                 failures[s][n] = why
     return failures
@@ -218,13 +215,11 @@ def _certified(r: np.ndarray, n_max: int, rows: np.ndarray, floors: np.ndarray) 
     return certified
 
 
-def _innovation_rss(scores: np.ndarray, ends: np.ndarray, p_max: int, design,
+def _innovation_rss(scores: np.ndarray, ends: np.ndarray, p_max: int,
                     needed=None) -> tuple[np.ndarray, list[dict[tuple[int, int], str]]]:
     """Residual sums of squares of the full VAR on every grid cell of W score series.
 
-    As ``_innovation_traces``, but unnormalized and with unsorted
-    reasons; ``design(w, m)`` gives the X whose Gram matrix is checked
-    when series w's lag order m needs a condition number.
+    As ``_innovation_traces``, but unnormalized and with unsorted reasons.
 
     Lag order p_max is factored first, and its R certifies the whole grid
     of most series at once (``_certified``): a certified series has no
@@ -250,17 +245,12 @@ def _innovation_rss(scores: np.ndarray, ends: np.ndarray, p_max: int, design,
         n_max = k_max * m
         width = n_max + k_max   # columns of [X Y]
         sizes = range(m, n_max + 1, m)
-        # lags 1..m of target row i + m; column l*m + k - 1 of a design is
-        # factor l at lag k (factor major)
-        lagged = sliding_window_view(scores, m, axis=1)[:, :, :, ::-1]
         per_stack = max(1, STACK_BYTES // (8 * int(all_rows.max()) * width))
         for lo in range(0, todo.size, per_stack):
             members = todo[lo:lo + per_stack]
             rows = all_rows[members]
             n_stack, length = rows.size, int(rows.max())
-            xy = np.empty((n_stack, length, width))
-            xy[..., :n_max].reshape(n_stack, length, k_max, m)[...] = lagged[members, :length]
-            xy[..., n_max:] = scores[members, m:length + m]
+            xy = _lagged_xy(scores[members, :length + m], m, length)
             # each series on its own rows, with zero rows below a short R
             r = np.zeros((n_stack, min(length, width), width))
             for s, n in enumerate(rows.tolist()):
@@ -271,8 +261,7 @@ def _innovation_rss(scores: np.ndarray, ends: np.ndarray, p_max: int, design,
                 certified[members] = _certified(r, n_max, rows, floors[members])
             checked = np.flatnonzero(~certified[members])
             if checked.size:
-                why = _leading_failures(r[checked], n_max, rows[checked], sizes,
-                                        lambda s, w=members[checked]: design(w[s], m))
+                why = _leading_failures(r[checked], n_max, rows[checked], sizes)
                 for s, reasons in zip(checked.tolist(), why):
                     for n, reason in reasons.items():
                         cells[s, n // m - 1] = np.inf
@@ -298,26 +287,12 @@ def _innovation_traces(scores: np.ndarray, ends: np.ndarray, p_max: int, restric
     The restricted fit is the full one run on the W * k_max one-factor
     series, summed over factors by one cumulative sum, which carries the
     +inf of the first factor that fails (where ``fit_var`` stops) to
-    every larger J; that factor's reason names those cells.  A factor's
-    condition number is still taken on its column block of the series'
-    C-contiguous design, as ``fit_var`` lays it out: ``x.T @ x`` can
-    round differently on a contiguous one-factor copy, and so could the
-    reported number.
+    every larger J; that factor's reason names those cells.
     """
     n_win, _, k_max = scores.shape
-
-    def design(w, m):
-        """Series w's lagged design on its own rows, C-contiguous and factor major."""
-        rows = ends[w] - m
-        return sliding_window_view(scores[w], m, axis=0)[:rows, :, ::-1].reshape(rows, -1)
-
     if restricted:
-        def own_lags(s, m):
-            w, l = divmod(s, k_max)
-            return design(w, m)[:, l * m:(l + 1) * m]
-
         single, why = _innovation_rss(scores.transpose(0, 2, 1).reshape(n_win * k_max, -1, 1),
-                                      np.repeat(ends, k_max), p_max, own_lags)
+                                      np.repeat(ends, k_max), p_max)
         rss = np.cumsum(single.reshape(n_win, k_max, p_max), axis=1)
         failures = [{} for _ in range(n_win)]
         # backward, so the first factor that fails names the cells last
@@ -326,7 +301,7 @@ def _innovation_traces(scores: np.ndarray, ends: np.ndarray, p_max: int, restric
             for (_, m), reason in why[s].items():
                 failures[w].update(((j, m), reason) for j in range(l + 1, k_max + 1))
     else:
-        rss, failures = _innovation_rss(scores, ends, p_max, design, needed)
+        rss, failures = _innovation_rss(scores, ends, p_max, needed)
     rows = ends[:, None, None] - np.arange(1, p_max + 1)
     return rss / rows, [dict(sorted(f.items())) for f in failures]
 

@@ -567,7 +567,7 @@ class TestFpcaPerOrigin:
             report = rolling_backtest(panel, FfmCriterion("ffpe"), h=1, initial_window=5)
         assert report.origins.size == 55 and report.failures == 0
         assert windows == report.origins.tolist()
-        assert report.rmsfe == 1.1907081295356694
+        assert report.rmsfe == 1.1907081295356696
 
 
 class TestBoundedSelection:

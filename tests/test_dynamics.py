@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from ffm import (NumericError, coefficient_matrix, companion_spectral_radius,
-                 fit_var, forecast_scores, max_abs_tstat)
+from ffm import (ConfigError, DataError, DiscretePanel, FunctionalSample, Grid, NumericError,
+                 coefficient_matrix, companion_spectral_radius, fit_var, forecast_scores, fpca,
+                 max_abs_tstat, panel_to_sample)
 from ffm.dynamics import CONDITION_LIMIT, fit_var_windows, forecast_windows
 
 WHITE_NOISE_COEF_BOUND = 0.08
@@ -117,13 +118,17 @@ class TestFit:
         assert no_const.intercept is None
 
     def test_validation(self):
+        # options are ConfigErrors (still ValueErrors), scores that cannot
+        # carry the fit are DataErrors
         scores = np.random.default_rng(0).normal(size=(10, 2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="lag order must be at least 1"):
             fit_var(scores, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match="need more than m=10 observations"):
             fit_var(scores, 10)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="intercept is not supported"):
             fit_var(scores, 1, restricted=True, intercept=True)
+        with pytest.raises(DataError, match=r"scores must be a \(T, J\) matrix"):
+            fit_var(scores[None], 1)
 
     def test_saturated_design_is_rejected(self):
         # T - m rows for J*m regressors (plus one with an intercept): an
@@ -224,44 +229,42 @@ class TestForecast:
 
     def test_validation(self):
         fit = fit_var(np.random.default_rng(1).normal(size=(30, 2)), 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             forecast_scores(fit, np.ones((1, 2)), 1)  # too little history
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             forecast_scores(fit, np.ones((5, 3)), 1)  # wrong dimension
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             forecast_scores(fit, np.ones((5, 2)), 0)
 
 
-def window_series(rng, t_obs=70):
-    """A 3-dimensional series whose leading windows fail the condition screen.
+def window_series(rng, dims=3, t_obs=70, collinear=25, zero=10):
+    """A series whose leading windows fail the condition screen.
 
     Rows 0-5 are zero (a zero design, also for every own-lag regression)
-    and rows 6-24 hold a second coordinate exactly twice the first
-    (collinear full designs); the third coordinate stays zero up to row
-    9, so restricted fits there fail on it alone.  Later rows are generic.
+    and rows 6 to ``collinear - 1`` hold a second coordinate exactly twice
+    the first (collinear full designs); the third coordinate stays zero up
+    to row ``zero - 1``, so restricted fits there fail on it alone.  Later
+    rows are generic.
     """
-    scores = simulate_var(rng, [np.array([[0.5, 0.1, 0.0], [0.0, 0.3, 0.2], [0.1, 0.0, -0.4]])],
-                          t_obs)
+    if dims == 3:
+        lag = np.array([[0.5, 0.1, 0.0], [0.0, 0.3, 0.2], [0.1, 0.0, -0.4]])
+    else:
+        lag = np.diag(np.linspace(0.6, -0.4, dims)) + 0.1 * np.eye(dims, k=1)
+    scores = simulate_var(rng, [lag], t_obs)
     scores[:6] = 0.0
-    scores[6:25, 1] = 2.0 * scores[6:25, 0]
-    scores[6:10, 2] = 0.0
+    scores[6:collinear, 1] = 2.0 * scores[6:collinear, 0]
+    scores[6:zero, 2] = 0.0
     return scores
 
 
 class TestWindows:
     """The stacked kernel gives fit_var's lag matrices and refusals, bit for bit."""
 
-    @pytest.mark.parametrize("m", [1, 2, 3])
-    # ids name (restricted, intercept); the windowed call fits no intercept
-    @pytest.mark.parametrize("restricted", [False, True], ids=["False-False", "True-False"])
-    @pytest.mark.parametrize("dims", [3, 1])
-    def test_every_window_matches_fit_var(self, m, restricted, dims):
-        # one series has single-entry products over rows, whose BLAS
-        # partial sums depend on the row count
-        scores = np.ascontiguousarray(window_series(np.random.default_rng(40 + m))[:, :dims])
-        ends = np.arange(m + 1, scores.shape[0] + 1)
+    @staticmethod
+    def check(scores, m, ends, restricted):
+        """Asserts each window's lags or refusal is fit_var's; returns the refusal kinds seen."""
         failures, lags = fit_var_windows(scores, m, ends, restricted)
-        assert len(failures) == ends.size
+        assert len(failures) == len(ends)
         fitted = iter(lags)
         reasons = set()
         for w, t in enumerate(ends):
@@ -274,10 +277,47 @@ class TestWindows:
             assert failures[w] is None, t
             assert np.array_equal(next(fitted), fit.coefficients), t
         assert next(fitted, None) is None
+        dims = scores.shape[1]
+        assert lags.shape == (sum(why is None for why in failures), m, dims, dims)
+        return reasons, lags.shape[0]
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    # ids name (restricted, intercept); the windowed call fits no intercept
+    @pytest.mark.parametrize("restricted", [False, True], ids=["False-False", "True-False"])
+    @pytest.mark.parametrize("dims", [3, 1])
+    def test_every_window_matches_fit_var(self, m, restricted, dims):
+        # one series has single-entry products over rows, whose BLAS
+        # partial sums depend on the row count
+        scores = np.ascontiguousarray(window_series(np.random.default_rng(40 + m))[:, :dims])
+        ends = np.arange(m + 1, scores.shape[0] + 1)
+        reasons, fitted = self.check(scores, m, ends, restricted)
         # the series reaches both refusals and still fits most windows
         assert reasons == {"dof", "singular"}
-        assert lags.shape == (sum(why is None for why in failures), m, dims, dims)
-        assert lags.shape[0] > ends.size // 2
+        assert fitted > ends.size // 2
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_eight_factors_every_window_matches_fit_var(self, m, restricted):
+        # at lag 8 the full design has 64 columns, so the degenerate
+        # stretches are longer than the 3-factor series'
+        scores = window_series(np.random.default_rng(80 + m), 8, 220, collinear=92, zero=42)
+        ends = np.arange(m + 1, scores.shape[0] + 1)
+        reasons, fitted = self.check(scores, m, ends, restricted)
+        assert reasons == {"dof", "singular"}
+        assert fitted > ends.size // 2
+
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_benchmark_panel_lag_eight_windows(self, benchmark_inputs, restricted):
+        # eight factors of the seed-7 backtest panel at lag 8 on unequal
+        # windows, the 177- and 183-row ones among them: a QR of zero-padded
+        # designs changed the R of such a window in 525 entries
+        inputs = benchmark_inputs
+        panel = DiscretePanel(inputs.MATURITIES, inputs.yield_panel(7, inputs.BACKTEST_ROWS))
+        sample = panel_to_sample(panel, Grid(panel.maturities))
+        scores = fpca(FunctionalSample(sample.grid, sample.matrix[:183])).scores[:, :8]
+        reasons, fitted = self.check(scores, 8, [70, 150, 177, 183], restricted)
+        # the 70-row window has 62 rows for the full fit's 64 regressors
+        assert (reasons, fitted) == (({"dof"}, 3) if not restricted else (set(), 4))
 
     def test_condition_limit_message_is_fit_vars(self):
         scores = window_series(np.random.default_rng(5))

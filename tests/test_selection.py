@@ -14,7 +14,7 @@ from ffm import (CRITERIA, ConfigError, Curve, DiscretePanel, FpcaResult, Functi
                  reconstruct, replication_rng, select_orders)
 from ffm.montecarlo import CHUNK
 import ffm.selection as selection_module
-from ffm.dynamics import _condition_failure
+from ffm.dynamics import CONDITION_LIMIT, _condition_failure
 from ffm.selection import (STACK_BYTES, TIE_RTOL, _criterion_values, _innovation_traces,
                            _needed, _stacked_grids)
 from ffm.simulate import simulate_streams
@@ -667,9 +667,8 @@ class TestBoundedGrids:
                     refused.add((j, m))
         assert refused == {(3, m) for m in range(1, 5)}
         assert set(failures[0]) == refused
-        for (j, m), why in failures[0].items():
-            x = factor_major_design(scores, m)[:, :j * m]
-            assert why == _condition_failure(np.linalg.cond(x.T @ x))
+        assert all(why.startswith("lagged design is numerically singular (condition ")
+                   for why in failures[0].values())
         assert np.all(np.isinf(traces[0, 2])) and np.all(np.isfinite(traces[0, :2]))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -704,3 +703,69 @@ class TestBoundedGrids:
     def test_best_of_minus_infinity_needs_every_lag_order(self):
         rss = np.array([[[0.0, np.inf, 1.0]]])
         assert _needed(("bic",), np.zeros((1, 1)), np.array([50]), rss, 2).tolist() == [True]
+
+
+# tr(Sigma_eta) of fit_var and the surface's cell solve one regression from
+# two factorizations (the J-factor design and the k_max-factor one); they
+# agree within this relative gap (5.4e-15 at worst when written)
+TRACE_RTOL = 1e-13
+
+
+class TestFitVarAgreement:
+    """fit_var and the selection kernel fit one regression, and refuse it alike."""
+
+    @pytest.mark.parametrize("restricted", [False, True])
+    @pytest.mark.parametrize("seed, rows", [(0, 200), (1, 200), (2, 200), (12, 60)])
+    def test_trace_plus_tail_is_the_surface_cell(self, benchmark_inputs, seed, rows,
+                                                 restricted):
+        # the 60-row panel is the corpus's p60, whose largest cells leave
+        # no residual degree of freedom
+        inputs = benchmark_inputs
+        panel = DiscretePanel(inputs.MATURITIES, inputs.yield_panel(seed, rows))
+        result = fpca(panel_to_sample(panel, Grid(panel.maturities)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            mse = select_orders(result, 8, 8, ("bic",), restricted)["bic"].mse
+        refused = set()
+        for j in range(1, 9):
+            for m in range(1, 9):
+                try:
+                    fit = fit_var(result.scores[:, :j], m, restricted)
+                except NumericError:
+                    refused.add((j, m))
+                    continue
+                cell = float(np.trace(fit.sigma_eta)) + result.tail_sum(j)
+                assert cell == pytest.approx(mse[j - 1, m - 1], rel=TRACE_RTOL, abs=0.0)
+        assert refused == {(j + 1, m + 1) for j, m in np.argwhere(np.isinf(mse)).tolist()}
+        assert bool(refused) == (rows == 60 and not restricted)
+
+    def test_near_collinear_design_reports_its_condition_number(self, monkeypatch):
+        # the third factor copies the first up to 1e-7; the condition number
+        # of X'X is read from R, within 1e-6 of cond(X)^2, where np.linalg.cond
+        # of a formed X'X misses by 4-18%
+        import ffm.dynamics as dynamics_module
+        rng = np.random.default_rng(95)
+        scores = rng.normal(size=(150, 3))
+        scores[:, 2] = scores[:, 0] * (1.0 + 1e-7 * rng.normal(size=150))
+        reported = []
+        for module in (selection_module, dynamics_module):
+            real = module._condition_failure
+            monkeypatch.setattr(module, "_condition_failure",
+                                lambda cond, real=real: reported.append(cond) or real(cond))
+        failures = _innovation_traces(scores[None], np.array([150]), 4, False)[1][0]
+        assert list(failures) == [(3, m) for m in range(1, 5)]
+        # the kernel checks every block of the series; four are refused
+        kernel = [cond for cond in reported if cond > CONDITION_LIMIT]
+        assert len(kernel) == 4
+        for m in range(1, 5):
+            reported.clear()
+            with pytest.raises(NumericError) as exc:
+                fit_var(scores, m)
+            assert len(reported) == 1 and str(exc.value) == _condition_failure(reported[0])
+            x = factor_major_design(scores, m)
+            exact = np.linalg.cond(x) ** 2
+            assert reported[0] == pytest.approx(exact, rel=1e-6)
+            from_kernel = [cond for cond in kernel if cond == pytest.approx(exact, rel=1e-6)]
+            assert len(from_kernel) == 1
+            assert failures[(3, m)] == _condition_failure(from_kernel[0])
+            assert abs(np.linalg.cond(x.T @ x) / exact - 1.0) > 1e-2
