@@ -98,13 +98,21 @@ def _lagged_xy(scores: np.ndarray, m: int, rows: int, intercept: bool = False) -
     return xy
 
 
-def _gram_conditions(r_x: np.ndarray) -> np.ndarray:
-    """cond(X'X) of the designs whose QR gives the triangular factors ``r_x`` (stackable).
+def _r_factors(blocks: list) -> np.ndarray:
+    """R factors of the QR of each [X Y] in ``blocks`` on its own rows, stacked.
 
-    X'X = R_x'R_x, so its 2-norm condition number is that of R_x squared:
-    one singular value decomposition of R_x, and no X'X is formed.
+    The blocks share every axis but their rows; an R shorter than the
+    tallest one has zero rows below it.  Mode "raw" gives R' with the
+    Householder vectors below its diagonal, which one triu of the stack
+    clears, instead of mode "r"'s triu per block.
     """
-    return np.linalg.cond(r_x) ** 2
+    width = blocks[0].shape[-1]
+    height = min(max(b.shape[-2] for b in blocks), width)
+    r = np.zeros((len(blocks), *blocks[0].shape[:-2], height, width))
+    for s, block in enumerate(blocks):
+        rows = min(block.shape[-2], width)
+        r[s, ..., :rows, :] = np.linalg.qr(block, mode="raw")[0][..., :rows].swapaxes(-1, -2)
+    return np.triu(r)
 
 
 def _condition_failure(cond) -> str | None:
@@ -152,12 +160,10 @@ def _solve(scores: np.ndarray, m: int, ends: np.ndarray, restricted: bool,
     rows = (ends[live] - m).tolist()
     # a restricted fit regresses each coordinate, as a one-factor series, on its own lags
     xy = _lagged_xy(scores.T[..., None] if restricted else scores, m, max(rows), intercept)
-    # "raw" returns R' with the Householder vectors below its diagonal,
-    # which one triu of the stack clears; it skips "r"'s per-call triu
-    r = np.triu(np.stack([np.linalg.qr(xy[..., :n, :], mode="raw")[0][..., :n_reg].swapaxes(-1, -2)
-                          for n in rows]))
+    r = _r_factors([xy[..., :n, :] for n in rows])[..., :n_reg, :]
     r_x, r_xy = r[..., :n_reg], r[..., n_reg:]
-    conds = _gram_conditions(r_x).reshape(len(live), -1)
+    # X'X = R_x'R_x: its condition number is that of R_x squared, and no X'X is formed
+    conds = (np.linalg.cond(r_x) ** 2).reshape(len(live), -1)
     bad = ~(conds <= CONDITION_LIMIT)
     failed = bad.any(axis=1)
     # the restricted fit names its first coordinate that fails

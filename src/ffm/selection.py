@@ -21,9 +21,9 @@ every J at once, and no two large sums of squares are subtracted, which
 keeps near-exact fits accurate.  The restricted (own-lags) fit is
 additive over factors, so it is the same full-VAR kernel run on each
 factor as a one-factor series, summed over factors.  The kernel and
-``fit_var`` build [X Y] with one function (``dynamics._lagged_xy``) and
-refuse a design by one rule: cond(X'X), read from R, above
-CONDITION_LIMIT.
+``fit_var`` build [X Y] with one function (``dynamics._lagged_xy``),
+factor it with another (``dynamics._r_factors``) and refuse a design by
+one rule: cond(X'X), read from R, above CONDITION_LIMIT.
 
 The kernel takes several score series at once: for each m, the [X Y]
 of a stack of series are built together, and each series is factored
@@ -37,8 +37,8 @@ twice.  Every (J, m) design is a column subset of the p_max design on
 the rows [p_max, T), plus the rows [m, p_max).  So one shifted Cholesky
 factorization of the p_max Gram matrix proves every cell well
 conditioned (``_certified``), and a series that passes needs no
-condition number; any other series takes one for every cell, from the
-leading block of the R it already holds (``_leading_failures``).  And
+condition number; any other series has every cell checked by
+``fit_var``'s own solve (``_leading_failures``).  And
 since adding regressors or rows never raises a residual sum of
 squares, rss(J, p_max) bounds every shorter lag order from below, as in
 the leaps-and-bounds search of Furnival and Wilson (1974).  A caller that keeps only the chosen orders (the
@@ -57,8 +57,7 @@ from functools import partial
 
 import numpy as np
 from .core import FunctionalSample
-from .dynamics import (CONDITION_LIMIT, _condition_failure, _dof_failure, _gram_conditions,
-                       _lagged_xy, fit_var)
+from .dynamics import CONDITION_LIMIT, _dof_failure, _lagged_xy, _r_factors, _solve, fit_var
 from .errors import ConfigError, NumericError
 from .fpca import FpcaResult
 
@@ -161,32 +160,35 @@ def _leading_rss(r: np.ndarray, n_max: int) -> np.ndarray:
     return np.concatenate([below, np.zeros((r.shape[0], 1, r.shape[2] - n_max))], axis=1)
 
 
-def _leading_failures(r: np.ndarray, n_max: int, rows: np.ndarray,
-                      sizes) -> list[dict[int, str]]:
-    """Per regression of a stack, the reason each leading block size in ``sizes`` fails.
+def _leading_failures(r: np.ndarray, scores: np.ndarray, ends: np.ndarray,
+                      m: int) -> list[dict[int, str]]:
+    """Per series of a stack, the reason each J-factor VAR(m) fails, keyed by J.
 
-    ``r`` is as in ``_leading_rss``, regression s with ``rows[s]``
-    observations.  As in ``fit_var``, a block fails when it leaves no
-    residual degree of freedom, when it is exactly singular, or when the
-    condition number of its Gram matrix, that of the leading n x n block
-    of R squared, exceeds CONDITION_LIMIT; it is computed for every block
-    that passes the first two checks.
+    Series s is the first ``ends[s]`` rows of ``scores[s]`` (S, L, k_max),
+    and ``r[s]`` its R factor, as in ``_leading_rss``.  As in ``fit_var``,
+    a J-factor design fails when it leaves no residual degree of freedom,
+    when it is exactly singular (a zero pivot of R), or when the condition
+    number of its Gram matrix exceeds CONDITION_LIMIT.  That last check is
+    ``fit_var``'s own solve of the J-factor series, so a cell is refused
+    exactly when ``fit_var`` refuses it, and with its message.
     """
+    n_max = scores.shape[2] * m
+    rows = ends - m
     failures = [{} for _ in range(r.shape[0])]
     pivots = np.diagonal(r, axis1=1, axis2=2)[:, :n_max]
     own = np.minimum(rows, n_max)
     # leading blocks of full rank: up to the first zero pivot of the own rows
     zero = (pivots == 0.0) | (np.arange(pivots.shape[1]) >= own[:, None])
     valid = np.where(zero.any(axis=1), zero.argmax(axis=1), pivots.shape[1])
-    for s, n_rows in enumerate(rows.tolist()):
-        for n in sizes:
-            why = _dof_failure(n_rows, n)
-            if why is None and n > valid[s]:
-                why = f"lagged design of {n_rows} observations has rank below {n} regressors"
+    for s, t_obs in enumerate(ends.tolist()):
+        for j in range(1, scores.shape[2] + 1):
+            why = _dof_failure(t_obs - m, j * m)
+            if why is None and j * m > valid[s]:
+                why = f"lagged design of {t_obs - m} observations has rank below {j * m} regressors"
             if why is None:
-                why = _condition_failure(_gram_conditions(r[s, :n, :n]))
+                why = _solve(scores[s, :t_obs, :j], m, ends[s:s + 1], False, False)[0][0]
             if why is not None:
-                failures[s][n] = why
+                failures[s][j] = why
     return failures
 
 
@@ -244,28 +246,25 @@ def _innovation_rss(scores: np.ndarray, ends: np.ndarray, p_max: int,
         all_rows = ends - m
         n_max = k_max * m
         width = n_max + k_max   # columns of [X Y]
-        sizes = range(m, n_max + 1, m)
         per_stack = max(1, STACK_BYTES // (8 * int(all_rows.max()) * width))
         for lo in range(0, todo.size, per_stack):
             members = todo[lo:lo + per_stack]
             rows = all_rows[members]
-            n_stack, length = rows.size, int(rows.max())
+            length = int(rows.max())
             xy = _lagged_xy(scores[members, :length + m], m, length)
-            # each series on its own rows, with zero rows below a short R
-            r = np.zeros((n_stack, min(length, width), width))
-            for s, n in enumerate(rows.tolist()):
-                r[s, :min(n, width)] = np.linalg.qr(xy[s, :n], mode="r")
+            r = _r_factors([xy[s, :n] for s, n in enumerate(rows.tolist())])
             cum = np.cumsum(_leading_rss(r, n_max), axis=2)
             cells = cum[:, np.minimum(js * m, cum.shape[1]) - 1, js - 1]
             if m == p_max:
                 certified[members] = _certified(r, n_max, rows, floors[members])
             checked = np.flatnonzero(~certified[members])
             if checked.size:
-                why = _leading_failures(r[checked], n_max, rows[checked], sizes)
+                why = _leading_failures(r[checked], scores[members[checked]],
+                                        ends[members[checked]], m)
                 for s, reasons in zip(checked.tolist(), why):
-                    for n, reason in reasons.items():
-                        cells[s, n // m - 1] = np.inf
-                        failures[members[s]][(n // m, m)] = reason
+                    for j, reason in reasons.items():
+                        cells[s, j - 1] = np.inf
+                        failures[members[s]][(j, m)] = reason
             rss[members, :, m - 1] = cells
     return rss, failures
 

@@ -14,7 +14,6 @@ from ffm import (CRITERIA, ConfigError, Curve, DiscretePanel, FpcaResult, Functi
                  reconstruct, replication_rng, select_orders)
 from ffm.montecarlo import CHUNK
 import ffm.selection as selection_module
-from ffm.dynamics import CONDITION_LIMIT, _condition_failure
 from ffm.selection import (STACK_BYTES, TIE_RTOL, _criterion_values, _innovation_traces,
                            _needed, _stacked_grids)
 from ffm.simulate import simulate_streams
@@ -580,6 +579,18 @@ class TestRestrictedKernel:
                                f"{m} regressors")
 
 
+def refusals(scores, k_max, p_max):
+    """{(J, m): message} of every fit_var call on the grid that raises NumericError."""
+    refused = {}
+    for j in range(1, k_max + 1):
+        for m in range(1, p_max + 1):
+            try:
+                fit_var(scores[:, :j], m)
+            except NumericError as exc:
+                refused[(j, m)] = str(exc)
+    return refused
+
+
 def factor_major_design(scores, m):
     """The kernel's lagged design of a series: column l*m + k - 1 is factor l at lag k."""
     t_obs = scores.shape[0]
@@ -658,17 +669,8 @@ class TestBoundedGrids:
         monkeypatch.setattr(selection_module, "_certified", spy)
         traces, failures = _innovation_traces(scores[None], np.array([150]), 4, False)
         assert verdicts == [[False]]
-        refused = set()
-        for j in range(1, 4):
-            for m in range(1, 5):
-                try:
-                    fit_var(scores[:, :j], m)
-                except NumericError:
-                    refused.add((j, m))
-        assert refused == {(3, m) for m in range(1, 5)}
-        assert set(failures[0]) == refused
-        assert all(why.startswith("lagged design is numerically singular (condition ")
-                   for why in failures[0].values())
+        assert failures[0] == refusals(scores, 3, 4)
+        assert set(failures[0]) == {(3, m) for m in range(1, 5)}
         assert np.all(np.isinf(traces[0, 2])) and np.all(np.isfinite(traces[0, :2]))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -739,6 +741,17 @@ class TestFitVarAgreement:
         assert refused == {(j + 1, m + 1) for j, m in np.argwhere(np.isinf(mse)).tolist()}
         assert bool(refused) == (rows == 60 and not restricted)
 
+    @pytest.mark.parametrize("copied", [1, 2])
+    def test_near_collinear_cells_are_refused_as_fit_var_refuses_them(self, copied):
+        # factor `copied` copies the first up to 1e-7, so every J > copied is
+        # refused; J = 2 < k_max needs fit_var's own J-factor condition number
+        rng = np.random.default_rng(95)
+        scores = rng.normal(size=(150, 3))
+        scores[:, copied] = scores[:, 0] * (1.0 + 1e-7 * rng.normal(size=150))
+        failures = _innovation_traces(scores[None], np.array([150]), 4, False)[1][0]
+        assert set(failures) == {(j, m) for j in range(copied + 1, 4) for m in range(1, 5)}
+        assert failures == refusals(scores, 3, 4)
+
     def test_near_collinear_design_reports_its_condition_number(self, monkeypatch):
         # the third factor copies the first up to 1e-7; the condition number
         # of X'X is read from R, within 1e-6 of cond(X)^2, where np.linalg.cond
@@ -748,24 +761,15 @@ class TestFitVarAgreement:
         scores = rng.normal(size=(150, 3))
         scores[:, 2] = scores[:, 0] * (1.0 + 1e-7 * rng.normal(size=150))
         reported = []
-        for module in (selection_module, dynamics_module):
-            real = module._condition_failure
-            monkeypatch.setattr(module, "_condition_failure",
-                                lambda cond, real=real: reported.append(cond) or real(cond))
-        failures = _innovation_traces(scores[None], np.array([150]), 4, False)[1][0]
-        assert list(failures) == [(3, m) for m in range(1, 5)]
-        # the kernel checks every block of the series; four are refused
-        kernel = [cond for cond in reported if cond > CONDITION_LIMIT]
-        assert len(kernel) == 4
+        real = dynamics_module._condition_failure
+        monkeypatch.setattr(dynamics_module, "_condition_failure",
+                            lambda cond: reported.append(cond) or real(cond))
         for m in range(1, 5):
             reported.clear()
             with pytest.raises(NumericError) as exc:
                 fit_var(scores, m)
-            assert len(reported) == 1 and str(exc.value) == _condition_failure(reported[0])
+            assert len(reported) == 1 and str(exc.value) == real(reported[0])
             x = factor_major_design(scores, m)
             exact = np.linalg.cond(x) ** 2
             assert reported[0] == pytest.approx(exact, rel=1e-6)
-            from_kernel = [cond for cond in kernel if cond == pytest.approx(exact, rel=1e-6)]
-            assert len(from_kernel) == 1
-            assert failures[(3, m)] == _condition_failure(from_kernel[0])
             assert abs(np.linalg.cond(x.T @ x) / exact - 1.0) > 1e-2
