@@ -37,7 +37,8 @@ one least-squares call (``fit_var_windows``, which factors each window
 on its own rows, so each gets ``fit_var``'s lag matrices) and forecasts
 them in one stacked recursion (``forecast_windows``); windows that hold
 a row without betas fail with ``fit_dns``'s DataError before the call,
-and a NaN row would make its condition check raise.  Two layout rules keep every origin bit for bit equal
+which reads no row past its last window, so the NaN betas of later rows
+do not reach it.  Two layout rules keep every origin bit for bit equal
 to refitting ``fit_dns`` on its window: the lag matrices are made
 C-contiguous before the forecast products, as ``coefficient_matrix``
 lays them out, and the loadings product keeps ``dns_forecast``'s

@@ -150,8 +150,15 @@ def _solve(scores: np.ndarray, m: int, ends: np.ndarray, restricted: bool,
     inv(R_x) @ R_xy.  With X = QR, (X'X)^{-1} = R_x^{-1} R_x^{-T}, so its
     diagonal, for standard errors, holds the squared row norms of
     inv(R_x).  No X'X enters, so near-collinear designs lose only about
-    cond(X) * eps.
+    cond(X) * eps.  A non-finite score in the rows the windows read,
+    ``scores[:max(ends)]``, is a DataError, raised before any solve.
     """
+    if ends.size:
+        bad = ~np.isfinite(scores[:ends.max()])
+        if bad.any():
+            row, col = np.argwhere(bad)[0].tolist()
+            raise DataError(f"scores must be finite; row {row} column {col} "
+                            f"holds {scores[row, col]}")
     n_reg = m if restricted else scores.shape[1] * m + intercept
     failures = [_dof_failure(t - m, n_reg) for t in ends.tolist()]
     live = [i for i, why in enumerate(failures) if why is None]
@@ -201,7 +208,9 @@ def fit_var_windows(scores: np.ndarray, m: int, ends,
     ``fit_var`` is the one-window call of the same solve: each window is
     factored on its own rows, and every later step works on each
     window's R factor alone, so no window's numbers depend on the
-    windows beside it.  Every window needs more than m finite rows.
+    windows beside it.  Every window needs more than m rows, and the rows
+    ``scores[:max(ends)]`` must be finite (a DataError otherwise); later
+    rows are not read.
     """
     scores = np.atleast_2d(np.asarray(scores, dtype=float))
     j_dim = scores.shape[1]
@@ -230,8 +239,9 @@ def fit_var(scores: np.ndarray, m: int, restricted: bool = False,
 
     The checks and the solve are those of ``fit_var_windows`` for one
     window.  A bad lag order or option is a ConfigError, a score matrix
-    of the wrong shape or length a DataError, and a design that leaves no
-    residual degree of freedom or is too badly conditioned a NumericError.
+    of the wrong shape or length, or with a non-finite entry, a
+    DataError, and a design that leaves no residual degree of freedom or
+    is too badly conditioned a NumericError.
     """
     scores = np.atleast_2d(np.asarray(scores, dtype=float))
     if scores.ndim != 2:

@@ -25,27 +25,37 @@ factor as a one-factor series, summed over factors.  The kernel and
 factor it with another (``dynamics._r_factors``) and refuse a design by
 one rule: cond(X'X), read from R, above CONDITION_LIMIT.
 
-The kernel takes several score series at once: for each m, the [X Y]
-of a stack of series are built together, and each series is factored
-by a QR of its own rows.  Nothing is padded, so each R, and so each
-grid, is bit for bit what the series gets alone, whatever the lengths
-beside it.  ``_stacked_grids`` is the one grid builder, and
-``select_orders`` is its one-series call.
+The kernel takes several score series at once.  For lag order p_max,
+the [X Y] of a stack of series are built together, and each series is
+factored by a QR of its own rows; every lower lag order is factored
+from that R (below).  Nothing is padded, so each R, and so each grid,
+is bit for bit what the series gets alone, whatever the lengths beside
+it.  ``_stacked_grids`` is the one grid builder, and ``select_orders``
+is its one-series call.
 
 Lag order p_max is factored first, and its R serves the whole grid
-twice.  Every (J, m) design is a column subset of the p_max design on
-the rows [p_max, T), plus the rows [m, p_max).  So one shifted Cholesky
-factorization of the p_max Gram matrix proves every cell well
-conditioned (``_certified``), and a series that passes needs no
-condition number; any other series has every cell checked by
-``fit_var``'s own solve (``_leading_failures``).  And
-since adding regressors or rows never raises a residual sum of
-squares, rss(J, p_max) bounds every shorter lag order from below, as in
-the leaps-and-bounds search of Furnival and Wilson (1974).  A caller that keeps only the chosen orders (the
-backtest and Monte Carlo, through ``_stacked_grids``'s ``chosen_only``)
-has a lag order factored only for the certified series whose bound
-does not rule it out (``_needed``).  ``select_orders`` evaluates every
-cell.
+three times.  Every (J, m) design is a column subset of the p_max design
+on the rows [p_max, T), plus the rows [m, p_max).
+
+- So the lag-m [X Y] is, on the rows [p_max, T), the columns C_m of the
+  p_max [X Y]: factor l at lags 1..m (columns l*p_max + k - 1), then the
+  k_max targets.  With the p_max [X Y] = QR, the lag-m [X Y] has the
+  Gram matrix of R[:, C_m] stacked over its own rows [m, p_max).  A QR of
+  that block, of at most k_max*p_max + k_max + p_max - 1 rows, gives the
+  lag-m R up to the signs of its rows: the QR update of Golub and Van
+  Loan (Matrix Computations, section 6.5).  No lag order below p_max
+  refactors T - m rows, and no X'X is formed.
+- One shifted Cholesky factorization of the p_max Gram matrix proves
+  every cell well conditioned (``_certified``), and a series that
+  passes needs no condition number; any other series has every cell
+  checked by ``fit_var``'s own solve (``_leading_failures``).
+- Since adding regressors or rows never raises a residual sum of
+  squares, rss(J, p_max) bounds every shorter lag order from below, as
+  in the leaps-and-bounds search of Furnival and Wilson (1974).  A
+  caller that keeps only the chosen orders (the backtest and Monte
+  Carlo, through ``_stacked_grids``'s ``chosen_only``) has a lag order
+  factored only for the certified series whose bound does not rule it
+  out (``_needed``).  ``select_orders`` evaluates every cell.
 """
 
 from __future__ import annotations
@@ -74,7 +84,9 @@ __all__ = [
 CRITERIA = ("bic", "hqc", "ffpe")
 
 # Largest stacked [X Y] of the selection kernel, in bytes.  Series share
-# a stack up to this size, which bounds the kernel's working memory.
+# a stack up to this size, which bounds the kernel's working memory
+# beside the p_max R it keeps per series for the lower lag orders, at
+# most (k_max*p_max + k_max)^2 doubles: 41 KB at k_max = p_max = 8.
 STACK_BYTES = 256 * 1024
 
 # _needed factors a lag order whose lower bound comes within this margin
@@ -223,7 +235,11 @@ def _innovation_rss(scores: np.ndarray, ends: np.ndarray, p_max: int,
 
     As ``_innovation_traces``, but unnormalized and with unsorted reasons.
 
-    Lag order p_max is factored first, and its R certifies the whole grid
+    Lag order p_max is factored first, by a QR of each series' own rows,
+    and each series keeps its R, of min(T - p_max, k_max*p_max + k_max)
+    rows.  Every lag order m < p_max is then factored from it: a QR of
+    that R's lag-m columns stacked over the lag-m [X Y] rows [m, p_max)
+    (see the module docstring).  The p_max R certifies the whole grid
     of most series at once (``_certified``): a certified series has no
     failed cell and needs no condition number, and any other series
     has every cell checked (``_leading_failures``).  ``needed(rss, m)``,
@@ -238,6 +254,8 @@ def _innovation_rss(scores: np.ndarray, ends: np.ndarray, p_max: int,
     js = np.arange(1, k_max + 1)
     floors = 2.0 * p_max * np.einsum("wtk,wtk->w", scores, scores) / CONDITION_LIMIT
     certified = np.zeros(n_win, dtype=bool)
+    top = k_max * p_max + k_max   # columns of the p_max [X Y]
+    tops = [None] * n_win         # each series' p_max R, on its own rows
     for m in (p_max, *range(1, p_max)):
         if m < p_max and needed is not None and certified.any():
             todo = np.flatnonzero(~certified | needed(rss, m))
@@ -246,17 +264,33 @@ def _innovation_rss(scores: np.ndarray, ends: np.ndarray, p_max: int,
         all_rows = ends - m
         n_max = k_max * m
         width = n_max + k_max   # columns of [X Y]
-        per_stack = max(1, STACK_BYTES // (8 * int(all_rows.max()) * width))
+        if m == p_max:
+            heights = all_rows
+        else:
+            heights = np.minimum(ends - p_max, top) + p_max - m
+            # the lag-m [X Y] in the p_max one: factor l at lags 1..m, then the targets
+            cols = np.concatenate([(np.arange(k_max)[:, None] * p_max + np.arange(m)).ravel(),
+                                   np.arange(top - k_max, top)])
+        per_stack = max(1, STACK_BYTES // (8 * int(heights.max()) * width))
         for lo in range(0, todo.size, per_stack):
             members = todo[lo:lo + per_stack]
             rows = all_rows[members]
-            length = int(rows.max())
-            xy = _lagged_xy(scores[members, :length + m], m, length)
-            r = _r_factors([xy[s, :n] for s, n in enumerate(rows.tolist())])
+            if m == p_max:
+                length = int(rows.max())
+                xy = _lagged_xy(scores[members, :length + m], m, length)
+                blocks = [xy[s, :n] for s, n in enumerate(rows.tolist())]
+            else:
+                # its rows [p_max, T) as their p_max R columns, then the rows [m, p_max)
+                head = _lagged_xy(scores[members, :p_max], m, p_max - m)
+                blocks = [np.concatenate([tops[w][:, cols], head[s]])
+                          for s, w in enumerate(members.tolist())]
+            r = _r_factors(blocks)
             cum = np.cumsum(_leading_rss(r, n_max), axis=2)
             cells = cum[:, np.minimum(js * m, cum.shape[1]) - 1, js - 1]
             if m == p_max:
                 certified[members] = _certified(r, n_max, rows, floors[members])
+                for s, w in enumerate(members.tolist()):
+                    tops[w] = r[s, :min(rows[s], top)]
             checked = np.flatnonzero(~certified[members])
             if checked.size:
                 why = _leading_failures(r[checked], scores[members[checked]],
@@ -277,8 +311,9 @@ def _innovation_traces(scores: np.ndarray, ends: np.ndarray, p_max: int, restric
     and later rows are ignored.  Returns the (W, k_max, p_max)
     traces, +inf where a cell failed, and one sorted {(J, m): reason} per
     series.  For each lag order the series are factored in stacks of at
-    most STACK_BYTES of [X Y], each with one design build and a QR of
-    each series' own rows.  So each series' traces and failures are bit
+    most STACK_BYTES, each with one design build and a QR per series of
+    its own rows: of its [X Y] at p_max, and of its p_max R with its own
+    leading rows below.  So each series' traces and failures are bit
     for bit those of its one-series call, whatever the ``ends`` beside
     it.  ``needed`` is ``_innovation_rss``'s, for the full fit only:
     cells it leaves out are +inf with no reason.

@@ -130,6 +130,17 @@ class TestFit:
         with pytest.raises(DataError, match=r"scores must be a \(T, J\) matrix"):
             fit_var(scores[None], 1)
 
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_non_finite_score_is_a_data_error(self, restricted):
+        # before the check, a NaN reached the condition number's SVD and
+        # escaped as numpy's LinAlgError("SVD did not converge")
+        scores = np.random.default_rng(0).normal(size=(30, 2))
+        for value in (np.nan, np.inf):
+            bad = scores.copy()
+            bad[17, 1] = value
+            with pytest.raises(DataError, match=f"row 17 column 1 holds {value}"):
+                fit_var(bad, 1, restricted)
+
     def test_saturated_design_is_rejected(self):
         # T - m rows for J*m regressors (plus one with an intercept): an
         # exact fit with no residual degree of freedom
@@ -318,6 +329,16 @@ class TestWindows:
         reasons, fitted = self.check(scores, 8, [70, 150, 177, 183], restricted)
         # the 70-row window has 62 rows for the full fit's 64 regressors
         assert (reasons, fitted) == (({"dof"}, 3) if not restricted else (set(), 4))
+
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_rows_past_the_last_window_are_not_read(self, restricted):
+        # as the DNS backtest passes betas whose rows past a bad row are NaN
+        scores = window_series(np.random.default_rng(6))
+        scores[50:] = np.nan
+        assert self.check(scores, 2, np.arange(30, 51), restricted)[1] == 21
+        with pytest.raises(DataError, match="row 50 column 0 holds nan"):
+            fit_var_windows(scores, 2, [40, 51], restricted)
+        assert fit_var_windows(scores, 2, [], restricted)[0] == []
 
     def test_condition_limit_message_is_fit_vars(self):
         scores = window_series(np.random.default_rng(5))

@@ -14,8 +14,9 @@ from ffm import (CRITERIA, ConfigError, Curve, DiscretePanel, FpcaResult, Functi
                  reconstruct, replication_rng, select_orders)
 from ffm.montecarlo import CHUNK
 import ffm.selection as selection_module
-from ffm.selection import (STACK_BYTES, TIE_RTOL, _criterion_values, _innovation_traces,
-                           _needed, _stacked_grids)
+from ffm.dynamics import _lagged_xy
+from ffm.selection import (STACK_BYTES, TIE_RTOL, _criterion_values, _innovation_rss,
+                           _innovation_traces, _leading_rss, _needed, _stacked_grids)
 from ffm.simulate import simulate_streams
 
 IDENTITY_RTOL = 1e-12
@@ -773,3 +774,91 @@ class TestFitVarAgreement:
             exact = np.linalg.cond(x) ** 2
             assert reported[0] == pytest.approx(exact, rel=1e-6)
             assert abs(np.linalg.cond(x.T @ x) / exact - 1.0) > 1e-2
+
+
+# each lag order below p_max is factored from the p_max R; a QR of its own
+# [X Y] gives the same sums within this relative gap (3.9e-15 at worst
+# when written)
+UPDATE_RTOL = 1e-13
+
+
+def direct_rss(scores, p_max, restricted=False):
+    """(k, p_max) residual sums and {(J, m): reason} of one series, one QR per lag order.
+
+    Every lag order's [X Y] is factored on its own rows.  The cells
+    ``fit_var`` refuses hold +inf, and the reasons are its messages.  The
+    restricted grid sums the one-factor grids of the factors so far.
+    """
+    t_obs, k = scores.shape
+    if restricted:
+        rss = np.cumsum([direct_rss(scores[:, l:l + 1], p_max)[0][0] for l in range(k)], axis=0)
+    else:
+        rss = np.empty((k, p_max))
+        js = np.arange(1, k + 1)
+        for m in range(1, p_max + 1):
+            r = np.linalg.qr(_lagged_xy(scores, m, t_obs - m), mode="r")
+            cum = np.cumsum(_leading_rss(r[None], k * m), axis=2)[0]
+            rss[:, m - 1] = cum[np.minimum(js * m, cum.shape[0]) - 1, js - 1]
+    refused = {}
+    for j in range(1, k + 1):
+        for m in range(1, p_max + 1):
+            try:
+                fit_var(scores[:, :j], m, restricted)
+            except NumericError as exc:
+                refused[(j, m)] = str(exc)
+                rss[j - 1, m - 1] = np.inf
+    return rss, refused
+
+
+class TestLagOrderUpdates:
+    """Lag orders below p_max, factored from the p_max R, match a QR of their own [X Y]."""
+
+    @staticmethod
+    def check(series, p_max, restricted=False):
+        """Stacks the series in one kernel call and compares each with ``direct_rss``."""
+        ends = np.array([len(x) for x in series])
+        scores = np.zeros((len(series), ends.max(), series[0].shape[1]))
+        for w, x in enumerate(series):
+            scores[w, :len(x)] = x
+        if restricted:
+            traces, failures = _innovation_traces(scores, ends, p_max, True)
+            rss = traces * (ends[:, None, None] - np.arange(1, p_max + 1))
+        else:
+            rss, failures = _innovation_rss(scores, ends, p_max)
+        refused = 0
+        for x, got, why in zip(series, rss, failures, strict=True):
+            want, reasons = direct_rss(x, p_max, restricted)
+            assert dict(sorted(why.items())) == reasons
+            assert np.array_equal(np.isinf(got), np.isinf(want))
+            finite = np.isfinite(want)
+            assert np.allclose(got[finite], want[finite], rtol=UPDATE_RTOL, atol=0.0)
+            refused += len(reasons)
+        return refused
+
+    @pytest.mark.parametrize("restricted", [False, True])
+    @pytest.mark.parametrize("t_obs", [60, 100, 500])
+    @pytest.mark.parametrize("model", ["M1", "M2", "M3", "M4"])
+    def test_replications(self, model, t_obs, restricted):
+        spec = SimSpec(model=model, n_obs=t_obs, seed=27)
+        rngs = [replication_rng(spec.seed, rep) for rep in range(4)]
+        series = [fpca(sample).scores[:, :8] for sample in simulate_streams(spec, rngs)]
+        refused = self.check(series, 8, restricted)
+        # at T = 60 the largest cells of the full VAR leave no residual degree of freedom
+        assert (refused > 0) == (t_obs == 60 and not restricted)
+
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_p_max_r_shorter_than_wide(self, restricted):
+        # T - p_max rows for the k_max * p_max + k_max = 28 columns of
+        # [X Y]: 24, 20 and 27 rows, so each p_max R is shorter than wide
+        rng = np.random.default_rng(96)
+        series = [rng.normal(size=(t_obs, 4)) * [1.0, 0.3, 3.0, 0.01] for t_obs in (30, 26, 33)]
+        refused = self.check(series, 6, restricted)
+        assert (refused > 0) == (not restricted)
+
+    def test_near_collinear_series(self):
+        # seed 95's third factor copies the first up to 1e-7: the series is
+        # not certified, and every cell holding both is refused
+        rng = np.random.default_rng(95)
+        scores = rng.normal(size=(150, 3))
+        scores[:, 2] = scores[:, 0] * (1.0 + 1e-7 * rng.normal(size=150))
+        assert self.check([scores, rng.normal(size=(120, 3))], 4) == 4
