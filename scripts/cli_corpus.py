@@ -4,12 +4,12 @@ Usage::
 
     python scripts/cli_corpus.py OUT_DIR > listing.txt
 
-Writes three seeded yield panels with holes into OUT_DIR (from
+Writes four seeded yield panels with holes into OUT_DIR (from
 ``perfbench/inputs.py``: ``yield_panel(11, 160)``, ``yield_panel(12,
-60)`` and ``yield_panel(7, 300)``), runs a fixed list of commands
-through ``ffm.cli.main``, each in ``--format csv`` and ``json``, with
-its outputs in ``OUT_DIR/<run>-<format>``, and prints one line per
-output file, sorted by path::
+60)``, ``yield_panel(7, 300)`` and ``yield_panel(12, 12)``), runs a
+fixed list of commands through ``ffm.cli.main``, each in ``--format
+csv`` and ``json``, with its outputs in ``OUT_DIR/<run>-<format>``, and
+prints one line per output file, sorted by path::
 
     <sha256>  <exit code>  <path relative to OUT_DIR>
 
@@ -40,7 +40,8 @@ sys.dont_write_bytecode = True   # leave no cache files in the source tree
 from ffm.cli import main  # noqa: E402
 from perfbench.inputs import write_wide_csv, yield_panel  # noqa: E402
 
-PANELS = {"p160.csv": (11, 160), "p60.csv": (12, 60), "p300.csv": (7, 300)}
+PANELS = {"p160.csv": (11, 160), "p60.csv": (12, 60), "p300.csv": (7, 300),
+          "p12.csv": (12, 12)}
 
 RUNS = {
     "simulate": ["simulate", "--model", "M1", "--T", "150", "--seed", "4"],
@@ -58,6 +59,9 @@ RUNS = {
     "forecast-pinned": ["forecast", "--input", "p160.csv", "--k", "2", "--p", "1",
                         "--restricted"],
     "forecast-inf": ["forecast", "--input", "p60.csv", "--kmax", "8", "--pmax", "8"],
+    # a grid beyond 12 curves of rank 11, which both commands clip alike
+    "select-clip": ["select", "--input", "p12.csv", "--kmax", "20", "--pmax", "20"],
+    "forecast-clip": ["forecast", "--input", "p12.csv", "--kmax", "20", "--pmax", "20"],
     "mc": ["mc", "--model", "M4", "--T", "60", "--reps", "4", "--seed", "5"],
     # own-lags selection on an equal-length stack of replications
     "mc-restricted": ["mc", "--model", "M3", "--T", "70", "--reps", "6", "--seed", "8",

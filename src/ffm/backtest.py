@@ -26,11 +26,12 @@ to start its first range.
 
 A refused origin is caught in one place, ``_attempt``.  ``FfmFixed``
 and ``FfmCriterion`` share one range hook (``_ffm_origins``): FPCA per
-origin, one stacked selection kernel call per grid size
-(``selection._stacked_grids``), then ``fit_ffm``'s own fit on the FPCA
-the origin already ran (``pipeline._fit``) and ``forecast``.  The stack
-factors each origin's designs on its own rows, so every origin gets
-``select_orders``'s grid, warning and refusal bit for bit.  Only the
+origin, one stacked selection kernel call per grid the windows carry
+(``selection._carried``, ``selection._stacked_grids``), then
+``fit_ffm``'s own fit on the FPCA the origin already ran
+(``pipeline._fit``) and ``forecast``.  The stack factors each origin's
+designs on its own rows, so every origin gets ``select_orders``'s clip
+warnings, grid, failed-cell warning and refusal bit for bit.  Only the
 chosen orders leave a range, so the stack skips the lag orders whose
 cells cannot win (``chosen_only``).  ``Dns`` fits a chunk's windows in
 one least-squares call (``fit_var_windows``, which factors each window
@@ -50,7 +51,8 @@ processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import warnings
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -62,7 +64,7 @@ from .dynamics import fit_var_windows, forecast_windows
 from .errors import ConfigError, DataError, FfmError, NumericError
 from .fpca import fpca
 from .pipeline import FfmConfig, _fit, forecast
-from .selection import _check_criteria, _stacked_grids
+from .selection import _carried, _check_criteria, _stacked_grids
 
 __all__ = ["FfmFixed", "FfmCriterion", "Dns", "BacktestReport", "rolling_backtest"]
 
@@ -96,37 +98,36 @@ def _window(sample: FunctionalSample, t: int) -> FunctionalSample:
 def _ffm_origins(data, h: int, config: FfmConfig):
     """Range hook of a factor-model method: ``fit_ffm`` and ``forecast`` per origin.
 
-    A range's orders are selected by one stacked kernel call per grid
-    size, for every origin whose p_max fits its window; ``_fit`` clips
-    any other origin's p_max, with its warning, and selects alone.  Each
-    origin builds its grid in ``step``, so its warning or refusal comes
-    in origin order.
+    Each origin selects on the grid its window carries, clipped as
+    ``fit_ffm`` clips it (``selection._carried``), and a range's orders
+    are selected by one stacked kernel call per carried grid.  Each
+    origin warns its clips and builds its grid in ``step``, so its
+    warnings, or its refusal, come in origin order and as ``fit_ffm``
+    on its window gives them.
     """
     sample = _splined(data)
     criteria = (config.criterion,)
 
-    def step(full, config, grids):
+    def step(full, clips, grids):
+        for message in clips:
+            warnings.warn(message)
         grid = None if grids is None else grids()[config.criterion]
         model = _fit(full, config, grid)
         return forecast(model, h).matrix[h - 1], (model.k, model.p)
 
     def run(origins):
         results = {t: _attempt(fpca, _window(sample, t)) for t in origins}
-        configs, groups, builders = {}, {}, {}
+        clips, groups, builders = {}, {}, {}
         for t, full in results.items():
-            if isinstance(full, FfmError) or config.k is not None:
-                configs[t] = config
-                continue
-            # the grid clipped to the window's rank, without fit_ffm's warning
-            configs[t] = replace(config, k_max=min(config.k_max, full.rank))
-            if config.p_max < t:
-                groups.setdefault(configs[t].k_max, []).append(t)
-        for k_max, members in groups.items():
-            stack = _stacked_grids([results[t] for t in members], k_max, config.p_max, criteria,
+            if not isinstance(full, FfmError) and config.k is None:
+                carried, clips[t] = _carried(full.rank, full.n_curves, config.k_max, config.p_max)
+                groups.setdefault(carried, []).append(t)
+        for (k_max, p_max), members in groups.items():
+            stack = _stacked_grids([results[t] for t in members], k_max, p_max, criteria,
                                    config.restricted, chosen_only=True)
             builders.update(zip(members, stack))
         return [full if isinstance(full, FfmError) else
-                _attempt(step, full, configs[t], builders.get(t))
+                _attempt(step, full, clips.get(t, ()), builders.get(t))
                 for t, full in results.items()]
 
     return run
@@ -312,7 +313,9 @@ def rolling_backtest(data, method, h: int = 1,
     row, counted in the report's ``failures`` and explained in its
     ``failure_reasons`` instead of aborting the whole exercise.  Any
     other exception propagates with its type.  Warnings raised at an
-    origin are re-issued at the caller in origin order.
+    origin are re-issued at the caller in origin order.  An
+    ``FfmCriterion`` origin whose window cannot carry its (k_max, p_max)
+    grid clips it with ``fit_ffm``'s warnings.
 
     A factor model's origins run, in ranges of ``CHUNK``, on one worker
     process per OpenBLAS thread the caller had, at most one per range:

@@ -163,9 +163,7 @@ def cmd_fpca(args) -> int:
 def cmd_select(args) -> int:
     cfg = _run_config(args)
     _, sample = _load_sample(args.input, args.grid)
-    result = fpca(sample)
-    k_max = min(args.kmax, result.rank)
-    grid = select_orders(result, k_max, args.pmax, (args.criterion,),
+    grid = select_orders(fpca(sample), args.kmax, args.pmax, (args.criterion,),
                          args.restricted)[args.criterion]
     rows = export_mse_surface(grid)
     path = cfg.write("surface", rows, {"cells": rows, "chosen": list(grid.chosen)})
@@ -180,8 +178,6 @@ def cmd_select(args) -> int:
 def cmd_forecast(args) -> int:
     cfg = _run_config(args)
     _, sample = _load_sample(args.input, args.grid)
-    if (args.k is None) != (args.p is None):
-        raise ConfigError("set both --k and --p to pin the orders, or neither")
     config = FfmConfig(criterion=args.criterion, k_max=args.kmax, p_max=args.pmax,
                        k=args.k, p=args.p, restricted=args.restricted)
     model = fit_ffm(sample, config)

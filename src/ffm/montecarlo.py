@@ -10,7 +10,7 @@ import numpy as np
 from ._blas import map_ranges
 from .errors import ConfigError
 from .fpca import fpca
-from .selection import CRITERIA, _check_criteria, _stacked_grids
+from .selection import CRITERIA, _carried, _check_criteria, _stacked_grids
 from .simulate import SimSpec, replication_rng, simulate_streams
 
 __all__ = ["McReport", "monte_carlo"]
@@ -111,12 +111,22 @@ def monte_carlo(spec: SimSpec, reps: int, k_max: int = 8, p_max: int = 8,
     count does not follow the OpenBLAS thread count: it is ``jobs``, a
     positive integer, but 1 inside a daemonic process and from Python
     3.12 on, as for the backtest.
+
+    The report's shape follows (k_max, p_max), so a grid the samples
+    cannot carry is refused with a ConfigError before any simulation,
+    not clipped.
     """
     if reps < 1:
         raise ConfigError(f"reps must be positive, got {reps}")
     if not (isinstance(jobs, int) and jobs >= 1):
         raise ConfigError(f"jobs must be a positive integer, got {jobs!r}")
     criteria = _check_criteria(criteria)
+    # every replication has n_obs curves and the full FPCA rank
+    carried, _ = _carried(min(spec.n_obs - 1, spec.grid.n), spec.n_obs, k_max, p_max)
+    if carried != (k_max, p_max):
+        raise ConfigError(f"samples of {spec.n_obs} curves on {spec.grid.n} points carry at most "
+                          f"k_max={carried[0]} and p_max={carried[1]}, "
+                          f"got k_max={k_max}, p_max={p_max}")
     count = max(-(-reps // CHUNK), min(jobs, reps))
     ranges = [range(w * reps // count, (w + 1) * reps // count) for w in range(count)]
     setup = partial(_replications, spec, k_max, p_max, criteria, restricted)

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Curve, FunctionalSample, Grid
 from .dynamics import VarFit, fit_var, forecast_scores, max_abs_tstat
-from .errors import DataError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .fpca import FpcaResult, fpca, reconstruct
 from .selection import SelectionGrid, _check_criteria, select_orders
 
@@ -46,11 +45,11 @@ class FfmConfig:
     def __post_init__(self):
         _check_criteria((self.criterion,))
         if (self.k is None) != (self.p is None):
-            raise ValueError("set both k and p to fix the orders, or neither")
+            raise ConfigError("set both k and p to fix the orders, or neither")
         if self.k is not None and (self.k < 1 or self.p < 1):
-            raise ValueError(f"fixed orders must be positive, got k={self.k}, p={self.p}")
+            raise ConfigError(f"fixed orders must be positive, got k={self.k}, p={self.p}")
         if self.k is None and (self.k_max < 1 or self.p_max < 1):
-            raise ValueError(
+            raise ConfigError(
                 f"k_max and p_max must be positive, got {self.k_max}, {self.p_max}"
             )
 
@@ -91,7 +90,8 @@ def fit_ffm(sample: FunctionalSample, config: FfmConfig = FfmConfig()) -> FfmMod
 
     Pinned orders the sample cannot carry are refused: K above the FPCA
     rank raises NumericError, and p with no more curves than lags raises
-    DataError.
+    DataError.  A grid the sample cannot carry is clipped by
+    ``select_orders``, with its warnings.
     """
     return _fit(fpca(sample), config)
 
@@ -100,10 +100,9 @@ def _fit(full: FpcaResult, config: FfmConfig, grid: SelectionGrid | None = None)
     """``fit_ffm`` on the FPCA ``full`` of its sample.
 
     ``grid`` is the config's criterion grid on ``full``, over the
-    config's ``k_max`` and ``p_max``, when the caller already has it
-    (pinned orders take none); without one, a grid that exceeds the
-    sample is clipped with a warning and selected here.  Warnings point
-    at the caller of ``_fit``'s caller.
+    config's ``k_max`` and ``p_max`` as far as ``full`` carries them,
+    when the caller already has it (pinned orders take none); without
+    one, ``select_orders`` clips and selects it here, with its warnings.
     """
     if config.k is not None:
         k, p = config.k, config.p
@@ -113,16 +112,7 @@ def _fit(full: FpcaResult, config: FfmConfig, grid: SelectionGrid | None = None)
             raise DataError(f"p={p} needs more than {p} observations, got {full.n_curves}")
     else:
         if grid is None:
-            k_max, p_max = config.k_max, config.p_max
-            if k_max > full.rank:
-                warnings.warn(f"k_max={k_max} exceeds the sample rank {full.rank}; clipped",
-                              stacklevel=3)
-                k_max = full.rank
-            if p_max >= full.n_curves:
-                warnings.warn(f"p_max={p_max} is too large for {full.n_curves} curves; "
-                              f"clipped to {full.n_curves - 1}", stacklevel=3)
-                p_max = full.n_curves - 1
-            grid = select_orders(full, k_max, p_max, (config.criterion,),
+            grid = select_orders(full, config.k_max, config.p_max, (config.criterion,),
                                  config.restricted)[config.criterion]
         k, p = grid.chosen
     var = fit_var(full.scores[:, :k], p, restricted=config.restricted)

@@ -68,7 +68,7 @@ from functools import partial
 import numpy as np
 from .core import FunctionalSample
 from .dynamics import CONDITION_LIMIT, _dof_failure, _lagged_xy, _r_factors, _solve, fit_var
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .fpca import FpcaResult
 
 __all__ = [
@@ -220,7 +220,7 @@ def _certified(r: np.ndarray, n_max: int, rows: np.ndarray, floors: np.ndarray) 
     below CONDITION_LIMIT / 2; the 2 covers rounding in G and in the
     factorization.
     """
-    certified = rows > n_max
+    certified = np.array([_dof_failure(n, n_max) is None for n in rows.tolist()], dtype=bool)
     if certified.any():
         lead = r[certified, :n_max, :n_max]
         shifted = lead.swapaxes(1, 2) @ lead - floors[certified, None, None] * np.eye(n_max)
@@ -360,16 +360,16 @@ def mse_direct(sample: FunctionalSample, fitted: FunctionalSample, m: int) -> fl
     averages over the whole sample.
     """
     if not sample.grid.matches(fitted.grid):
-        raise ValueError("sample and fitted curves live on different grids")
+        raise DataError("sample and fitted curves live on different grids")
     if m < 0 or m >= sample.n_curves:
-        raise ValueError(f"m must be in [0, {sample.n_curves - 1}], got {m}")
+        raise ConfigError(f"m must be in [0, {sample.n_curves - 1}], got {m}")
     target = sample.matrix[m:]
     if fitted.n_curves == target.shape[0]:
         diff = target - fitted.matrix
     elif fitted.n_curves == sample.n_curves:
         diff = target - fitted.matrix[m:]
     else:
-        raise ValueError(
+        raise DataError(
             f"fitted sample has {fitted.n_curves} rows; expected {target.shape[0]} "
             f"or {sample.n_curves}"
         )
@@ -423,12 +423,35 @@ def _needed(criteria, tails: np.ndarray, t_obs: np.ndarray, rss: np.ndarray,
     return needed
 
 
+def _carried(rank: int, n_curves: int, k_max: int, p_max: int) -> tuple[tuple[int, int], list]:
+    """The (k_max, p_max) grid a sample of FPCA rank ``rank`` can carry, and why it was clipped.
+
+    A grid holds at most ``rank`` factors and fewer lags than the
+    sample's ``n_curves`` curves.  A larger k_max or p_max is clipped to
+    that bound, with one message each, k_max's first; a k_max or p_max
+    below 1 is refused.  This is the one rule for the size of a grid;
+    the rule for each of its cells is ``dynamics._dof_failure``.
+    """
+    if k_max < 1 or p_max < 1:
+        raise ConfigError(f"k_max and p_max must be positive, got {k_max}, {p_max}")
+    carried = (min(k_max, rank), min(p_max, n_curves - 1))
+    clips = (f"k_max={k_max} exceeds the sample rank {rank}; clipped",
+             f"p_max={p_max} is too large for {n_curves} curves; clipped to {n_curves - 1}")
+    return carried, [clip for clip, asked, kept in zip(clips, (k_max, p_max), carried)
+                     if kept < asked]
+
+
 def select_orders(result: FpcaResult, k_max: int, p_max: int,
                   criteria=CRITERIA, restricted: bool = False) -> dict[str, SelectionGrid]:
     """Evaluate several criteria on one shared (J, m) MSE grid.
 
     The VAR fits are done once; each criterion only re-penalizes them.
+    A grid larger than the sample can carry is clipped, with a warning
+    (``_carried``).
     """
+    (k_max, p_max), clips = _carried(result.rank, result.n_curves, k_max, p_max)
+    for message in clips:
+        warnings.warn(message, stacklevel=2)
     return _stacked_grids([result], k_max, p_max, criteria, restricted)[0](stacklevel=3)
 
 
@@ -468,16 +491,16 @@ def _stacked_grids(results, k_max: int, p_max: int, criteria, restricted: bool,
 
     ``results`` is an iterable of FpcaResults, read once: only each one's
     first ``k_max`` score columns and its eigenvalue tails are kept, so a
-    caller may pass a generator and hold no whole result.  ``k_max`` is
-    at most each sample's rank and ``p_max`` below each one's curve
-    count.  Returns one grid builder per sample, in order: calling it
-    returns the sample's {criterion: SelectionGrid}, after warning about
-    its failed cells (at the builder's caller unless a ``stacklevel`` is
-    given, counted as in ``_grids``), or raises the ``NumericError`` of
-    a criterion whose cells all failed.  Every design is factored on its
-    own rows (see the module docstring), so each builder's grids,
-    warning and error are bit for bit those of ``select_orders`` on its
-    sample alone.
+    caller may pass a generator and hold no whole result.  Each sample
+    carries the (k_max, p_max) grid (``_carried`` leaves it unclipped),
+    which is not checked here.  Returns one grid builder per sample, in
+    order: calling it returns the sample's {criterion: SelectionGrid},
+    after warning about its failed cells (at the builder's caller unless
+    a ``stacklevel`` is given, counted as in ``_grids``), or raises the
+    ``NumericError`` of a criterion whose cells all failed.  Every
+    design is factored on its own rows (see the module docstring), so
+    each builder's grids, warning and error are bit for bit those of
+    ``select_orders`` on its sample alone.
 
     ``chosen_only`` is for a caller that keeps only each grid's chosen
     orders.  The full-VAR kernel then factors a lag order m < p_max only
@@ -492,10 +515,6 @@ def _stacked_grids(results, k_max: int, p_max: int, criteria, restricted: bool,
     _check_criteria(criteria)
     scores, tails = [], []
     for result in results:
-        if not 1 <= k_max <= result.rank:
-            raise ValueError(f"k_max must be in [1, {result.rank}], got {k_max}")
-        if not 1 <= p_max < result.n_curves:
-            raise ValueError(f"p_max must be in [1, {result.n_curves - 1}], got {p_max}")
         scores.append(result.scores[:, :k_max].copy())   # a view would keep all the scores
         tails.append(_tails(result, k_max))
 

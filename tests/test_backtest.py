@@ -14,9 +14,9 @@ import ffm.backtest as backtest_module
 import ffm.pipeline as pipeline_module
 import ffm.selection as selection_module
 from ffm import (BacktestReport, ConfigError, DataError, DiscretePanel, Dns, FfmConfig, FfmCriterion,
-                 FfmFixed, FfmError, FunctionalSample, NumericError, SimSpec,
+                 FfmFixed, FfmError, FunctionalSample, Grid, NumericError, SimSpec,
                  dns_forecast, dns_loadings, fit_dns, fit_ffm, forecast, make_grid,
-                 rolling_backtest, select_orders, simulate)
+                 panel_to_sample, rolling_backtest, select_orders, simulate)
 from ffm._blas import openblas_controls
 
 RMSFE_AUDIT_TOL = 1e-12
@@ -393,20 +393,21 @@ class TestChunks:
             return fit(full, config, grid)
 
         monkeypatch.setattr(backtest_module, "_fit", counted)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             reports = self.runs(monkeypatch, sample, method, h, 3)
             first = reports[-1]   # CHUNK as shipped
             for budget in (1, 2**30):   # one series per stack, and one stack per chunk
                 monkeypatch.setattr(selection_module, "STACK_BYTES", budget)
                 reports.insert(0, rolling_backtest(sample, method, h=h, initial_window=3))
-            # one origin per call is fit_ffm and forecast on each window
-            errors = np.full_like(first.errors, np.nan)
-            selected = np.zeros_like(first.selected)
-            reasons = []
+        # one origin per call is fit_ffm and forecast on each window
+        errors = np.full_like(first.errors, np.nan)
+        selected = np.zeros_like(first.selected)
+        reasons = []
+        config = FfmConfig(criterion="bic", k_max=2, p_max=2, restricted=restricted)
+        with warnings.catch_warnings(record=True) as alone_caught:
+            warnings.simplefilter("always")
             for i, t in enumerate(first.origins):
-                config = FfmConfig(criterion="bic", k_max=min(2, t - 1, sample.grid.n), p_max=2,
-                                   restricted=restricted)
                 try:
                     model = fit_ffm(FunctionalSample(sample.grid, sample.matrix[:t]), config)
                 except FfmError as exc:
@@ -414,8 +415,9 @@ class TestChunks:
                     continue
                 errors[i] = forecast(model, h).matrix[h - 1] - sample.matrix[t + h - 1]
                 selected[i] = (model.k, model.p)
-        # every window fits p_max, so every origin reached _fit with its stacked grid
+        # every origin reached _fit with its stacked grid, and warned as fit_ffm
         assert alone == []
+        assert [str(w.message) for w in caught] == 5 * [str(w.message) for w in alone_caught]
         assert {name for _, name, _ in first.failure_reasons} == {"NumericError"}
         assert np.isfinite(first.errors).any()
         assert np.array_equal(first.errors, errors, equal_nan=True)
@@ -550,8 +552,8 @@ class TestPool:
 
 class TestFpcaPerOrigin:
     def test_fallback_origins_reuse_their_fpca(self, monkeypatch, serial, benchmark_inputs):
-        # on this short panel origins clip p_max, lose cells or stand alone in
-        # their grid size, and none may run FPCA twice
+        # on this short panel origins clip k_max and p_max, lose cells or
+        # stand alone in their carried grid, and none may run FPCA twice
         panel = DiscretePanel(benchmark_inputs.MATURITIES, benchmark_inputs.yield_panel(12, 60))
         real = backtest_module.fpca
         windows = []
@@ -560,14 +562,41 @@ class TestFpcaPerOrigin:
             windows.append(data.n_curves)
             return real(data, k_max)
 
-        monkeypatch.setattr(backtest_module, "fpca", counted)
-        monkeypatch.setattr(pipeline_module, "fpca", counted)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
+            plain = rolling_backtest(panel, FfmCriterion("ffpe"), h=1, initial_window=5)
+            monkeypatch.setattr(backtest_module, "fpca", counted)
+            monkeypatch.setattr(pipeline_module, "fpca", counted)
             report = rolling_backtest(panel, FfmCriterion("ffpe"), h=1, initial_window=5)
         assert report.origins.size == 55 and report.failures == 0
         assert windows == report.origins.tolist()
-        assert report.rmsfe == 1.1907081295356696
+        assert report.errors.tobytes() == plain.errors.tobytes()
+        assert report.selected.tobytes() == plain.selected.tobytes()
+        assert report.failure_reasons == plain.failure_reasons
+
+
+class TestCarriedGrids:
+    def test_short_windows_clip_and_warn_as_fit_ffm(self, serial, benchmark_inputs):
+        # windows of 5 to 8 curves have ranks 4 to 7 and fewer than 8 lags' worth
+        # of curves, so each clips k_max and p_max as fit_ffm clips them
+        panel = DiscretePanel(benchmark_inputs.MATURITIES, benchmark_inputs.yield_panel(12, 60))
+        method = FfmCriterion("ffpe")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = rolling_backtest(panel, method, h=1, initial_window=5)
+        sample = panel_to_sample(panel, Grid(panel.maturities))
+        selected = []
+        with warnings.catch_warnings(record=True) as alone:
+            warnings.simplefilter("always")
+            for t in report.origins:
+                model = fit_ffm(FunctionalSample(sample.grid, sample.matrix[:t]),
+                                FfmConfig(criterion="ffpe"))
+                selected.append([model.k, model.p])
+        messages = [str(w.message) for w in caught]
+        assert messages == [str(w.message) for w in alone]
+        assert messages[:2] == ["k_max=8 exceeds the sample rank 4; clipped",
+                                "p_max=8 is too large for 5 curves; clipped to 4"]
+        assert report.failures == 0 and report.selected.tolist() == selected
 
 
 class TestBoundedSelection:

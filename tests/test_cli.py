@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -12,8 +13,8 @@ import numpy as np
 import pytest
 
 import ffm
-from ffm import (DiscretePanel, FpcaResult, Grid, dns_loadings, fpca, make_grid,
-                 panel_to_sample, select_orders)
+from ffm import (DiscretePanel, FpcaResult, Grid, dns_loadings, export_mse_surface, fpca,
+                 make_grid, panel_to_sample, select_orders)
 from ffm._blas import openblas_controls
 from ffm.cli import EXIT_DATA, EXIT_NUMERIC, build_parser, main
 from ffm.io import H15_URL, from_json, model_from_json, panel_rows, read_panel_csv, write_panel_csv
@@ -124,6 +125,26 @@ class TestSelect:
         assert surface[0] == "J,m,mse,criterion,chosen"
         assert len(surface) - 1 == 4 * 2
 
+    def test_grid_beyond_the_sample_is_clipped_as_forecast_clips_it(self, tmp_path,
+                                                                     benchmark_inputs):
+        # 12 curves carry at most rank 11 and 11 lags
+        path = tmp_path / "p12.csv"
+        benchmark_inputs.write_wide_csv(benchmark_inputs.yield_panel(12, 60)[:12], path)
+        warned = {}
+        for command in ("select", "forecast"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert run([command, "--input", path, "--kmax", 20, "--pmax", 20, "--format",
+                            "json", "--output-dir", tmp_path / command]) == 0
+            warned[command] = [str(w.message) for w in caught]
+        assert warned["select"] == warned["forecast"]
+        assert warned["select"][:2] == ["k_max=20 exceeds the sample rank 11; clipped",
+                                        "p_max=20 is too large for 12 curves; clipped to 11"]
+        surface = json.loads((tmp_path / "select" / "surface.json").read_text())
+        model = model_from_json(json.loads((tmp_path / "forecast" / "model.json").read_text()))
+        assert surface["cells"] == export_mse_surface(model.selection)
+        assert tuple(surface["chosen"]) == model.selection.chosen == (model.k, model.p)
+
     def test_constant_panel_is_numeric_failure(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
         rows = ["time,1,2,3,4"] + [f"{t},1.0,1.0,1.0,1.0" for t in range(1, 9)]
@@ -183,7 +204,7 @@ class TestForecast:
         csv_path = write_sim_csv(tmp_path, "M4", 30, 1)
         assert run(["forecast", "--input", csv_path, "--k", 2,
                     "--output-dir", tmp_path]) == 2
-        assert "both --k and --p" in capsys.readouterr().err
+        assert "set both k and p" in capsys.readouterr().err
 
     def test_infinite_cell_is_data_error(self, tmp_path, capsys):
         csv_path = write_sim_csv(tmp_path, "M4", 40, 2)

@@ -120,6 +120,22 @@ class TestMonteCarlo:
         assert str(exc.value) == message
         assert calls == []
 
+    @pytest.mark.parametrize("k_max, p_max, message", [
+        (8, 8, "samples of 6 curves on 51 points carry at most k_max=5 and p_max=5, "
+               "got k_max=8, p_max=8"),
+        (2, 6, "samples of 6 curves on 51 points carry at most k_max=2 and p_max=5, "
+               "got k_max=2, p_max=6"),
+        (0, 2, "k_max and p_max must be positive, got 0, 2"),
+    ])
+    def test_grid_the_samples_cannot_carry_is_refused_before_any_fpca(self, monkeypatch, k_max,
+                                                                     p_max, message):
+        calls = []
+        monkeypatch.setattr(ffm.montecarlo, "fpca", lambda *a: calls.append(a) or fpca(*a))
+        with pytest.raises(ConfigError) as exc:
+            monte_carlo(SimSpec(n_obs=6), reps=2, k_max=k_max, p_max=p_max)
+        assert str(exc.value) == message
+        assert calls == []
+
     def test_bare_criterion_name_is_refused(self, monkeypatch):
         calls = []
         monkeypatch.setattr(ffm.montecarlo, "fpca", lambda *a: calls.append(a) or fpca(*a))

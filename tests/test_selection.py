@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffm import (CRITERIA, ConfigError, Curve, DiscretePanel, FpcaResult, FunctionalSample,
-                 Grid, NumericError, SimSpec, export_mse_surface, fit_var, fpca,
+from ffm import (CRITERIA, ConfigError, Curve, DataError, DiscretePanel, FpcaResult,
+                 FunctionalSample, Grid, NumericError, SimSpec, export_mse_surface, fit_var, fpca,
                  make_grid, mse_direct, mse_simplified, panel_to_sample, penalty,
                  reconstruct, replication_rng, select_orders)
 from ffm.montecarlo import CHUNK
@@ -124,12 +124,12 @@ class TestMse:
         m = 2
         assert mse_direct(sample, fitted, m) == pytest.approx(
             mse_direct(sample, trimmed, m), rel=1e-14)
-        with pytest.raises(ValueError, match="rows"):
+        with pytest.raises(DataError, match="rows"):
             mse_direct(sample, FunctionalSample(sample.grid, fitted.matrix[3:]), m)
         other = FunctionalSample(make_grid(0.0, 2.0, sample.grid.n), fitted.matrix)
-        with pytest.raises(ValueError, match="grids"):
+        with pytest.raises(DataError, match="grids"):
             mse_direct(sample, other, m)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"m must be in \[0, 19\], got -1"):
             mse_direct(sample, fitted, -1)
 
     def test_simplified_tracks_direct_one_step_error(self):
@@ -195,14 +195,19 @@ class TestSelectOrders:
     def test_validation(self):
         rng = np.random.default_rng(52)
         result = fpca(ar_sample(rng, t_obs=40))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="k_max and p_max must be positive, got 0, 2"):
             select_orders(result, 0, 2)
-        with pytest.raises(ValueError):
-            select_orders(result, result.rank + 1, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="k_max and p_max must be positive, got 2, 0"):
             select_orders(result, 2, 0)
-        with pytest.raises(ValueError):
-            select_orders(result, 2, 40)
+        # a grid beyond the 40 curves of rank 39 is clipped, with fit_ffm's warning
+        for asked, carried, clip in [((40, 2), (39, 2), "k_max=40 exceeds the sample rank 39; "
+                                                        "clipped"),
+                                     ((2, 40), (2, 39), "p_max=40 is too large for 40 curves; "
+                                                        "clipped to 39")]:
+            got, caught = outcome(lambda: select_orders(result, *asked))
+            want, alone = outcome(lambda: select_orders(result, *carried))
+            assert caught == [(clip, __file__)] + alone
+            assert_same_grids(got, want)
         with pytest.raises(ValueError, match="unknown criterion"):
             select_orders(result, 2, 2, criteria=("bic", "aic"))
 
