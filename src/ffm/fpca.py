@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Curve, FunctionalSample, Grid, _frozen
-from .errors import NumericError
+from .errors import ConfigError, DataError, NumericError
 
 __all__ = [
     "CovarianceKernel",
@@ -50,7 +50,7 @@ class CovarianceKernel:
     def __post_init__(self):
         values = np.array(self.values, dtype=float)
         if values.shape != (self.grid.n, self.grid.n):
-            raise ValueError(
+            raise DataError(
                 f"kernel shape {values.shape} does not match grid of {self.grid.n} points"
             )
         values = (values + values.T) / 2.0
@@ -129,7 +129,7 @@ class FpcaResult:
         where the kept components end and ``tail_eigenvalues`` begins.
         """
         if not 0 <= j <= self.rank:
-            raise ValueError(f"j must be in [0, {self.rank}], got {j}")
+            raise ConfigError(f"j must be in [0, {self.rank}], got {j}")
         return float(np.concatenate([self.eigenvalues[j:], self.tail_eigenvalues]).sum())
 
     def tables(self) -> dict[str, list[dict]]:
@@ -185,12 +185,12 @@ def fpca(sample: FunctionalSample, k_max: int | None = None) -> FpcaResult:
     """
     t_obs, n = sample.matrix.shape
     if t_obs < 2:
-        raise ValueError("need at least two curves")
+        raise DataError("need at least two curves")
     full_rank = min(t_obs - 1, n)
     if k_max is None:
         k_max = full_rank
     if k_max < 1:
-        raise ValueError(f"k_max must be at least 1, got {k_max}")
+        raise ConfigError(f"k_max must be at least 1, got {k_max}")
     rank = min(k_max, full_rank)
 
     mean = sample.matrix.mean(axis=0)
@@ -238,6 +238,6 @@ def reconstruct(result: FpcaResult, j: int | None = None) -> FunctionalSample:
     if j is None:
         j = result.rank
     if not 0 <= j <= result.rank:
-        raise ValueError(f"j must be in [0, {result.rank}], got {j}")
+        raise ConfigError(f"j must be in [0, {result.rank}], got {j}")
     matrix = result.mean.values + result.scores[:, :j] @ result.eigenfunctions[:j]
     return FunctionalSample(result.grid, matrix, times=result.times)

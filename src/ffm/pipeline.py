@@ -8,9 +8,9 @@ import numpy as np
 
 from .core import Curve, FunctionalSample, Grid
 from .dynamics import VarFit, fit_var, forecast_scores, max_abs_tstat
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, NumericError
 from .fpca import FpcaResult, fpca, reconstruct
-from .selection import SelectionGrid, _check_criteria, select_orders
+from .selection import SelectionGrid, _check_criteria, _selected
 
 __all__ = [
     "FfmConfig",
@@ -90,31 +90,26 @@ def fit_ffm(sample: FunctionalSample, config: FfmConfig = FfmConfig()) -> FfmMod
 
     Pinned orders the sample cannot carry are refused: K above the FPCA
     rank raises NumericError, and p with no more curves than lags raises
-    DataError.  A grid the sample cannot carry is clipped by
-    ``select_orders``, with its warnings.
+    ``fit_var``'s DataError.  A grid the sample cannot carry is clipped
+    as ``select_orders`` clips it, and its warnings point at the caller.
     """
-    return _fit(fpca(sample), config)
+    full = fpca(sample)
+    grid = None
+    if config.k is None:
+        grid = _selected(full, config.k_max, config.p_max, (config.criterion,),
+                         config.restricted)[config.criterion]
+    return _fit(full, config, grid)
 
 
-def _fit(full: FpcaResult, config: FfmConfig, grid: SelectionGrid | None = None) -> FfmModel:
-    """``fit_ffm`` on the FPCA ``full`` of its sample.
+def _fit(full: FpcaResult, config: FfmConfig, grid: SelectionGrid | None) -> FfmModel:
+    """``fit_ffm`` on the FPCA ``full`` of its sample and the config's criterion grid on it.
 
-    ``grid`` is the config's criterion grid on ``full``, over the
-    config's ``k_max`` and ``p_max`` as far as ``full`` carries them,
-    when the caller already has it (pinned orders take none); without
-    one, ``select_orders`` clips and selects it here, with its warnings.
+    ``grid`` is the grid ``fit_ffm`` selects on, and None when the config
+    pins the orders.
     """
-    if config.k is not None:
-        k, p = config.k, config.p
-        if k > full.rank:
-            raise NumericError(f"k={k} exceeds the sample rank {full.rank}")
-        if p >= full.n_curves:
-            raise DataError(f"p={p} needs more than {p} observations, got {full.n_curves}")
-    else:
-        if grid is None:
-            grid = select_orders(full, config.k_max, config.p_max, (config.criterion,),
-                                 config.restricted)[config.criterion]
-        k, p = grid.chosen
+    k, p = (config.k, config.p) if grid is None else grid.chosen
+    if k > full.rank:
+        raise NumericError(f"k={k} exceeds the sample rank {full.rank}")
     var = fit_var(full.scores[:, :k], p, restricted=config.restricted)
     return FfmModel(
         fpca=full,

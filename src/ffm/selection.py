@@ -21,9 +21,10 @@ every J at once, and no two large sums of squares are subtracted, which
 keeps near-exact fits accurate.  The restricted (own-lags) fit is
 additive over factors, so it is the same full-VAR kernel run on each
 factor as a one-factor series, summed over factors.  The kernel and
-``fit_var`` build [X Y] with one function (``dynamics._lagged_xy``),
-factor it with another (``dynamics._r_factors``) and refuse a design by
-one rule: cond(X'X), read from R, above CONDITION_LIMIT.
+``fit_var`` build [X Y] with one function (``dynamics._lagged_xy``) and
+factor it with another (``dynamics._r_factors``).  A cell is refused
+only by ``fit_var``'s own solve (``dynamics._solve``) of its J-factor
+series, so exactly when ``fit_var`` refuses it, and with its message.
 
 The kernel takes several score series at once.  For lag order p_max,
 the [X Y] of a stack of series are built together, and each series is
@@ -48,7 +49,7 @@ on the rows [p_max, T), plus the rows [m, p_max).
 - One shifted Cholesky factorization of the p_max Gram matrix proves
   every cell well conditioned (``_certified``), and a series that
   passes needs no condition number; any other series has every cell
-  checked by ``fit_var``'s own solve (``_leading_failures``).
+  checked by ``dynamics._solve``.
 - Since adding regressors or rows never raises a residual sum of
   squares, rss(J, p_max) bounds every shorter lag order from below, as
   in the leaps-and-bounds search of Furnival and Wilson (1974).  A
@@ -172,38 +173,6 @@ def _leading_rss(r: np.ndarray, n_max: int) -> np.ndarray:
     return np.concatenate([below, np.zeros((r.shape[0], 1, r.shape[2] - n_max))], axis=1)
 
 
-def _leading_failures(r: np.ndarray, scores: np.ndarray, ends: np.ndarray,
-                      m: int) -> list[dict[int, str]]:
-    """Per series of a stack, the reason each J-factor VAR(m) fails, keyed by J.
-
-    Series s is the first ``ends[s]`` rows of ``scores[s]`` (S, L, k_max),
-    and ``r[s]`` its R factor, as in ``_leading_rss``.  As in ``fit_var``,
-    a J-factor design fails when it leaves no residual degree of freedom,
-    when it is exactly singular (a zero pivot of R), or when the condition
-    number of its Gram matrix exceeds CONDITION_LIMIT.  That last check is
-    ``fit_var``'s own solve of the J-factor series, so a cell is refused
-    exactly when ``fit_var`` refuses it, and with its message.
-    """
-    n_max = scores.shape[2] * m
-    rows = ends - m
-    failures = [{} for _ in range(r.shape[0])]
-    pivots = np.diagonal(r, axis1=1, axis2=2)[:, :n_max]
-    own = np.minimum(rows, n_max)
-    # leading blocks of full rank: up to the first zero pivot of the own rows
-    zero = (pivots == 0.0) | (np.arange(pivots.shape[1]) >= own[:, None])
-    valid = np.where(zero.any(axis=1), zero.argmax(axis=1), pivots.shape[1])
-    for s, t_obs in enumerate(ends.tolist()):
-        for j in range(1, scores.shape[2] + 1):
-            why = _dof_failure(t_obs - m, j * m)
-            if why is None and j * m > valid[s]:
-                why = f"lagged design of {t_obs - m} observations has rank below {j * m} regressors"
-            if why is None:
-                why = _solve(scores[s, :t_obs, :j], m, ends[s:s + 1], False, False)[0][0]
-            if why is not None:
-                failures[s][j] = why
-    return failures
-
-
 def _certified(r: np.ndarray, n_max: int, rows: np.ndarray, floors: np.ndarray) -> np.ndarray:
     """Which regressions of a stack of p_max designs prove every grid cell well conditioned.
 
@@ -241,12 +210,15 @@ def _innovation_rss(scores: np.ndarray, ends: np.ndarray, p_max: int,
     that R's lag-m columns stacked over the lag-m [X Y] rows [m, p_max)
     (see the module docstring).  The p_max R certifies the whole grid
     of most series at once (``_certified``): a certified series has no
-    failed cell and needs no condition number, and any other series
-    has every cell checked (``_leading_failures``).  ``needed(rss, m)``,
-    when given, is called before each lag order m < p_max, in increasing
-    order, with the sums found so far (+inf elsewhere), and says which
-    series need it; only those and the uncertified series are factored,
-    and the other series' cells at m stay +inf.
+    failed cell and needs no condition number.  Any other series has
+    each cell (J, m) checked by ``dynamics._solve`` on its J-factor
+    series, which applies the degrees-of-freedom rule and then the
+    condition limit, so a cell fails, with its reason, exactly when
+    ``fit_var`` refuses it.  ``needed(rss, m)``, when given, is called
+    before each lag order m < p_max, in increasing order, with the sums
+    found so far (+inf elsewhere), and says which series need it; only
+    those and the uncertified series are factored, and the other
+    series' cells at m stay +inf.
     """
     n_win, _, k_max = scores.shape
     rss = np.full((n_win, k_max, p_max), np.inf)
@@ -291,14 +263,13 @@ def _innovation_rss(scores: np.ndarray, ends: np.ndarray, p_max: int,
                 certified[members] = _certified(r, n_max, rows, floors[members])
                 for s, w in enumerate(members.tolist()):
                     tops[w] = r[s, :min(rows[s], top)]
-            checked = np.flatnonzero(~certified[members])
-            if checked.size:
-                why = _leading_failures(r[checked], scores[members[checked]],
-                                        ends[members[checked]], m)
-                for s, reasons in zip(checked.tolist(), why):
-                    for j, reason in reasons.items():
+            for s in np.flatnonzero(~certified[members]).tolist():
+                w = members[s]
+                for j in js.tolist():
+                    why = _solve(scores[w, :ends[w], :j], m, ends[w:w + 1], False, False)[0][0]
+                    if why is not None:
                         cells[s, j - 1] = np.inf
-                        failures[members[s]][(j, m)] = reason
+                        failures[w][(j, m)] = why
             rss[members, :, m - 1] = cells
     return rss, failures
 
@@ -449,10 +420,20 @@ def select_orders(result: FpcaResult, k_max: int, p_max: int,
     A grid larger than the sample can carry is clipped, with a warning
     (``_carried``).
     """
+    return _selected(result, k_max, p_max, criteria, restricted)
+
+
+def _selected(result: FpcaResult, k_max: int, p_max: int, criteria,
+              restricted: bool) -> dict[str, SelectionGrid]:
+    """``select_orders``, with its warnings at its caller's caller.
+
+    So both ``select_orders`` and ``fit_ffm``, which calls this, warn at
+    their own caller.
+    """
     (k_max, p_max), clips = _carried(result.rank, result.n_curves, k_max, p_max)
     for message in clips:
-        warnings.warn(message, stacklevel=2)
-    return _stacked_grids([result], k_max, p_max, criteria, restricted)[0](stacklevel=3)
+        warnings.warn(message, stacklevel=3)
+    return _stacked_grids([result], k_max, p_max, criteria, restricted)[0](stacklevel=4)
 
 
 def _grids(traces: np.ndarray, failures: dict[tuple[int, int], str], tails: np.ndarray,

@@ -108,6 +108,12 @@ class TestFpca:
         assert run(["fpca", "--input", tmp_path / "nope.csv",
                     "--output-dir", tmp_path]) == 3
 
+    def test_one_curve_is_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "one.csv"
+        write_panel_csv(DiscretePanel(np.arange(1.0, 7.0), np.ones((1, 6))), path)
+        assert run(["fpca", "--input", path, "--output-dir", tmp_path / "out"]) == EXIT_DATA
+        assert "need at least two curves" in capsys.readouterr().err
+
 
 class TestSelect:
     def test_manifest_records_library_choice(self, tmp_path):

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from ffm import (CovarianceKernel, Curve, FunctionalSample, Grid, SimSpec, fpca,
-                 make_grid, reconstruct, sample_covariance, sample_mean, simulate)
+from ffm import (ConfigError, CovarianceKernel, Curve, DataError, FunctionalSample, Grid,
+                 SimSpec, fpca, make_grid, reconstruct, sample_covariance, sample_mean, simulate)
 
 ORTHO_TOL = 1e-8
 SCORE_TOL = 1e-8
@@ -77,7 +77,7 @@ class TestInvariants:
             errs.append(float(((diff ** 2) * w).sum()))
         assert np.all(np.diff(errs) <= 1e-10)
 
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             reconstruct(result, result.rank + 1)
 
 
@@ -182,13 +182,13 @@ class TestTruncation:
 
     def test_validation(self):
         grid = make_grid(0.0, 1.0, 5)
-        with pytest.raises(ValueError, match="two curves"):
+        with pytest.raises(DataError, match="two curves"):
             fpca(FunctionalSample(grid, np.ones((1, 5))))
         sample = FunctionalSample(grid, np.random.default_rng(0).normal(size=(4, 5)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             fpca(sample, k_max=0)
         result = fpca(sample)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             result.tail_sum(result.rank + 1)
 
 
@@ -208,7 +208,7 @@ class TestKernel:
 
     def test_shape_check(self):
         grid = Grid(np.array([0.0, 1.0, 2.0]))
-        with pytest.raises(ValueError, match="does not match grid"):
+        with pytest.raises(DataError, match="does not match grid"):
             CovarianceKernel(grid, np.ones((2, 2)))
 
     def test_mean_curve(self):

@@ -1,11 +1,13 @@
 """Fit/select/forecast workflow glue."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from ffm import (DataError, FfmConfig, FpcaResult, NumericError, SimSpec, fit_ffm, fit_var,
-                 fitted_curves, fitted_one_step, forecast, forecast_scores,
-                 fpca, simulate)
+from ffm import (DataError, DiscretePanel, FfmConfig, FpcaResult, Grid, NumericError, SimSpec,
+                 fit_ffm, fit_var, fitted_curves, fitted_one_step, forecast, forecast_scores,
+                 fpca, panel_to_sample, select_orders, simulate)
 
 SIGN_FLIP_TOL = 1e-10
 
@@ -86,8 +88,28 @@ class TestFit:
         sample = sim_sample("M4", 20)
         with pytest.raises(NumericError, match="rank"):
             fit_ffm(sample, FfmConfig(k=40, p=1))
-        with pytest.raises(DataError, match="observations"):
+        # fit_var refuses the pinned lag order itself, with its own message
+        with pytest.raises(DataError) as pinned:
             fit_ffm(sample, FfmConfig(k=1, p=20))
+        with pytest.raises(DataError) as direct:
+            fit_var(fpca(sample).scores[:, :1], 20)
+        assert str(pinned.value) == str(direct.value) == "need more than m=20 observations, got 20"
+
+    def test_selection_warnings_point_at_the_caller(self, benchmark_inputs):
+        # 12 curves: both clips, and failed cells on the clipped 11 x 11 grid
+        panel = DiscretePanel(benchmark_inputs.MATURITIES, benchmark_inputs.yield_panel(12, 12))
+        sample = panel_to_sample(panel, Grid(panel.maturities))
+        with warnings.catch_warnings(record=True) as fitted:
+            warnings.simplefilter("always")
+            fit_ffm(sample, FfmConfig(k_max=20, p_max=20))
+        with warnings.catch_warnings(record=True) as selected:
+            warnings.simplefilter("always")
+            select_orders(fpca(sample), 20, 20, ("bic",))
+        messages = [str(w.message) for w in fitted]
+        assert messages == [str(w.message) for w in selected]
+        assert "clipped" in messages[0] and "clipped" in messages[1]
+        assert "selection cells failed" in messages[2]
+        assert {w.filename for w in fitted + selected} == {__file__}
 
     def test_white_noise_is_flagged_degenerate(self):
         rng = np.random.default_rng(17)

@@ -552,9 +552,9 @@ class TestRestrictedKernel:
 
     @pytest.mark.parametrize("ends", [[50, 50, 50], [50, 41, 47]], ids=["equal", "padded"])
     def test_first_failed_factor_names_restricted_cells(self, ends):
-        # factors: a fine AR(1), an exactly zero one (rank below m) and an
-        # exactly geometric one (numerically singular for m >= 2); every
-        # J >= 2 cell fails at the zero factor, so its reason names them
+        # factors: a fine AR(1), an exactly zero one (singular for every m)
+        # and an exactly geometric one (numerically singular for m >= 2);
+        # every J >= 2 cell fails at the zero factor, so its reason names them
         rng = np.random.default_rng(94)
         p_max = 4
         scores = np.zeros((len(ends), max(ends), 3))
@@ -570,19 +570,17 @@ class TestRestrictedKernel:
         for w, t_obs in enumerate(ends.tolist()):
             assert set(geometric[w]) == {(1, m) for m in range(2, p_max + 1)}
             assert all("numerically singular" in why for why in geometric[w].values())
-            refused = set()
+            refused = {}
             for j in range(1, 4):
                 for m in range(1, p_max + 1):
                     try:
                         fit_var(scores[w, :t_obs, :j], m, restricted=True)
-                    except NumericError:
-                        refused.add((j, m))
-            assert refused == {(j, m) for j in (2, 3) for m in range(1, p_max + 1)}
-            assert set(failures[w]) == refused
-            assert {(j + 1, m + 1) for j, m in np.argwhere(np.isinf(traces[w])).tolist()} == refused
-            for (j, m), why in failures[w].items():
-                assert why == (f"lagged design of {t_obs - m} observations has rank below "
-                               f"{m} regressors")
+                    except NumericError as exc:
+                        refused[(j, m)] = str(exc)
+            assert set(refused) == {(j, m) for j in (2, 3) for m in range(1, p_max + 1)}
+            assert failures[w] == refused
+            assert ({(j + 1, m + 1) for j, m in np.argwhere(np.isinf(traces[w])).tolist()}
+                    == set(refused))
 
 
 def refusals(scores, k_max, p_max):
@@ -757,6 +755,20 @@ class TestFitVarAgreement:
         failures = _innovation_traces(scores[None], np.array([150]), 4, False)[1][0]
         assert set(failures) == {(j, m) for j in range(copied + 1, 4) for m in range(1, 5)}
         assert failures == refusals(scores, 3, 4)
+
+    @pytest.mark.parametrize("zero", [1, 2])
+    @pytest.mark.parametrize("ends", [[60], [60, 47]], ids=["alone", "stacked"])
+    def test_exactly_zero_factor_is_refused_as_fit_var_refuses_it(self, zero, ends):
+        # factor `zero` is exactly 0, so every J > zero design is singular
+        rng = np.random.default_rng(96)
+        scores = rng.normal(size=(len(ends), 60, 3))
+        scores[:, :, zero] = 0.0
+        ends = np.array(ends)
+        traces, failures = _innovation_traces(scores, ends, 2, False)
+        for w, t_obs in enumerate(ends.tolist()):
+            assert set(failures[w]) == {(j, m) for j in range(zero + 1, 4) for m in (1, 2)}
+            assert failures[w] == refusals(scores[w, :t_obs], 3, 2)
+            assert np.all(np.isinf(traces[w, zero:])) and np.all(np.isfinite(traces[w, :zero]))
 
     def test_near_collinear_design_reports_its_condition_number(self, monkeypatch):
         # the third factor copies the first up to 1e-7; the condition number
