@@ -369,8 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # the first class that matches names the exit code; a ConfigError is a ValueError
-    exits = ((ValueError, EXIT_CONFIG), (NetworkError, EXIT_NETWORK), (DataError, EXIT_DATA),
+    # the first class that matches names the exit code; any other exception, a
+    # bare ValueError included, is a bug and propagates
+    exits = ((ConfigError, EXIT_CONFIG), (NetworkError, EXIT_NETWORK), (DataError, EXIT_DATA),
              (OSError, EXIT_DATA), (NumericError, EXIT_NUMERIC))
     try:
         return args.func(args)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 __all__ = [
     "Grid",
@@ -71,11 +71,11 @@ class Grid:
     def __post_init__(self):
         points = _frozen(self.points)
         if points.ndim != 1 or points.size < 2:
-            raise ValueError("grid needs at least two points")
+            raise ConfigError("grid needs at least two points")
         if not np.all(np.isfinite(points)):
-            raise ValueError("grid points must be finite")
+            raise ConfigError("grid points must be finite")
         if np.any(np.diff(points) <= 0):
-            raise ValueError("grid points must be strictly increasing")
+            raise ConfigError("grid points must be strictly increasing")
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "weights", _frozen(trapezoid_weights(points)))
 
@@ -105,9 +105,9 @@ def make_grid(a: float, b: float, n: int = 100) -> Grid:
     Requires ``a < b`` and ``n >= 2``.
     """
     if not n >= 2:
-        raise ValueError(f"n must be at least 2, got {n}")
+        raise ConfigError(f"n must be at least 2, got {n}")
     if not a < b:
-        raise ValueError(f"need a < b, got a={a}, b={b}")
+        raise ConfigError(f"need a < b, got a={a}, b={b}")
     return Grid(np.linspace(a, b, n))
 
 
@@ -121,17 +121,17 @@ class Curve:
     def __post_init__(self):
         values = _frozen(self.values)
         if values.shape != (self.grid.n,):
-            raise ValueError(
+            raise DataError(
                 f"curve has {values.shape} values for a grid of {self.grid.n} points"
             )
         if not np.all(np.isfinite(values)):
-            raise ValueError("curve values must be finite")
+            raise DataError("curve values must be finite")
         object.__setattr__(self, "values", values)
 
 
 def _check_same_grid(x: Curve, y: Curve) -> None:
     if not x.grid.matches(y.grid):
-        raise ValueError("curves live on different grids; resample explicitly first")
+        raise DataError("curves live on different grids; resample explicitly first")
 
 
 def inner_product(x: Curve, y: Curve) -> float:
@@ -170,18 +170,18 @@ class FunctionalSample:
     def __post_init__(self):
         matrix = _frozen(np.atleast_2d(self.matrix))
         if matrix.ndim != 2 or matrix.shape[1] != self.grid.n:
-            raise ValueError(
+            raise DataError(
                 f"matrix shape {matrix.shape} does not match grid of {self.grid.n} points"
             )
         if not np.all(np.isfinite(matrix)):
-            raise ValueError("sample values must be finite")
+            raise DataError("sample values must be finite")
         times = self.times
         if times is None:
             times = tuple(range(1, matrix.shape[0] + 1))
         else:
             times = tuple(times)
             if len(times) != matrix.shape[0]:
-                raise ValueError("number of time labels does not match number of curves")
+                raise DataError("number of time labels does not match number of curves")
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "times", times)
 
@@ -325,7 +325,7 @@ class SplineFunction:
     def __call__(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
         if np.any(r < self.xs[0]) or np.any(r > self.xs[-1]):
-            raise ValueError(
+            raise DataError(
                 f"evaluation outside the knot span [{self.xs[0]}, {self.xs[-1]}]"
             )
         values = _spline_values(self.xs, self.ys[:, None], self._moments, r.reshape(-1))
@@ -351,13 +351,13 @@ def natural_cubic_spline(xs, ys, min_knots: int = DiscretePanel.MIN_KNOTS) -> Sp
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.ndim != 1 or xs.shape != ys.shape:
-        raise ValueError("xs and ys must be one-dimensional and of equal length")
+        raise DataError("xs and ys must be one-dimensional and of equal length")
     if xs.size < min_knots:
-        raise ValueError(f"need at least {min_knots} knots, got {xs.size}")
+        raise DataError(f"need at least {min_knots} knots, got {xs.size}")
     if np.any(np.diff(xs) <= 0):
-        raise ValueError("knots must be strictly increasing")
+        raise DataError("knots must be strictly increasing")
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
-        raise ValueError("knots and values must be finite")
+        raise DataError("knots and values must be finite")
     return SplineFunction(xs, ys)
 
 

@@ -1,11 +1,16 @@
 """Functional principal component analysis on a quadrature grid.
 
-The sample covariance kernel uses divisor T.  Eigenpairs are computed
-from the weighted matrix B = W^{1/2} C W^{1/2} (W the diagonal matrix of
-quadrature weights), whose symmetric eigendecomposition yields
-quadrature-orthonormal eigenfunctions after mapping back through
-W^{-1/2}.  Scores are quadrature inner products of the centered curves
-with the eigenfunctions.
+The sample covariance kernel uses divisor T.  ``fpca`` forms it as
+C = X_c' X_c / T from the centered curves X_c it also scores, and
+computes eigenpairs from the weighted matrix B = W^{1/2} C W^{1/2} (W
+the diagonal matrix of quadrature weights), whose symmetric
+eigendecomposition yields quadrature-orthonormal eigenfunctions
+psi = W^{-1/2} v.  Scores are quadrature inner products of the centered
+curves with the eigenfunctions.
+
+An eigenfunction's sign is fixed by one rule: the sign of its integral
+when that exceeds ``SIGN_TOLERANCE``; otherwise the sign of its first
+coordinate above that tolerance; otherwise +1.
 """
 
 from __future__ import annotations
@@ -30,9 +35,8 @@ __all__ = [
 # rounding noise and get clamped; anything lower means a broken kernel.
 EIGENVALUE_FLOOR = -1e-10
 
-# Quadrature integrals of an eigenfunction smaller than this are treated
-# as zero when fixing signs, and the first non-negligible coordinate is
-# used instead.
+# Quadrature integrals and coordinates of an eigenfunction no larger than
+# this are treated as zero when fixing signs.
 SIGN_TOLERANCE = 1e-9
 
 
@@ -149,25 +153,18 @@ class FpcaResult:
         }
 
 
-def _sign_flips(eigvecs: np.ndarray, sqrt_w: np.ndarray) -> np.ndarray:
-    """Signs (+1 or -1) that give each eigenvector column's eigenfunction a positive integral.
+def _sign_flips(integrals: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Signs (+1 or -1) that give each eigenfunction column a positive integral.
 
-    The integral of psi_l = v_l / sqrt(w) against the weights reduces to
-    dot(sqrt(w), v_l).  When that is negligible the first coordinate of
-    the eigenfunction with non-negligible size is made positive instead.
+    ``integrals[l]`` is the quadrature integral of the eigenfunction in
+    column l of ``psi``.  When that is negligible, the column's first
+    non-negligible coordinate is made positive instead; a column with no
+    such coordinate keeps its sign.
     """
-    flips = np.ones(eigvecs.shape[1])
-    integrals = sqrt_w @ eigvecs
-    for l in range(eigvecs.shape[1]):
-        s = integrals[l]
-        if abs(s) > SIGN_TOLERANCE:
-            flips[l] = np.sign(s)
-            continue
-        psi = eigvecs[:, l] / sqrt_w
-        big = np.nonzero(np.abs(psi) > SIGN_TOLERANCE)[0]
-        if big.size:
-            flips[l] = np.sign(psi[big[0]])
-    return flips
+    big = np.abs(psi) > SIGN_TOLERANCE
+    first = psi[big.argmax(axis=0), np.arange(psi.shape[1])]
+    fallback = np.where(big.any(axis=0), np.sign(first), 1.0)
+    return np.where(np.abs(integrals) > SIGN_TOLERANCE, np.sign(integrals), fallback)
 
 
 def fpca(sample: FunctionalSample, k_max: int | None = None) -> FpcaResult:
@@ -195,10 +192,8 @@ def fpca(sample: FunctionalSample, k_max: int | None = None) -> FpcaResult:
 
     mean = sample.matrix.mean(axis=0)
     centered = sample.matrix - mean
-    kernel = sample_covariance(sample)
-
     sqrt_w = np.sqrt(sample.grid.weights)
-    b = sqrt_w[:, None] * kernel.values * sqrt_w[None, :]
+    b = sqrt_w[:, None] * (centered.T @ centered / t_obs) * sqrt_w[None, :]
     b = (b + b.T) / 2.0
     try:
         vals, vecs = np.linalg.eigh(b)
@@ -213,8 +208,8 @@ def fpca(sample: FunctionalSample, k_max: int | None = None) -> FpcaResult:
     vals = np.clip(vals, 0.0, None)
 
     vecs = vecs[:, :rank]
-    vecs = vecs * _sign_flips(vecs, sqrt_w)
-    eigenfunctions = (vecs / sqrt_w[:, None]).T
+    psi = vecs / sqrt_w[:, None]
+    eigenfunctions = (psi * _sign_flips(sqrt_w @ vecs, psi)).T
     scores = centered @ (eigenfunctions * sample.grid.weights).T
 
     return FpcaResult(

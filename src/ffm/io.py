@@ -25,7 +25,7 @@ import numpy as np
 
 from ._version import __version__
 from .core import Curve, DiscretePanel, Grid, make_grid
-from .errors import DataError, NetworkError
+from .errors import ConfigError, DataError, NetworkError
 from .pipeline import FfmModel
 
 __all__ = [
@@ -46,7 +46,11 @@ __all__ = [
 
 
 def _fmt(x: float) -> str:
-    """Shortest exact decimal representation ('' for NaN in wide tables)."""
+    """Shortest exact decimal representation; 'nan' for NaN.
+
+    A wide table's hole is written as '' because ``panel_rows`` stores it
+    as None, which ``_cell`` writes empty.
+    """
     return repr(float(x))
 
 
@@ -167,7 +171,7 @@ def panel_rows(panel: DiscretePanel, layout: str = "wide") -> list[dict]:
                 if not np.isnan(v):
                     rows.append({"time": t, "maturity": m, "value": v})
     else:
-        raise ValueError(f"unknown layout {layout!r}; expected 'wide' or 'long'")
+        raise ConfigError(f"unknown layout {layout!r}; expected 'wide' or 'long'")
     return rows
 
 
@@ -263,7 +267,7 @@ def model_from_json(doc: dict) -> FfmModel:
 def write_rows_csv(rows: list[dict], path) -> None:
     """Write homogeneous dict rows as CSV (floats in exact round-trip form)."""
     if not rows:
-        raise ValueError("nothing to write")
+        raise DataError("nothing to write")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         keys = list(rows[0])

@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import FunctionalSample, Grid, _frozen, make_grid
 from .dynamics import _companion, companion_spectral_radius
-from .errors import NumericError
+from .errors import ConfigError, NumericError
 from .fpca import _sign_flips
 
 __all__ = [
@@ -116,32 +116,32 @@ class SimSpec:
 
     def __post_init__(self):
         if self.n_obs < 1:
-            raise ValueError(f"n_obs must be positive, got {self.n_obs}")
+            raise ConfigError(f"n_obs must be positive, got {self.n_obs}")
         if self.burn_in < 0:
-            raise ValueError(f"burn_in must be nonnegative, got {self.burn_in}")
+            raise ConfigError(f"burn_in must be nonnegative, got {self.burn_in}")
         if self.noise_scale < 0:
-            raise ValueError(f"noise_scale must be nonnegative, got {self.noise_scale}")
+            raise ConfigError(f"noise_scale must be nonnegative, got {self.noise_scale}")
         if self.model == "custom":
             if not self.lag_matrices:
-                raise ValueError("custom model needs lag_matrices")
+                raise ConfigError("custom model needs lag_matrices")
             lags = tuple(_frozen(a) for a in self.lag_matrices)
         elif self.model in MODELS:
             if self.lag_matrices is not None:
-                raise ValueError("lag_matrices are only accepted with model='custom'")
+                raise ConfigError("lag_matrices are only accepted with model='custom'")
             lags = tuple(_frozen(a) for a in MODELS[self.model])
         else:
-            raise ValueError(f"unknown model {self.model!r}; expected one of "
+            raise ConfigError(f"unknown model {self.model!r}; expected one of "
                              f"{sorted(MODELS)} or 'custom'")
         if any(a.ndim != 2 or not np.isfinite(a).all() for a in lags):
-            raise ValueError("lag matrices must be finite 2-D arrays")
+            raise ConfigError("lag matrices must be finite 2-D arrays")
         k = lags[0].shape[0]
         if any(a.shape != (k, k) for a in lags):
-            raise ValueError("lag matrices must all be square and of equal size")
+            raise ConfigError("lag matrices must all be square and of equal size")
         if not 1 <= k <= BASIS_SIZE:
-            raise ValueError(f"factor dimension must be in [1, {BASIS_SIZE}], got {k}")
+            raise ConfigError(f"factor dimension must be in [1, {BASIS_SIZE}], got {k}")
         radius = companion_spectral_radius(np.stack(lags))
         if radius >= 1.0:
-            raise ValueError(f"unstable lag polynomial: companion spectral radius {radius:.4f}")
+            raise ConfigError(f"unstable lag polynomial: companion spectral radius {radius:.4f}")
         object.__setattr__(self, "lag_matrices", lags)
         if self.grid is None:
             object.__setattr__(self, "grid", default_sim_grid())
@@ -265,7 +265,8 @@ def population_structure(spec: SimSpec) -> PopulationStructure:
     loadings = q.T @ basis
     # the estimator's sign convention, on the sqrt(w)-weighted loadings it diagonalizes
     sqrt_w = np.sqrt(spec.grid.weights)
-    flips = _sign_flips((loadings * sqrt_w).T, sqrt_w)
+    vecs = (loadings * sqrt_w).T
+    flips = _sign_flips(sqrt_w @ vecs, vecs / sqrt_w[:, None])
     loadings = loadings * flips[:, None]
     q = q * flips[None, :]
     rotated = np.stack([q.T @ np.asarray(a) @ q for a in spec.lag_matrices])

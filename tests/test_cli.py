@@ -543,6 +543,16 @@ class TestFetchH15:
 
 
 class TestParser:
+    def test_bare_value_error_propagates(self, tmp_path, monkeypatch):
+        # only a ConfigError is a configuration fault; any other ValueError
+        # is a bug, which must not pass as exit 2
+        def broken(spec):
+            raise ValueError("a bug")
+
+        monkeypatch.setattr(ffm.cli, "simulate", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            run(["simulate", "--T", 20, "--output-dir", tmp_path])
+
     def test_bad_grid_is_config_error(self, tmp_path, capsys):
         csv_path = write_sim_csv(tmp_path, "M4", 20, 0)
         assert run(["fpca", "--input", csv_path, "--grid", "0,1",

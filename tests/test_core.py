@@ -85,14 +85,14 @@ class TestInnerProduct:
     def test_rejects_mismatched_grids(self):
         x = Curve(make_grid(0.0, 1.0, 5), np.ones(5))
         y = Curve(make_grid(0.0, 1.0, 6), np.ones(6))
-        with pytest.raises(ValueError, match="different grids"):
+        with pytest.raises(DataError, match="different grids"):
             inner_product(x, y)
 
     def test_curve_validation(self):
         grid = make_grid(0.0, 1.0, 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             Curve(grid, np.ones(3))
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             Curve(grid, np.array([1.0, np.nan, 0.0, 2.0]))
 
 
@@ -139,19 +139,19 @@ class TestNaturalCubicSpline:
 
     def test_refuses_extrapolation(self):
         spline = natural_cubic_spline(self.XS, self.YS)
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(DataError, match="outside"):
             spline(-0.1)
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(DataError, match="outside"):
             spline(5.01)
 
     def test_knot_floor_and_validation(self):
-        with pytest.raises(ValueError, match="at least 4"):
+        with pytest.raises(DataError, match="at least 4"):
             natural_cubic_spline([0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
         # the floor is configurable
         natural_cubic_spline([0.0, 1.0, 2.0], [1.0, 2.0, 3.0], min_knots=3)
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             natural_cubic_spline([0.0, 1.0, 1.0, 2.0], [1.0, 2.0, 3.0, 4.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             natural_cubic_spline([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
 
 
@@ -252,9 +252,9 @@ class TestPanelToSample:
 
     def test_sample_validation(self):
         grid = make_grid(0.0, 1.0, 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             FunctionalSample(grid, np.ones((2, 3)))
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             FunctionalSample(grid, np.ones((2, 4)), times=(1,))
         sample = FunctionalSample(grid, np.ones((2, 4)))
         assert sample.times == (1, 2)

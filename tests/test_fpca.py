@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from ffm import (ConfigError, CovarianceKernel, Curve, DataError, FunctionalSample, Grid,
-                 SimSpec, fpca, make_grid, reconstruct, sample_covariance, sample_mean, simulate)
+from ffm import (ConfigError, CovarianceKernel, Curve, DataError, DiscretePanel, FunctionalSample,
+                 Grid, SimSpec, fpca, make_grid, panel_to_sample, reconstruct, sample_covariance,
+                 sample_mean, simulate)
+from ffm.fpca import SIGN_TOLERANCE, _sign_flips
 
 ORTHO_TOL = 1e-8
 SCORE_TOL = 1e-8
@@ -136,6 +138,91 @@ class TestConstructedFactors:
         assert np.allclose(up.eigenfunctions[0], down.eigenfunctions[0], atol=1e-10)
         first = up.eigenfunctions[0][np.abs(up.eigenfunctions[0]) > 1e-9][0]
         assert first > 0
+
+
+def per_column_signs(integrals, psi):
+    """The sign rule written out one column at a time."""
+    flips = np.ones(psi.shape[1])
+    for l in range(psi.shape[1]):
+        if abs(integrals[l]) > SIGN_TOLERANCE:
+            flips[l] = np.sign(integrals[l])
+            continue
+        big = np.nonzero(np.abs(psi[:, l]) > SIGN_TOLERANCE)[0]
+        if big.size:
+            flips[l] = np.sign(psi[big[0], l])
+    return flips
+
+
+def covariance_fpca(sample, k_max):
+    """fpca through sample_covariance, the weighted B, eigh and per-column signs."""
+    t_obs, n = sample.matrix.shape
+    full_rank = min(t_obs - 1, n)
+    rank = full_rank if k_max is None else min(k_max, full_rank)
+    sqrt_w = np.sqrt(sample.grid.weights)
+    b = sqrt_w[:, None] * sample_covariance(sample).values * sqrt_w[None, :]
+    vals, vecs = np.linalg.eigh((b + b.T) / 2.0)
+    vals = np.clip(vals[::-1][:full_rank], 0.0, None)
+    vecs = vecs[:, ::-1][:, :rank]
+    vecs = vecs * per_column_signs(sqrt_w @ vecs, vecs / sqrt_w[:, None])
+    eigenfunctions = (vecs / sqrt_w[:, None]).T
+    mean = sample.matrix.mean(axis=0)
+    scores = (sample.matrix - mean) @ (eigenfunctions * sample.grid.weights).T
+    return {"mean": mean, "eigenvalues": vals[:rank], "eigenfunctions": eigenfunctions,
+            "scores": scores, "tail_eigenvalues": vals[rank:]}
+
+
+BITWISE_CASES = ([f"{model}-{t_obs}" for model in ("M1", "M2", "M3", "M4")
+                  for t_obs in (12, 60, 200, 500)]
+                 + [f"panel{seed}-{grid}" for seed in (7, 41) for grid in ("100", "maturities")]
+                 + ["copies-3", "copies-5", "copies-6", "zeros-8"])
+
+
+def bitwise_case(name, inputs):
+    kind, arg = name.split("-")
+    if kind.startswith("M"):
+        return simulate(SimSpec(model=kind, n_obs=int(arg), seed=int(arg)))
+    if kind.startswith("panel"):
+        panel = DiscretePanel(inputs.MATURITIES,
+                              inputs.yield_panel(int(kind[5:]), inputs.BACKTEST_ROWS))
+        a, b = panel.maturities[0], panel.maturities[-1]
+        grid = make_grid(a, b, 100) if arg == "100" else Grid(panel.maturities)
+        return panel_to_sample(panel, grid)
+    grid = make_grid(0.0, 1.0, 51)
+    if kind == "zeros":
+        return FunctionalSample(grid, np.zeros((int(arg), grid.n)))
+    curve = np.exp(-grid.points) + np.sin(3.0 * grid.points)
+    return FunctionalSample(grid, np.tile(curve, (int(arg), 1)))
+
+
+class TestSigns:
+    def test_vectorized_rule_matches_the_per_column_rule(self):
+        # columns: a sizable integral of each sign; a negligible integral
+        # with a sizable negative first coordinate; negligible integrals
+        # with no sizable coordinate at all, one whose first coordinate is
+        # negative, which keep +1; and values exactly at the tolerance,
+        # which count as negligible
+        tiny, tol = SIGN_TOLERANCE / 10.0, SIGN_TOLERANCE
+        psi = np.array([
+            [0.5, 0.5, -tiny, tiny, -tiny, 0.0, -tol, -0.3],
+            [-0.2, 0.3, -0.4, tiny, tiny, 0.0, 0.2, 0.1],
+            [0.1, -0.9, 0.7, -0.6, -tiny, 0.0, -0.1, 0.1],
+        ])
+        integrals = np.array([0.3, -0.3, tiny, -tiny, -tiny, 0.0, tiny, tol])
+        flips = _sign_flips(integrals, psi)
+        assert np.array_equal(flips, per_column_signs(integrals, psi))
+        assert np.array_equal(flips, [1.0, -1.0, -1.0, -1.0, 1.0, 1.0, 1.0, -1.0])
+
+    @pytest.mark.parametrize("name", BITWISE_CASES)
+    def test_fpca_equals_the_covariance_computation_bit_for_bit(self, benchmark_inputs, name):
+        sample = bitwise_case(name, benchmark_inputs)
+        for k_max in (None, 1, 3):
+            result = fpca(sample, k_max)
+            expected = covariance_fpca(sample, k_max)
+            for field, values in expected.items():
+                got = getattr(result, field)
+                got = got.values if field == "mean" else got
+                assert got.shape == values.shape, (field, k_max)
+                assert got.tobytes() == values.tobytes(), (field, k_max)
 
 
 class TestScipyReference:

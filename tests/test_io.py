@@ -318,7 +318,7 @@ class TestRowsCsv:
         parts = lines[1].split(",")
         assert float(parts[1]) == 1.0 / 3.0
         assert parts[3] == ""
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             write_rows_csv([], path)
 
 
